@@ -1,20 +1,24 @@
 """Benchmark entry point: one workload, one seed, one JSON result.
 
     python3 perfbench/run.py --workload verify-adder-cdcl --seed 1 \
-        --seconds 20 --trace 0
+        --seconds 30 --trace 0
 
-Run from the repository root.  ``--trace 0`` times the workload with no
-wrappers and reports the end-to-end metrics; ``--trace 1`` replays the
-same work twice in one process, first untraced and then with every
-layer boundary wrapped in a span, and reports the per-layer metrics.
-The last line of standard output is the result object; the line before
-it holds the run's details (host-speed probe, work fingerprint,
-per-half figures), which are also kept under ``.perfbench_runs/``.
+Run from the repository root.  ``--trace 0`` replays the workload's
+inputs in three passes with no wrappers, rescales each request's time
+to the reference host's speed (:func:`tick`), takes each request's best
+time over the passes and reports the end-to-end metrics.  ``--trace 1`` runs
+an untraced and a traced pass over the same inputs in alternating
+chunks, with every layer boundary of the traced one wrapped in a span,
+and reports the per-layer metrics.  The last line of standard output is
+the result object; the line before it holds the run's details
+(host-speed probe, work fingerprint, per-half figures), which are also
+kept under ``.perfbench_runs/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -31,7 +35,7 @@ SRC = ROOT / "src"
 RECORDS = ROOT / ".perfbench_runs"
 WORKLOADS = ("verify-adder-cdcl", "verify-mcx-bdd", "fleet-migrate")
 #: Set-ups timed per untraced run; ``setup_s`` is their median.
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9
 
 
 def host_probe() -> dict:
@@ -49,23 +53,67 @@ def host_probe() -> dict:
     return {"min": min(samples), "median": statistics.median(samples)}
 
 
+def tick() -> float:
+    """Seconds of a fixed integer loop (~2 ms): the host's speed now.
+
+    On the 2-vCPU VM the bounds were set on, the CPU itself runs fast or
+    up to 2x slower in phases of 0.1 s to minutes (other tenants; CPU
+    time rises with wall time, so ``process_time`` does not remove it).
+    The loop's time tracks a request's time under those phases.  It
+    allocates nothing the garbage collector tracks, so its time does not
+    depend on the state of the process's own heap.
+    """
+    begin = time.perf_counter()
+    total = 0
+    for i in range(30_000):
+        total += i * i % 7
+    return time.perf_counter() - begin
+
+
+#: ``tick()`` on the reference host in its fast phase.  Every reported
+#: time is rescaled by ``TICK_REFERENCE_S / tick()``, the ticks taken
+#: around it, so it reads as on the reference host.
+TICK_REFERENCE_S = 0.002
+
+
+def paced_pass(one):
+    """Play a pass chunk by chunk with a tick before and after each
+    chunk, rescale each request's time by the mean of those two ticks,
+    and finish the pass."""
+    latencies = one.run.latencies
+    ticks = [tick()]
+    for start in range(0, one.units, one.chunk):
+        done = len(latencies)
+        one.play(start, start + one.chunk)
+        ticks.append(tick())
+        scale = 2 * TICK_REFERENCE_S / (ticks[-2] + ticks[-1])
+        latencies[done:] = [t * scale for t in latencies[done:]]
+    run = one.finish()
+    run.tick = statistics.median(ticks)
+    return run
+
+
 def time_setup(workload: str) -> float:
-    """Seconds from spawning a fresh interpreter to its ``READY`` line."""
+    """Seconds from spawning a fresh interpreter to its ``READY`` line,
+    rescaled by the ticks the child takes at its start and when ready."""
     begin = time.monotonic()
     done = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--setup-only",
          "--workload", workload],
         cwd=ROOT, capture_output=True, text=True, timeout=150, check=True,
     )
-    ready = float(done.stdout.split("READY", 1)[1].split()[0])
-    return ready - begin
+    ready, first, last = map(float, done.stdout.split("READY", 1)[1].split())
+    return (ready - begin) * 2 * TICK_REFERENCE_S / (first + last)
 
 
 def source_digest() -> str:
+    """Digest of the program's and the benchmark's Python sources: a
+    change to either may change the work a seed makes."""
     digest = hashlib.blake2b(digest_size=8)
-    for path in sorted(SRC.rglob("*.py")):
-        digest.update(str(path.relative_to(SRC)).encode())
-        digest.update(path.read_bytes())
+    for tree in (SRC, HERE):
+        for path in sorted(tree.rglob("*.py")):
+            digest.update(str(path.relative_to(ROOT)).encode())
+            digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
@@ -86,7 +134,7 @@ def end_to_end(run, setup_samples) -> dict:
         "setup_s": metric(statistics.median(setup_samples), "s"),
         "latency_p50_ms": metric(statistics.median(ms), "ms"),
         "latency_p90_ms": metric(quantile(ms, 0.9), "ms"),
-        "throughput_per_s": metric(len(ms) / run.wall, "1/s"),
+        "throughput_per_s": metric(len(ms) / run.busy, "1/s"),
         "ok_frac": metric(ok / run.attempted, "fraction"),
         "served_frac": metric(run.served, "fraction"),
         "peak_rss_mb": metric(
@@ -111,8 +159,9 @@ def op_percentiles(run) -> dict:
 
 def per_layer(run, reference, tracer) -> tuple:
     """Per-layer metrics of a traced pass, and the span aggregate behind
-    them; ``reference`` is the same work untraced.  Times are self time
-    per request (per job on the fleet)."""
+    them; ``reference`` is the same work untraced, run in chunks that
+    alternate with the traced pass's.  Times are self time per request
+    (per job on the fleet)."""
     agg = tracer.aggregate()
     counts = tracer.counts
     per = run.jobs if run.jobs else run.attempted
@@ -186,7 +235,7 @@ def per_layer(run, reference, tracer) -> tuple:
         "multiprog.expired": metric(deltas.get("expired", 0), "count"),
         **op_percentiles(reference),
         "trace.unattributed_frac": ratio(agg.self_time["request"], roots),
-        "trace.overhead_frac": metric(run.wall / reference.wall - 1, "fraction"),
+        "trace.overhead_frac": metric(run.busy / reference.busy - 1, "fraction"),
     }
     return metrics, agg
 
@@ -232,7 +281,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true",
                         help="set up, print READY <monotonic time>, exit")
@@ -244,10 +293,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
 
     if args.setup_only:
+        first = tick()
         import workloads
 
         workloads.setup(args.workload)
-        print(f"READY {time.monotonic()!r}", flush=True)
+        ready = time.monotonic()
+        print(f"READY {ready!r} {first!r} {tick()!r}", flush=True)
         return 0
 
     probe_before = host_probe()
@@ -261,24 +312,19 @@ def main(argv=None) -> int:
     if Path(repro.__file__).resolve().parent != (SRC / "repro").resolve():
         print(f"imported repro from {repro.__file__}", file=sys.stderr)
         return 2
-    from repro.lang.surface.elaborate import verify_qbr
-
-    router = workloads.setup(args.workload)
+    routers = workloads.setup(args.workload)
     backend = workloads.VERIFY_BACKENDS.get(args.workload)
     if backend:
-        inputs = workloads.verify_programs(args.workload, args.seed, args.seconds)
+        programs = workloads.verify_programs(args.workload, args.seed,
+                                             args.seconds)
 
-        def measure(tracer=None):
-            verify = tracer.root(verify_qbr) if tracer else verify_qbr
-            return workloads.run_verify(inputs, backend, verify)
+        def new_pass():
+            return workloads.VerifyPass(programs, backend)
     else:
-        inputs = workloads.fleet_trace(args.seed, args.seconds)
+        trace = workloads.fleet_trace(args.seed, args.seconds)
 
-        def measure(tracer=None):
-            nonlocal router  # the set-up router serves the first pass
-            fleet = router or workloads.FleetRouter(list(workloads.FLEET_SHARDS))
-            router = None
-            return workloads.run_fleet(inputs, fleet, tracer and tracer.root)
+        def new_pass():
+            return workloads.FleetPass(trace, routers.pop())
 
     details = {"workload": args.workload, "seed": args.seed,
                "seconds": args.seconds, "trace": args.trace}
@@ -286,13 +332,22 @@ def main(argv=None) -> int:
     if args.trace:
         import spans
 
-        reference = measure()
         tracer = spans.Tracer()
         spans.install_layers(tracer)
-        try:
-            run = measure(tracer)
-        finally:
-            tracer.restore()
+        plain, traced = new_pass(), new_pass()
+
+        def traced_chunk(start, stop):
+            tracer.enable()
+            try:
+                traced.play(start, stop, tracer.root)
+            finally:
+                tracer.disable()
+
+        for index, start in enumerate(range(0, plain.units, plain.chunk)):
+            steps = (plain.play, traced_chunk)
+            for step in steps if index % 2 == 0 else reversed(steps):
+                step(start, start + plain.chunk)
+        reference, run = plain.finish(), traced.finish()
         metrics, agg = per_layer(run, reference, tracer)
         # The wrappers must not change the work: both passes count alike.
         if reference.fingerprint != run.fingerprint or reference.failed:
@@ -304,9 +359,15 @@ def main(argv=None) -> int:
         run.fingerprint["admit_attempts"] = agg.calls["multiprog.admit"]
         details["boundaries"] = dict(sorted(agg.calls.items()))
     else:
-        run = measure()
+        passes = []
+        for _ in range(workloads.PASSES):
+            gc.collect()  # each pass starts from the same clean heap
+            passes.append(paced_pass(new_pass()))
+        run = workloads.best_of(passes)
         metrics = end_to_end(run, setup_samples)
         details["setup_samples_s"] = setup_samples
+        details["pass_busy_s"] = [one.busy for one in passes]
+        details["pass_tick_median_s"] = [one.tick for one in passes]
         if run.kinds:
             details.update(op_percentiles(run))
     details["halves"] = halves(run, agg)

@@ -6,7 +6,9 @@ look them up (``repro.verify.batch.make_checker``,
 Every wrapper calls the original unchanged, so the traced run executes
 the same program; it only records one span per call (name, start, end,
 parent span, request id) and a few counters read at the same boundary.
-Spans live in flat arrays and are written once, when the run ends.
+The wrappers are in place only while the tracer is enabled, so the
+traced run can alternate traced and untraced chunks of work.  Spans live
+in flat arrays and are written once, when the run ends.
 
 A layer's *self time* is its span's duration minus the duration of its
 child spans.  The clock is read after a span's bookkeeping on entry and
@@ -128,8 +130,9 @@ class Tracer:
     # -- patching --------------------------------------------------------
 
     def patch(self, target: str, attr: str, name, before=None, after=None):
-        """Replace ``target.attr`` (a module, or ``module:Class``) with a
-        wrapped version; :meth:`restore` puts every original back."""
+        """Register a wrapped ``target.attr`` (a module, or
+        ``module:Class``); it replaces the original only between
+        :meth:`enable` and :meth:`disable`."""
         module, _, cls = target.partition(":")
         owner = importlib.import_module(module)
         if cls:
@@ -137,12 +140,15 @@ class Tracer:
         if attr not in vars(owner):
             raise AttributeError(f"{target} defines no {attr!r} to wrap")
         original = vars(owner)[attr]
-        setattr(owner, attr, self.wrap(name, original, before, after))
-        self._patches.append((owner, attr, original))
+        wrapper = self.wrap(name, original, before, after)
+        self._patches.append((owner, attr, original, wrapper))
 
-    def restore(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
+    def enable(self) -> None:
+        for owner, attr, _, wrapper in self._patches:
+            setattr(owner, attr, wrapper)
+
+    def disable(self) -> None:
+        for owner, attr, original, _ in self._patches:
             setattr(owner, attr, original)
 
     # -- analysis --------------------------------------------------------
@@ -205,7 +211,7 @@ def _checker_span(args) -> str:
 
 
 def install_layers(tracer: Tracer) -> None:
-    """Wrap every layer boundary on the measured path."""
+    """Register a wrapper at every layer boundary on the measured path."""
     add = tracer.add
 
     def gates(args, program, _):
