@@ -188,6 +188,12 @@ def main() -> None:
         print(f"        m{wire}: {spans}")
 
     print("\n=== lazy verification: only placeable ancillas pay ===")
+    print("a second machine sharing the first one's verifier admits an")
+    print("identical oracle next to a lending sampler: its ancilla's")
+    print("verdict comes from the memo, not from the solver")
+    replica = MultiProgrammer(16, verifier=machine.verifier)
+    replica.admit(sampler_job())
+    replica.admit(grover_oracle_job("grover-3"))
     print(
         f"solver runs so far: {machine.verifier.cache_misses} "
         f"(memoised hits: {machine.verifier.cache_hits}) — identical "

@@ -12,11 +12,13 @@ Module tour
       registered :mod:`repro.alloc` strategy, lazily batch-verifying
       its ancillas, letting verified-safe ones borrow idle co-tenant
       wires) or raise :class:`~repro.errors.CapacityError` when it
-      does not fit.  Lending is *time-sliced*: a lent wire carries a
-      set of window-disjoint :class:`Lease`\\ s (the guest ancilla's
-      gate-index lending :class:`~repro.circuits.intervals.WindowSet`
-      mapped onto the machine timeline), so one idle wire multiplexes
-      several concurrent guests.  Under ``lending="segmented"`` each
+      does not fit — at once, before any verification, when its
+      ``reduced_width`` exceeds the free pool.  Lending is
+      *time-sliced*: a lent wire carries a set of window-disjoint
+      :class:`Lease`\\ s (the guest ancilla's gate-index lending
+      :class:`~repro.circuits.intervals.WindowSet` mapped onto the
+      machine timeline), so one idle wire multiplexes several
+      concurrent guests.  Under ``lending="segmented"`` each
       window carries the restore-point segmentation — a lease covers
       only the ancilla's compute/uncompute segments, and other guests
       thread through the restore gaps; ``lending="windowed"`` keeps

@@ -148,9 +148,9 @@ class BestFitWidthPlacement(PlacementPolicy):
 
     Shards whose free pool already covers the job's static width floor
     (``reduced_width``) rank by smallest leftover; shards that cannot
-    fit it right now follow, closest-to-fitting first — they are still
-    worth attempting (lending can admit past the free-pool count) and
-    are where the job queues if nothing admits.
+    fit it right now follow, closest-to-fitting first.  Their admit
+    refuses at once (no placement holds fewer than ``reduced_width``
+    fresh wires), but they are where the job queues if nothing admits.
     """
 
     def rank(self, job, shards):
@@ -517,7 +517,9 @@ class FleetRouter:
         job queues on the best-ranked shard that can hold it — its
         ``timeout`` is in *that shard's* logical events, preserving
         single-machine replay semantics — and every later event may
-        migrate it to whichever shard frees capacity first.  If no
+        migrate it to whichever shard frees capacity first.  (Queueing
+        ticks that shard's clock, which can shift lease windows enough
+        for the job to fit; it is then admitted there instead.)  If no
         shard can even queue it (every eligible shard is empty yet
         still cannot host it — it needs lending, and lending needs
         co-tenants), it waits in the fleet overflow queue, where
@@ -574,20 +576,34 @@ class FleetRouter:
                 backfilled=backfilled,
             )
         # Second pass: queue on the best-ranked shard that will hold
-        # it.  Every eligible shard's admit just failed, so submit()
-        # cannot admit — it queues.  An *empty* shard whose admit
-        # failed would reject instead (the single-machine rule: an
-        # empty machine that cannot host proves local impossibility),
-        # so those are skipped without charging them a submission.
+        # it.  An *empty* shard whose admit failed would reject instead
+        # (the single-machine rule: an empty machine that cannot host
+        # proves local impossibility), so those are skipped without
+        # charging them a submission.  The shard's submit() ticks its
+        # clock before retrying admit, so lease windows shift by one
+        # round and the job may fit after all: then it is an immediate
+        # admission on that shard, not a queue entry.
         for shard_name in order:
-            if self.shards[shard_name].occupancy == 0:
+            shard = self.shards[shard_name]
+            if shard.occupancy == 0:
                 continue
             try:
-                self.shards[shard_name].submit(
+                outcome = shard.submit(
                     job, strategy=strategy, timeout=timeout, priority=priority
                 )
             except CapacityError:
                 continue
+            if outcome.admitted:
+                self._note_admitted(job, shard_name, immediate=True)
+                backfilled = list(self._absorb_drained(shard_name))
+                backfilled.extend(self._redistribute())
+                self._check()
+                return FleetSubmitOutcome(
+                    "admitted",
+                    shard=shard_name,
+                    admission=outcome.admission,
+                    backfilled=tuple(backfilled),
+                )
             self._queued_on[job.name] = shard_name
             # The shard's submit ticked its own clock, which may have
             # expired *other* entries queued there — re-sync the map.
@@ -778,10 +794,14 @@ class FleetRouter:
     def _sync_shard_queues(self) -> None:
         """Reconcile the fleet map with shard queues after their own
         expiry/rejection passes dropped entries."""
+        pending = {
+            shard_name: set(shard.pending())
+            for shard_name, shard in self.shards.items()
+        }
         for name, shard_name in list(self._queued_on.items()):
             if name in self._resident_on:
                 del self._queued_on[name]
-            elif name not in self.shards[shard_name].pending():
+            elif name not in pending[shard_name]:
                 del self._queued_on[name]
                 self._deadlines.pop(name, None)
 

@@ -75,6 +75,7 @@ from repro.alloc import (
     StreamingAllocator,
     allocate,
     build_model,
+    strategy_class,
 )
 from repro.circuits.circuit import Circuit
 from repro.circuits.classical import is_classical_circuit
@@ -110,7 +111,9 @@ class BorrowRequest:
     (:func:`repro.lang.surface.elaborate.job_from_qbr` sets it from
     ``proven_wires``).  The scheduler treats a certified wire as safe
     without issuing a :class:`~repro.verify.batch.BatchVerifier`
-    obligation and counts the skip in ``stats()['static_discharged']``.
+    obligation and counts the skip in ``stats()['static_discharged']``
+    (an admission attempt the capacity precheck refuses verifies
+    nothing, so it counts nothing).
     """
 
     wire: int
@@ -174,8 +177,9 @@ class QuantumJob:
         """Floor on the job's fresh-qubit need: each requested ancilla
         can save at most one fresh wire (removed internally or
         cross-borrowed), so the wire count minus the requests bounds
-        what any placement can achieve.  The submit fail-fast and the
-        ``sjf`` queue policy both key off this."""
+        what any placement can achieve.  The :meth:`MultiProgrammer.admit`
+        capacity precheck, the submit fail-fast and the ``sjf`` queue
+        policy all key off this."""
         return self.circuit.num_qubits - len(self.ancilla_requests)
 
 
@@ -834,6 +838,10 @@ class MultiProgrammer:
         self._residents: Dict[str, Admission] = {}
         #: Machine wire -> resident names holding it (owner and guests).
         self._holders: Dict[int, Set[str]] = {}
+        #: Set once an ``enforce_capacity=False`` admission takes a wire
+        #: past the machine's end; until then every held wire is a
+        #: machine wire and :attr:`free_qubits` is O(1).
+        self._overflowed = False
         #: Idle machine wire -> owner offering it to co-tenant guests.
         self._idle_owner: Dict[int, str] = {}
         #: Lent machine wire -> its active leases, in grant order.
@@ -843,7 +851,8 @@ class MultiProgrammer:
         #: Lifetime count of solver obligations skipped because the
         #: requested ancilla arrived statically certified (one per
         #: certified wire per admission attempt that would otherwise
-        #: have verified it).
+        #: have verified it; attempts the capacity precheck refuses
+        #: verify nothing, so they do not count).
         self.static_discharged = 0
         self._seq = 0
         #: The admission wait queue, oldest entry first.
@@ -886,7 +895,14 @@ class MultiProgrammer:
 
     @property
     def free_qubits(self) -> int:
-        return max(0, self.machine_size - self.occupancy)
+        """Machine wires no resident holds: the pool :meth:`admit`
+        takes fresh wires from.  Overflow wires past the machine's end
+        (only an ``enforce_capacity=False`` admission takes them) are
+        not machine wires, so they do not shrink it."""
+        held = len(self._holders)
+        if self._overflowed:
+            held = sum(1 for wire in self._holders if wire < self.machine_size)
+        return self.machine_size - held
 
     @property
     def lendable_wires(self) -> Tuple[int, ...]:
@@ -1031,11 +1047,24 @@ class MultiProgrammer:
 
         ``packer`` overrides the scheduler's lease-packing policy for
         this admission only (a registered name or a
-        :class:`LeasePacker` instance).  Raises :class:`CircuitError`
-        when the job needs more free qubits than the machine has (the
-        over-capacity rejection), unless ``enforce_capacity`` is off —
-        the batch replay uses that to report non-fitting schedules
-        instead of failing fast.
+        :class:`LeasePacker` instance).  Raises
+        :class:`~repro.errors.CapacityError` when the job needs more
+        free qubits than the machine has (the over-capacity
+        rejection), unless ``enforce_capacity`` is off — the batch
+        replay uses that to report non-fitting schedules instead of
+        failing fast.
+
+        The capacity check costs O(1) and runs right after the
+        argument checks (already resident, unknown packer, a
+        non-classical job with requests, unknown strategy name),
+        before any verification, model, allocation, lease or
+        materialise work: ``job.reduced_width > free_qubits`` refuses
+        at once.  The refusal is exact.  An admission holds
+        ``plan.final_width - len(cross_hosts)`` fresh wires, and its
+        assigned, untouched and cross-hosted ancillas are disjoint
+        subsets of its requests, so it never holds fewer than
+        ``reduced_width``.  A refused attempt therefore never reaches
+        the verifier or the strategy's planner.
         """
         if job.name in self._residents:
             raise CircuitError(f"job {job.name!r} is already resident")
@@ -1043,6 +1072,19 @@ class MultiProgrammer:
         packer = (
             self.lease_packer if packer is None else self._resolve_packer(packer)
         )
+        if job.request_wires and not is_classical_circuit(job.circuit):
+            raise VerificationError(
+                f"job {job.name}: only classical circuits can be "
+                f"auto-verified for cross-program borrowing"
+            )
+        if isinstance(strategy, str):
+            strategy_class(strategy)  # an unknown name raises CircuitError
+        free = self.free_qubits
+        if enforce_capacity and job.reduced_width > free:
+            raise CapacityError(
+                f"job {job.name!r} needs at least {job.reduced_width} "
+                f"free qubits but the machine has {free}"
+            )
 
         safety, model = self._verify_job(job, lazy_verify)
         # Every requested wire goes into the model (so an unsafe or
@@ -1591,9 +1633,11 @@ class MultiProgrammer:
     ) -> Tuple[Dict[int, bool], Optional[ConflictModel]]:
         """Batch-verify the job's requested ancillas.
 
-        Lazy mode skips ancillas that could never be placed anyway —
-        no candidate host in the job's own circuit and no lendable
-        co-tenant wire — so they pay no solver time at all.  Returns
+        :meth:`admit` calls this only for a classical job that passed
+        its capacity precheck.  Lazy mode skips ancillas that could
+        never be placed anyway — no candidate host in the job's own
+        circuit and no lendable co-tenant wire — so they pay no solver
+        time at all.  Returns
         the verdicts plus the interval model (built with this
         scheduler's lending mode: segmented windows under
         ``lending="segmented"``, certified by ``restore_check``), so
@@ -1607,16 +1651,12 @@ class MultiProgrammer:
         (proven safe statically, e.g. by the surface language's borrow
         checker) are marked safe without a solver obligation; each such
         skip of an otherwise-due verification bumps
-        :attr:`static_discharged`.
+        :attr:`static_discharged`.  Attempts the precheck refused never
+        get here, so they never count.
         """
         requests = job.request_wires
         if not requests:
             return {}, None
-        if not is_classical_circuit(job.circuit):
-            raise VerificationError(
-                f"job {job.name}: only classical circuits can be "
-                f"auto-verified for cross-program borrowing"
-            )
         certified = {
             r.wire for r in job.ancilla_requests if r.certified
         }
@@ -1699,6 +1739,7 @@ class MultiProgrammer:
                     f"job {name!r} needs {count} free qubits but the "
                     f"machine has {len(free)}"
                 )
+            self._overflowed = True
             overflow = self.machine_size
             while len(free) < count:
                 if overflow not in self._holders:

@@ -29,7 +29,10 @@ the first inconsistency:
 5. the wait queue never overlaps the residents and has no duplicates;
 6. every resident's internal borrow placement still satisfies
    :func:`repro.alloc.model.validate_placement` against a freshly
-   rebuilt interval model, and no unverified ancilla was ever placed.
+   rebuilt interval model, and no unverified ancilla was ever placed;
+7. every resident holds at least ``job.reduced_width`` fresh wires —
+   the bound that makes :meth:`~repro.multiprog.MultiProgrammer.admit`'s
+   capacity precheck exact.
 
 The checker is deliberately *redundant* with the scheduler's own
 bookkeeping — it recomputes from first principles precisely so a
@@ -260,6 +263,15 @@ class OccupancyInvariantChecker:
                             f"{adm.name!r} placed ancilla {ancilla} "
                             f"without a safe verdict"
                         )
+
+        # 7. The capacity precheck's bound.
+        for adm in admissions:
+            if len(adm.fresh_wires) < adm.job.reduced_width:
+                self._fail(
+                    f"{adm.name!r} holds {len(adm.fresh_wires)} fresh "
+                    f"wires, fewer than its reduced width "
+                    f"{adm.job.reduced_width}"
+                )
         self.checks += 1
 
 

@@ -564,6 +564,26 @@ class TestFleetProperties:
         )
         assert checker.checks == len(trace)
 
+    def test_shard_admitting_during_queueing_submit_is_tracked(self):
+        """The queueing pass calls the shard's submit(), which ticks its
+        clock before retrying admit: a lease window shifted by one round
+        can then fit, and the fleet must record an admission rather
+        than a queue entry it would later forget."""
+        trace = random_fleet_trace(
+            35,
+            num_jobs=117,
+            timeout_probability=1.0,
+            max_timeout=48,
+            release_probability=0.35,
+            drain=False,
+        )
+        router = make_router([11, 11], check_invariants=False)
+        checker = FleetInvariantChecker(router)
+        log = replay_trace(router, trace, checker)
+        assert checker.checks == len(trace)
+        assert "submit f116: admitted" in log.events
+        assert log.stats["admitted"] == len(log.admitted)
+
     @pytest.mark.parametrize(
         "placement", ["least-loaded", "best-fit-width", "family-affinity"]
     )
