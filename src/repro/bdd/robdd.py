@@ -18,6 +18,16 @@ TRUE_NODE = 1
 
 _TERMINAL_LEVEL = 1 << 30
 
+#: The terminal rules of each apply operator, as ``(identity, absorbing
+#: element, idempotent)``: ``x op identity == x``, ``x op absorbing ==
+#: absorbing``, and ``x op x`` is ``x`` when idempotent, else the 0
+#: terminal.  XOR has no absorbing element; -1 matches no node.
+_OPERATORS: Dict[str, Tuple[int, int, bool]] = {
+    "and": (TRUE_NODE, FALSE_NODE, True),
+    "or": (FALSE_NODE, TRUE_NODE, True),
+    "xor": (FALSE_NODE, -1, False),
+}
+
 
 class Bdd:
     """ROBDD manager over a fixed variable order.
@@ -45,7 +55,10 @@ class Bdd:
         self._low: List[int] = [0, 1]
         self._high: List[int] = [0, 1]
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._apply_cache: Dict[Tuple, int] = {}
+        # One computed table per operator, keyed by the ordered pair.
+        self._computed: Dict[str, Dict[Tuple[int, int], int]] = {
+            op: {} for op in _OPERATORS
+        }
 
     # ------------------------------------------------------------------ #
     # Node construction
@@ -78,6 +91,7 @@ class Bdd:
         return self._mk(level, FALSE_NODE, TRUE_NODE)
 
     def const(self, value: bool) -> int:
+        """The terminal node of a constant function."""
         return TRUE_NODE if value else FALSE_NODE
 
     def _require_level(self, name: str) -> int:
@@ -91,88 +105,91 @@ class Bdd:
     # ------------------------------------------------------------------ #
 
     def apply_and(self, f: int, g: int) -> int:
+        """The conjunction ``f AND g``."""
         return self._apply("and", f, g)
 
     def apply_or(self, f: int, g: int) -> int:
+        """The disjunction ``f OR g``."""
         return self._apply("or", f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
+        """The exclusive or ``f XOR g``."""
         return self._apply("xor", f, g)
 
     def negate(self, f: int) -> int:
+        """The complement ``NOT f`` (an XOR with the 1 terminal)."""
         return self.apply_xor(f, TRUE_NODE)
 
-    def _resolved(self, op: str, f: int, g: int) -> Optional[int]:
-        """Terminal case or cache hit, else None (needs expansion)."""
-        terminal = self._apply_terminal(op, f, g)
-        if terminal is not None:
-            return terminal
-        if f > g:
-            f, g = g, f  # all three ops are commutative
-        return self._apply_cache.get((op, f, g))
+    def _apply(self, op: str, f: int, g: int) -> int:
+        """Combine ``f`` and ``g`` under ``op`` in one iterative pass.
 
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if self._level[node] == level:
-            return self._low[node], self._high[node]
-        return node, node
-
-    def _apply(self, op: str, f0: int, g0: int) -> int:
-        """Iterative apply — explicit stack so kilo-variable chains fit."""
-        result = self._resolved(op, f0, g0)
-        if result is not None:
-            return result
-        stack: List[Tuple[int, int]] = [(f0, g0)]
-        while stack:
-            f, g = stack[-1]
-            if self._resolved(op, f, g) is not None:
-                stack.pop()
-                continue
-            level = min(self._level[f], self._level[g])
-            f_low, f_high = self._cofactors(f, level)
-            g_low, g_high = self._cofactors(g, level)
-            low = self._resolved(op, f_low, g_low)
-            if low is None:
-                stack.append((f_low, g_low))
-                continue
-            high = self._resolved(op, f_high, g_high)
-            if high is None:
-                stack.append((f_high, g_high))
-                continue
-            key = (op, f, g) if f <= g else (op, g, f)
-            self._apply_cache[key] = self._mk(level, low, high)
-            stack.pop()
-        result = self._resolved(op, f0, g0)
-        assert result is not None
-        return result
-
-    @staticmethod
-    def _apply_terminal(op: str, f: int, g: int) -> Optional[int]:
-        if op == "and":
-            if f == FALSE_NODE or g == FALSE_NODE:
-                return FALSE_NODE
-            if f == TRUE_NODE:
-                return g
-            if g == TRUE_NODE:
-                return f
-            if f == g:
-                return f
-        elif op == "or":
-            if f == TRUE_NODE or g == TRUE_NODE:
-                return TRUE_NODE
-            if f == FALSE_NODE:
-                return g
-            if g == FALSE_NODE:
-                return f
-            if f == g:
-                return f
-        elif op == "xor":
-            if f == g:
-                return FALSE_NODE
-            if f == FALSE_NODE:
-                return g
-            if g == FALSE_NODE:
-                return f
-        return None
+        The explicit work stack (so kilo-variable chains fit) holds
+        operand pairs and ``(~level, key)`` combine markers.  Each pair
+        is popped once: a terminal rule or a computed-table hit pushes
+        its node onto the result stack; otherwise it expands into its
+        combine marker, high pair and low pair.  Low is expanded before
+        high, so nodes are allocated in the post order of the textbook
+        recursive apply.  The combine step is :meth:`_mk`, inlined.
+        """
+        ident, absorb, idempotent = _OPERATORS[op]
+        computed = self._computed[op]
+        levels, lows, highs = self._level, self._low, self._high
+        unique = self._unique
+        max_nodes = self.max_nodes
+        work = [(f, g)]
+        push, pop = work.append, work.pop
+        results: List[int] = []
+        emit, take = results.append, results.pop
+        while work:
+            f, g = pop()
+            if f < 0:  # combine marker: ~level and the computed-table key
+                high = take()
+                low = take()
+                if low == high:
+                    node = low
+                else:
+                    level = ~f
+                    triple = (level, low, high)
+                    node = unique.get(triple)
+                    if node is None:
+                        node = len(levels)
+                        if node >= max_nodes:
+                            raise SolverError(f"BDD exceeded {max_nodes} nodes")
+                        levels.append(level)
+                        lows.append(low)
+                        highs.append(high)
+                        unique[triple] = node
+                computed[g] = node
+                emit(node)
+            elif f == g:
+                emit(f if idempotent else FALSE_NODE)
+            elif f == ident:
+                emit(g)
+            elif g == ident:
+                emit(f)
+            elif f == absorb or g == absorb:
+                emit(absorb)
+            else:
+                key = (f, g) if f < g else (g, f)
+                node = computed.get(key)
+                if node is not None:
+                    emit(node)
+                    continue
+                f_level = levels[f]
+                g_level = levels[g]
+                if f_level == g_level:
+                    push((~f_level, key))
+                    push((highs[f], highs[g]))
+                    push((lows[f], lows[g]))
+                elif f_level < g_level:
+                    push((~f_level, key))
+                    push((highs[f], g))
+                    push((lows[f], g))
+                else:
+                    push((~g_level, key))
+                    push((f, highs[g]))
+                    push((f, lows[g]))
+        return results[0]
 
     # ------------------------------------------------------------------ #
     # Cofactors
@@ -218,9 +235,11 @@ class Bdd:
     # ------------------------------------------------------------------ #
 
     def is_false(self, f: int) -> bool:
+        """Whether ``f`` is the constant-false function (unsatisfiable)."""
         return f == FALSE_NODE
 
     def is_true(self, f: int) -> bool:
+        """Whether ``f`` is the constant-true function (a tautology)."""
         return f == TRUE_NODE
 
     def any_sat(self, f: int) -> Optional[Dict[str, bool]]:

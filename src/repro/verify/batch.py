@@ -216,6 +216,7 @@ class BatchVerifier:
         self.worker_disk_hits = 0
         self._tracked: Dict[str, TrackedFormulas] = {}
         self._track_seconds: Dict[str, float] = {}
+        self._build_seconds: Dict[Tuple[str, str], float] = {}
         self._checkers: Dict[Tuple[str, str], CheckerBackend] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -251,6 +252,7 @@ class BatchVerifier:
         self.cache.clear()
         self._tracked.clear()
         self._track_seconds.clear()
+        self._build_seconds.clear()
         self._checkers.clear()
 
     def verify_circuit(
@@ -328,6 +330,7 @@ class BatchVerifier:
                     num_gates=len(job.circuit.gates),
                     verdicts=verdicts,
                     track_seconds=self._track_seconds[fingerprint],
+                    build_seconds=self._build_seconds[(fingerprint, backend)],
                     total_seconds=time.perf_counter() - started,
                     cache_hits=hits.get(index, 0),
                     cache_misses=misses.get(index, 0),
@@ -355,7 +358,9 @@ class BatchVerifier:
         key = (fingerprint, backend)
         checker = self._checkers.get(key)
         if checker is None:
+            build_start = time.perf_counter()
             checker = make_checker(tracked, backend)
+            self._build_seconds[key] = time.perf_counter() - build_start
             self._checkers[key] = checker
         return checker
 

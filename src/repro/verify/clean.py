@@ -25,12 +25,14 @@ import time
 from typing import List, Sequence
 
 from repro.bdd.robdd import Bdd
+from repro.boolfn.bitset import bitset_solve
 from repro.boolfn.cnf import TseitinEncoder
 from repro.circuits.circuit import Circuit
 from repro.errors import SolverError, VerificationError
 from repro.sat.brute import brute_force_solve
 from repro.sat.cdcl import CdclSolver
 from repro.sat.dpll import DpllSolver
+from repro.verify.backends.portfolio import DEFAULT_CONTENDERS
 from repro.verify.boolean import TrackedFormulas, formula_61, track_circuit
 from repro.verify.pipeline import (
     Counterexample,
@@ -42,8 +44,14 @@ from repro.verify.pipeline import (
 def check_clean_uncomputation(
     tracked: TrackedFormulas, qubit: int, backend: str = "cdcl"
 ):
-    """Decide formula (6.1) only; returns ``(clean, model_or_None)``."""
+    """Decide formula (6.1) only; returns ``(clean, model_or_None)``.
+
+    ``portfolio`` decides it with its default first contender; one
+    formula leaves no race worth running.
+    """
     expr = formula_61(tracked, qubit)
+    if backend == "portfolio":
+        backend = DEFAULT_CONTENDERS[0]
     if backend == "bdd" or backend == "bdd-reversed":
         order = [
             tracked.names[q] for q in range(tracked.circuit.num_qubits)
@@ -55,6 +63,9 @@ def check_clean_uncomputation(
         if bdd.is_false(node):
             return True, None
         return False, bdd.any_sat(node) or {}
+    if backend == "bitset":
+        result, model = bitset_solve(expr)
+        return (True, None) if result.is_unsat else (False, model)
     if backend in ("cdcl", "dpll", "brute"):
         encoder = TseitinEncoder()
         encoder.assert_true(expr)

@@ -63,8 +63,11 @@ class VerificationReport:
     ``total_seconds`` is the wall time of the verify *call* that
     produced the report — for a batched call, the whole batch (shared,
     possibly overlapping work makes per-job wall time ill-defined), so
-    it must not be summed across a batch.  ``solver_seconds`` is the
-    per-qubit attribution Figures 6.3/6.4 plot.
+    it must not be summed across a batch.  ``track_seconds`` and
+    ``build_seconds`` are the one-off costs of this circuit's formula
+    tracking and of its backend checker (:func:`make_checker`: the ROBDD
+    compile for ``bdd``); ``solver_seconds`` is the per-qubit
+    attribution Figures 6.3/6.4 plot.
     """
 
     backend: str
@@ -72,6 +75,7 @@ class VerificationReport:
     num_gates: int
     verdicts: List[QubitVerdict] = field(default_factory=list)
     track_seconds: float = 0.0
+    build_seconds: float = 0.0
     total_seconds: float = 0.0
     #: Memoised verdicts reused / freshly computed by the batch engine
     #: (both stay 0 on the non-memoising single-shot path).
@@ -97,6 +101,7 @@ class VerificationReport:
         lines = [
             f"backend={self.backend} qubits={self.num_qubits} "
             f"gates={self.num_gates} "
+            f"track={self.track_seconds:.3f}s build={self.build_seconds:.3f}s "
             f"solver={self.solver_seconds:.3f}s total={self.total_seconds:.3f}s"
         ]
         lines.extend(f"  {verdict}" for verdict in self.verdicts)

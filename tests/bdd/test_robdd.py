@@ -1,6 +1,7 @@
 """Tests for the ROBDD engine."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from repro.bdd import FALSE_NODE, TRUE_NODE, Bdd
 from repro.boolfn import ExprBuilder
 from repro.errors import SolverError
+from repro.lang.surface import elaborate
+from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
+from repro.verify import make_checker, track_circuit
 
 
 @pytest.fixture
@@ -168,3 +172,95 @@ class TestScale:
             return bdd.size(acc)
 
         assert build(separated) > 10 * build(interleaved)
+
+
+class ReferenceBdd(Bdd):
+    """A manager whose apply is the textbook recursive algorithm.
+
+    Memoised on ``(op, f, g)``, with no terminal shortcut beyond two
+    terminals, it cofactors on the top variable and builds the low
+    result before the high one.  Shortcuts only skip subproblems whose
+    results already exist, so its node table must equal the kernel's.
+    """
+
+    TRUTH = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+
+    def __init__(self, order):
+        super().__init__(order)
+        self._memo = {}
+
+    def _apply(self, op, f, g):
+        if f <= TRUE_NODE and g <= TRUE_NODE:
+            return self.TRUTH[op](f, g)
+        key = (op, f, g)
+        if key not in self._memo:
+            level = min(self._level[f], self._level[g])
+            f_low, f_high = self._cofactors(f, level)
+            g_low, g_high = self._cofactors(g, level)
+            low = self._apply(op, f_low, g_low)
+            high = self._apply(op, f_high, g_high)
+            self._memo[key] = self._mk(level, low, high)
+        return self._memo[key]
+
+    def _cofactors(self, node, level):
+        if self._level[node] == level:
+            return self._low[node], self._high[node]
+        return node, node
+
+
+def _node_table(bdd):
+    return bdd._level, bdd._low, bdd._high
+
+
+@st.composite
+def expr_dags(draw):
+    """Variable names plus a random and/or/xor/not DAG over them."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    builder = ExprBuilder()
+    pool = [builder.var(name) for name in names]
+    for _ in range(draw(st.integers(1, 24))):
+        op = draw(st.sampled_from(["and", "or", "xor", "not"]))
+        if op == "not":
+            pool.append(builder.not_(draw(st.sampled_from(pool))))
+        else:
+            args = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
+            pool.append(getattr(builder, op + "_")(args))
+    return names, pool
+
+
+class TestReferenceApply:
+    @settings(max_examples=150, deadline=None)
+    @given(expr_dags())
+    def test_node_tables_match_reference(self, dag):
+        names, pool = dag
+        kernel, reference = Bdd(names), ReferenceBdd(names)
+        kernel_cache, reference_cache = {}, {}
+        for expr in pool:
+            assert kernel.from_expr(expr, kernel_cache) == reference.from_expr(
+                expr, reference_cache
+            )
+        assert _node_table(kernel) == _node_table(reference)
+
+    @pytest.mark.parametrize(
+        "family, size, backend, nodes",
+        [
+            ("mcx", 20, "bdd", 1220),
+            ("mcx", 20, "bdd-reversed", 610),
+            ("mcx", 60, "bdd", 8500),
+            ("mcx", 60, "bdd-reversed", 1890),
+            ("mcx", 100, "bdd", 22180),
+            ("mcx", 100, "bdd-reversed", 3170),
+            ("adder", 14, "bdd", 338),
+            ("adder", 14, "bdd-reversed", 128),
+        ],
+    )
+    def test_paper_programs_match_reference(self, family, size, backend, nodes):
+        source = {"mcx": mcx_qbr_source, "adder": adder_qbr_source}[family]
+        tracked = track_circuit(elaborate(source(size)).circuit)
+        checker = make_checker(tracked, backend)
+        assert checker.bdd.node_count == nodes
+        reference = ReferenceBdd(checker.bdd.order)
+        cache = {}
+        for qubit, root in checker.compiled.items():
+            assert reference.from_expr(tracked.formulas[qubit], cache) == root
+        assert _node_table(checker.bdd) == _node_table(reference)

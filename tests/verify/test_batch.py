@@ -143,6 +143,12 @@ class TestApi:
         )
         assert report.total_seconds >= report.solver_seconds >= 0
         assert report.track_seconds >= 0
+        # A fresh verifier compiles the circuit's BDD inside the call.
+        assert report.build_seconds > 0
+        assert (
+            report.track_seconds + report.build_seconds + report.solver_seconds
+            <= report.total_seconds
+        )
 
 
 class TestFingerprint:

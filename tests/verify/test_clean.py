@@ -5,13 +5,14 @@ import pytest
 from repro.circuits import Circuit, cnot, toffoli, x
 from repro.errors import SolverError, VerificationError
 from repro.verify import (
+    available_backends,
     check_clean_uncomputation,
     track_circuit,
     verify_clean_wires,
 )
 from repro.lang.surface import verify_qbr
 
-BACKENDS = ("cdcl", "dpll", "bdd", "bdd-reversed", "brute")
+BACKENDS = available_backends()
 
 
 class TestCheckClean:
@@ -94,6 +95,19 @@ class TestQbrIntegration:
     def test_clean_wires_excluded_by_default(self):
         report = verify_qbr(self.SOURCE, backend="bdd")
         assert {v.name for v in report.verdicts} == {"d"}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_checks_clean_wires(self, backend):
+        # d ends as d XOR x (dirty-unsafe); c ends back at c (clean).
+        source = (
+            "borrow@ x; alloc c; borrow d; "
+            "CNOT[x, c]; CNOT[c, d]; CNOT[x, c]; CNOT[c, d];"
+        )
+        report = verify_qbr(source, backend=backend, include_clean=True)
+        assert [(v.name, v.safe) for v in report.verdicts] == [
+            ("d", False),
+            ("c", True),
+        ]
 
     def test_unclean_alloc_detected(self):
         source = "borrow@ w; alloc c; CNOT[w, c];"
