@@ -11,7 +11,8 @@ The gate fails (exit 1) on:
   regression" is noise, not signal;
 * a **throughput drop** — fewer admitted jobs on the queueing or
   lending trace, fewer placed ancillas or a wider final width on any
-  strategy workload, more lazy solver runs, a safe verdict flipping
+  strategy workload, more lazy solver runs, more ROBDD nodes
+  (``bdd_nodes``) on a verify backend row, a safe verdict flipping
   unsafe, or sequential/batch verdicts disagreeing.  These are exact
   deterministic counts, so no tolerance applies;
 * a **vanished row** — a backend/strategy/policy present in the
@@ -140,10 +141,10 @@ class Comparator:
         )
 
     def at_most(self, metric: str, baseline, fresh, detail="") -> None:
-        """Exact cost count: fresh must not exceed baseline."""
-        self.findings.append(
-            Finding(metric, baseline, fresh, fresh <= baseline, detail)
-        )
+        """Exact cost count: fresh must not exceed baseline (a missing
+        fresh count fails)."""
+        ok = fresh is not None and fresh <= baseline
+        self.findings.append(Finding(metric, baseline, fresh, ok, detail))
 
     def present(self, metric: str, row: Optional[dict]) -> bool:
         """A baseline row must still exist in the fresh record."""
@@ -178,6 +179,13 @@ def compare_verify(baseline: dict, fresh: dict) -> Comparator:
             base_row.get("wall_seconds"),
             fresh_row.get("wall_seconds"),
         )
+        if "bdd_nodes" in base_row:
+            comp.at_most(
+                f"{name}.bdd_nodes",
+                base_row["bdd_nodes"],
+                fresh_row.get("bdd_nodes"),
+                "the compiled ROBDD must not grow",
+            )
         if base_row.get("all_safe") is True:
             comp.findings.append(
                 Finding(

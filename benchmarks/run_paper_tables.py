@@ -71,7 +71,13 @@ from repro.testing import (
     random_reversible_circuit,
     replay_trace,
 )
-from repro.verify import BatchVerifier, available_backends, verify_circuit
+from repro.verify import (
+    BatchVerifier,
+    available_backends,
+    make_checker,
+    track_circuit,
+    verify_circuit,
+)
 
 QUICK = "--quick" in sys.argv
 BENCH_ONLY = "--bench-only" in sys.argv
@@ -169,7 +175,7 @@ def figure_10_2() -> None:
 def figure_10_3() -> None:
     ms = [250, 500, 750] if QUICK else [250, 500, 750, 1000, 1250, 1500, 1750]
     sources = [(f"{2 * m - 1} qubits", mcx_qbr_source(m)) for m in ms]
-    backends = [("cdcl", None), ("bdd", 1600)]
+    backends = [("cdcl", None), ("bdd", None)]
     _sweep(
         "Figure 10.3: mcx.qbr verification (one dirty ancilla)",
         "fig10_3",
@@ -196,7 +202,9 @@ def per_backend_solver_seconds() -> list:
     """Solver seconds of every registered backend on its largest
     tractable adder workload (``qubits`` recorded per row).  Retired
     backends (:data:`_BENCH_RETIRED`) stay registered and tested but
-    are skipped here."""
+    are skipped here.  The ROBDD rows also record ``bdd_nodes``, the
+    compiled manager's node count, which is deterministic and gated
+    exactly."""
     rows = []
     for backend in available_backends():
         if backend in _BENCH_RETIRED:
@@ -214,14 +222,18 @@ def per_backend_solver_seconds() -> list:
             print(f"  {backend:<14} n={n:<3} (failed: {error})", flush=True)
             continue
         wall = time.perf_counter() - start
-        rows.append({
+        row = {
             "backend": backend,
             "adder_n": n,
             "dirty_qubits": len(program.dirty_wires),
             "wall_seconds": round(wall, 4),
             "solver_seconds": round(report.solver_seconds, 4),
             "all_safe": report.all_safe,
-        })
+        }
+        if backend in ("bdd", "bdd-reversed"):
+            checker = make_checker(track_circuit(program.circuit), backend)
+            row["bdd_nodes"] = checker.bdd.node_count
+        rows.append(row)
         print(
             f"  {backend:<14} n={n:<3} solver={report.solver_seconds:>8.3f}s "
             f"wall={wall:>8.3f}s",
@@ -281,7 +293,6 @@ def front_bitset_vs_brute() -> dict:
     on.  ``bitset_max_vars=0`` disables brute's bitset fast path, so
     the baseline is the genuine pre-kernel code path."""
     from repro.verify.backends.brute import BruteCheckerBackend
-    from repro.verify.tracking import track_circuit
 
     program = elaborate(adder_qbr_source(4))
     qubits = sorted(program.dirty_wires)
@@ -321,7 +332,6 @@ def front_incremental_vs_fresh(program) -> dict:
     with a median keep the strict `incremental < fresh` gate out of
     runner-jitter territory."""
     from repro.verify.backends.cdcl import CdclCheckerBackend
-    from repro.verify.tracking import track_circuit
 
     qubits = sorted(program.dirty_wires)
     repeats = 3 if QUICK else 5

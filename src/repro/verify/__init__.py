@@ -16,9 +16,10 @@ Checkers, from most semantic to most scalable:
   per engine (``cdcl`` — incremental by default, probing each
   obligation off one long-lived shared solver; ``dpll``; ``brute``;
   ``bitset`` — vectorised truth tables, also ``brute``'s fast path
-  under its cone-width threshold; ``bdd``; ``bdd-reversed``) plus
-  ``portfolio``, which races the recorded-best SAT engine against BDD
-  and returns the first verdict;
+  under its cone-width threshold; ``bdd`` — ROBDDs over the order in
+  which the circuit first touches its wires; ``bdd-reversed`` — the
+  reverse of that order) plus ``portfolio``, which races the
+  recorded-best SAT engine against BDD and returns the first verdict;
 * :mod:`repro.verify.batch` — :class:`BatchVerifier`, the throughput
   engine: one tracking pass and one checker per circuit, per-qubit
   checks fanned out over a worker pool (``executor="thread"`` shares

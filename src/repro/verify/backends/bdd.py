@@ -15,32 +15,54 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import ClassVar, Dict, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.bdd.robdd import Bdd
+from repro.circuits.circuit import Circuit
 from repro.errors import SolverCancelled
 from repro.verify.backends.base import BooleanCheckOutcome, CheckerBackend
 from repro.verify.backends.registry import register_backend
 from repro.verify.tracking import TrackedFormulas
 
 
+def variable_order(circuit: Circuit) -> List[int]:
+    """The circuit's wires in ROBDD variable order, top first.
+
+    Wires are sorted by the index of the first gate that touches them,
+    ties by wire index; wires no gate touches come last.  The order
+    follows the gates rather than the declarations, so wires first used
+    together sit at neighbouring levels (an adder's two registers
+    interleave bit by bit, for instance).
+    """
+    first_use: Dict[int, int] = {}
+    for index, gate in enumerate(circuit.gates):
+        for qubit in gate.qubits:
+            first_use.setdefault(qubit, index)
+        if len(first_use) == circuit.num_qubits:
+            break
+    untouched = len(circuit.gates)
+    return sorted(
+        range(circuit.num_qubits),
+        key=lambda qubit: (first_use.get(qubit, untouched), qubit),
+    )
+
+
 @register_backend("bdd")
 class BddCheckerBackend(CheckerBackend):
     """Decide formulas (6.1)/(6.2) on ROBDDs with formula sharing.
 
-    ``reverse_order=True`` is the variable-order ablation (registered
-    separately as ``bdd-reversed``).
+    The manager orders its variables by :func:`variable_order`;
+    ``reverse_order=True`` builds it over the reverse of that order, the
+    variable-order ablation registered separately as ``bdd-reversed``.
     """
 
     parallel_safe: ClassVar[bool] = False
 
     def __init__(self, tracked: TrackedFormulas, reverse_order: bool = False):
         super().__init__(tracked)
-        order = [
-            tracked.names[q] for q in range(tracked.circuit.num_qubits)
-        ]
+        order = [tracked.names[q] for q in variable_order(tracked.circuit)]
         if reverse_order:
-            order = list(reversed(order))
+            order.reverse()
         self.bdd = Bdd(order)
         self._expr_cache: Dict[int, int] = {}
         self.compiled: Dict[int, int] = {}

@@ -32,6 +32,7 @@ from repro.errors import SolverError, VerificationError
 from repro.sat.brute import brute_force_solve
 from repro.sat.cdcl import CdclSolver
 from repro.sat.dpll import DpllSolver
+from repro.verify.backends.bdd import variable_order
 from repro.verify.backends.portfolio import DEFAULT_CONTENDERS
 from repro.verify.boolean import TrackedFormulas, formula_61, track_circuit
 from repro.verify.pipeline import (
@@ -53,9 +54,7 @@ def check_clean_uncomputation(
     if backend == "portfolio":
         backend = DEFAULT_CONTENDERS[0]
     if backend == "bdd" or backend == "bdd-reversed":
-        order = [
-            tracked.names[q] for q in range(tracked.circuit.num_qubits)
-        ]
+        order = [tracked.names[q] for q in variable_order(tracked.circuit)]
         if backend == "bdd-reversed":
             order.reverse()
         bdd = Bdd(order)

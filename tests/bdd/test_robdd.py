@@ -244,14 +244,14 @@ class TestReferenceApply:
     @pytest.mark.parametrize(
         "family, size, backend, nodes",
         [
-            ("mcx", 20, "bdd", 1220),
-            ("mcx", 20, "bdd-reversed", 610),
-            ("mcx", 60, "bdd", 8500),
-            ("mcx", 60, "bdd-reversed", 1890),
-            ("mcx", 100, "bdd", 22180),
-            ("mcx", 100, "bdd-reversed", 3170),
-            ("adder", 14, "bdd", 338),
-            ("adder", 14, "bdd-reversed", 128),
+            ("mcx", 20, "bdd", 624),
+            ("mcx", 20, "bdd-reversed", 1309),
+            ("mcx", 60, "bdd", 1944),
+            ("mcx", 60, "bdd-reversed", 8789),
+            ("mcx", 100, "bdd", 3264),
+            ("mcx", 100, "bdd-reversed", 22669),
+            ("adder", 14, "bdd", 128),
+            ("adder", 14, "bdd-reversed", 338),
         ],
     )
     def test_paper_programs_match_reference(self, family, size, backend, nodes):

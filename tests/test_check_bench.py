@@ -26,16 +26,13 @@ def verify_record(
     incremental_ratio=0.9,
     process_speedup=2.4,
     cpu_count=8,
+    bdd_nodes=128,
 ):
+    bdd_row = {"backend": "bdd", "wall_seconds": backend_wall, "all_safe": safe}
+    if bdd_nodes is not None:
+        bdd_row["bdd_nodes"] = bdd_nodes
     record = {
-        "backends": [
-            {
-                "backend": "bdd",
-                "wall_seconds": backend_wall,
-                "all_safe": safe,
-            },
-            {"backend": "dpll", "error": "capped"},
-        ],
+        "backends": [bdd_row, {"backend": "dpll", "error": "capped"}],
         "sequential_vs_batch": [
             {
                 "backend": "bdd",
@@ -316,6 +313,20 @@ class TestCompareVerify:
     def test_errored_baseline_row_is_skipped(self):
         comp = compare_verify(verify_record(), verify_record())
         assert not any("dpll" in m for m in regressed(comp))
+
+    def test_bdd_node_rise_fails(self):
+        comp = compare_verify(verify_record(), verify_record(bdd_nodes=129))
+        assert "verify.backends[bdd].bdd_nodes" in regressed(comp)
+
+    def test_bdd_nodes_missing_from_fresh_row_fails(self):
+        comp = compare_verify(verify_record(), verify_record(bdd_nodes=None))
+        assert "verify.backends[bdd].bdd_nodes" in regressed(comp)
+
+    def test_baseline_without_bdd_nodes_is_not_gated(self):
+        comp = compare_verify(
+            verify_record(bdd_nodes=None), verify_record(bdd_nodes=10_000)
+        )
+        assert not any(f.metric.endswith("bdd_nodes") for f in comp.findings)
 
 
 class TestSolverSpeedFronts:

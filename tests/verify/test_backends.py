@@ -5,7 +5,9 @@ import threading
 
 import pytest
 
-from repro.circuits import Circuit, mcx, x
+from repro.adders.cuccaro import cuccaro_add_registers
+from repro.adders.takahashi import takahashi_add_registers
+from repro.circuits import Circuit, cnot, mcx, toffoli, x
 from repro.errors import SolverCancelled, SolverError
 from repro.verify import make_checker, track_circuit
 from repro.verify.backends import (
@@ -15,6 +17,7 @@ from repro.verify.backends import (
     backend_class,
     register_backend,
 )
+from repro.verify.backends.bdd import variable_order
 from repro.verify.backends.registry import _REGISTRY
 
 BUILTIN = ("bdd", "bdd-reversed", "bitset", "brute", "cdcl", "dpll", "portfolio")
@@ -72,6 +75,46 @@ class TestRegistry:
     def test_non_backend_class_rejected(self):
         with pytest.raises(SolverError):
             register_backend("not-a-backend")(dict)
+
+
+class TestBddVariableOrder:
+    @pytest.mark.parametrize(
+        "circuit, expected",
+        [
+            # Gate 0 touches wires 3 and 1 (a tie, so 1 first), gate 1
+            # first touches 0, gate 2 first touches 2 and 5; wire 4 is
+            # never used.
+            (
+                Circuit(6).extend([cnot(3, 1), cnot(0, 3), toffoli(5, 0, 2)]),
+                [1, 3, 0, 2, 5, 4],
+            ),
+            (Circuit(3), [0, 1, 2]),
+        ],
+    )
+    def test_first_use_order(self, circuit, expected):
+        order = variable_order(circuit)
+        assert sorted(order) == list(range(circuit.num_qubits))
+        assert order == expected
+
+    def test_reversed_backend_uses_the_reverse(self):
+        circuit = Circuit(4, labels=["p", "q", "r", "s"]).extend(
+            [cnot(2, 0), cnot(1, 2)]
+        )
+        tracked = track_circuit(circuit)
+        assert make_checker(tracked, "bdd").bdd.order == ["p", "r", "q", "s"]
+        assert make_checker(tracked, "bdd-reversed").bdd.order == [
+            "s", "q", "r", "p",
+        ]
+
+    @pytest.mark.parametrize(
+        "adder", [cuccaro_add_registers, takahashi_add_registers]
+    )
+    def test_register_adders_compile_small(self, adder):
+        # Under declaration order (all of a, then all of b) these adders
+        # exceed the default node budget; the first-use order interleaves
+        # the two registers bit by bit.
+        checker = make_checker(track_circuit(adder(32).circuit), "bdd")
+        assert checker.bdd.node_count < 10_000
 
 
 class TestDifferential:
