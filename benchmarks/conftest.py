@@ -1,6 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark file regenerates one paper artefact (see DESIGN.md §3).
+Each benchmark file regenerates one paper artefact (see the experiment
+map in docs/reproduction.md).
 Benchmarks run the measured operation exactly once via
 ``benchmark.pedantic`` — verification is deterministic, and single runs
 keep the full sweep within minutes on a laptop.  Paper-facing numbers

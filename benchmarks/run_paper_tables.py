@@ -197,25 +197,14 @@ def figure_10_3() -> None:
 #: Reduced workloads are recorded per row so the JSON stays honest.
 _BACKEND_ADDER_CAP = {"brute": 10, "bitset": 10}
 
-#: Backends kept registered but retired from the default bench
-#: workload: dpll has no clause learning (~30x per +2 qubits past its
-#: n=8/3s cap) and only ever dragged the verify record — see the
-#: docstring note in repro/verify/backends/dpll.py.
-_BENCH_RETIRED = ("dpll",)
-
 
 def per_backend_solver_seconds() -> list:
     """Solver seconds of every registered backend on its largest
-    tractable adder workload (``qubits`` recorded per row).  Retired
-    backends (:data:`_BENCH_RETIRED`) stay registered and tested but
-    are skipped here.  The ROBDD rows also record ``bdd_nodes``, the
-    compiled manager's node count, which is deterministic and gated
-    exactly."""
+    tractable adder workload (``qubits`` recorded per row).  The ROBDD
+    rows also record ``bdd_nodes``, the compiled manager's node count,
+    which is deterministic and gated exactly."""
     rows = []
     for backend in available_backends():
-        if backend in _BENCH_RETIRED:
-            print(f"  {backend:<14} retired from the bench workload", flush=True)
-            continue
         n = min(BENCH_ADDER_N, _BACKEND_ADDER_CAP.get(backend, BENCH_ADDER_N))
         program = elaborate(adder_qbr_source(n))
         start = time.perf_counter()
@@ -463,8 +452,7 @@ def bench_verify(path: str) -> None:
         f"adder.qbr n={BENCH_ADDER_N} "
         f"({len(program.dirty_wires)} dirty carry ancillas); "
         f"reduced workloads: brute/bitset n=10 "
-        f"(brute raised from its historical n=4 wall); "
-        f"dpll retired from the bench (still registered)"
+        f"(brute raised from its historical n=4 wall)"
     )
     print(f"=== BENCH_verify: {workload} ===", flush=True)
     print("per-backend solver seconds:", flush=True)

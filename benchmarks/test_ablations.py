@@ -1,16 +1,12 @@
-"""Experiment E11 — ablations of the design choices in DESIGN.md §5.
+"""Experiment E11 — ablations of the design choices (``docs/reproduction.md``).
 
 A1  hash-consed x⊕x=0 simplification during formula tracking
     (Figure 6.1's rule): turning it off inflates the formulas the
     backends must decide — an order of magnitude at n = 20.
-A2  clause learning: plain DPLL vs CDCL on the same CNF — three orders
-    of magnitude by n = 10 on the adder family.
-A3  BDD variable order: circuit order vs reversed on both benchmark
-    families, plus the classic interleaved-vs-separated witness where
+A3  BDD variable order: first-use order vs its reverse on both
+    benchmark families, plus the classic interleaved-vs-separated witness where
     order changes the BDD size exponentially.
 """
-
-import time
 
 import pytest
 
@@ -54,30 +50,6 @@ class TestA1Simplification:
             without.formula_of(wire).dag_size()
             > 2 * with_rule.formula_of(wire).dag_size()
         )
-
-
-class TestA2ClauseLearning:
-    @pytest.mark.parametrize("backend", ["cdcl", "dpll"])
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_adder_verification(self, benchmark, backend, n):
-        program = elaborate(adder_qbr_source(n))
-
-        def verify():
-            return verify_circuit(
-                program.circuit, program.dirty_wires, backend=backend
-            )
-
-        report = run_once(benchmark, verify)
-        assert report.all_safe
-
-    def test_learning_wins_by_orders_of_magnitude(self):
-        program = elaborate(adder_qbr_source(9))
-        timings = {}
-        for backend in ("cdcl", "dpll"):
-            start = time.perf_counter()
-            verify_circuit(program.circuit, program.dirty_wires, backend=backend)
-            timings[backend] = time.perf_counter() - start
-        assert timings["dpll"] > 5 * timings["cdcl"], timings
 
 
 class TestA3VariableOrder:

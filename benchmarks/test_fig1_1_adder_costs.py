@@ -6,7 +6,7 @@ asserting the asymptotic *shape*: Cuccaro/Takahashi/Häner-strip are
 Θ(n) in size, Draper is Θ(n²); all are Θ(n) deep; ancilla counts are
 n+1 clean / n clean / 0 / n-1 dirty (the Häner column uses the paper's
 own benchmark carry-strip construction — substitution documented in
-DESIGN.md §4 and EXPERIMENTS.md).
+docs/reproduction.md).
 """
 
 import pytest

@@ -1,12 +1,13 @@
 """Experiment E7 — Figures 6.3 / 10.2: adder verification time vs qubits.
 
 The paper verifies all n-1 dirty carry ancillas of ``adder.qbr`` with
-CVC5 and Bitwuzla at n = 50..200.  Our stand-in backends (DESIGN.md §4)
-sweep the same program: the BDD engine covers the paper's full range;
-the pure-Python CDCL solver covers the lower half (its per-clause
+CVC5 and Bitwuzla at n = 50..200.  Our stand-in backends (the
+substitutions in docs/reproduction.md) sweep the same program: the BDD
+engine covers the paper's full range; the pure-Python CDCL solver
+covers the lower half (its per-clause
 constant is orders of magnitude above a native solver's, so the sweep is
 truncated to keep the harness under a few minutes — the growth *shape*
-is what EXPERIMENTS.md compares).
+is what the reproduction compares).
 
 Assertions encode the paper's qualitative findings: every ancilla is
 safe, time grows polynomially (superlinear, subcubic), and the

@@ -22,13 +22,13 @@ def main(n: int = 16) -> None:
     program = elaborate(source)
     print(f"elaborated: {program.summary()}")
 
-    for backend in ("bdd", "cdcl", "portfolio"):
+    for backend in ("bdd", "cdcl"):
         report = verify_circuit(
             program.circuit, program.dirty_wires, backend=backend
         )
         status = "ALL SAFE" if report.all_safe else "UNSAFE"
         print(
-            f"backend={backend:<9} {status}: {len(report.verdicts)} dirty "
+            f"backend={backend:<4} {status}: {len(report.verdicts)} dirty "
             f"qubits in {report.solver_seconds:.3f}s solver time"
         )
 

@@ -20,13 +20,13 @@ def main(m: int = 100) -> None:
     print(f"=== mcx.qbr with m = {m}: C^{layout.n}X ===")
     print(f"costs: {circuit_costs(layout.circuit)}")
 
-    for backend in ("cdcl", "bdd", "portfolio"):
+    for backend in ("cdcl", "bdd"):
         report = verify_circuit(
             layout.circuit, [layout.ancilla], backend=backend
         )
         verdict = report.verdicts[0]
         print(
-            f"backend={backend:<5} ancilla '{verdict.name}': "
+            f"backend={backend:<4} ancilla '{verdict.name}': "
             f"{'SAFE' if verdict.safe else 'UNSAFE'} "
             f"({verdict.solve_seconds:.3f}s)"
         )

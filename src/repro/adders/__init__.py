@@ -13,8 +13,8 @@ holds bit value ``2**i``) and add a classical constant ``c`` modulo
   ``Θ(n²)`` gates.
 * :mod:`repro.adders.haner` — the dirty-ancilla carry-strip circuits of
   Häner et al. 2017, including the exact Figure 6.2 / 10.1 benchmark
-  circuit the paper verifies (see DESIGN.md §4 for the substitution note
-  on the 1-dirty-qubit recursive variant).
+  circuit the paper verifies (see the substitutions in
+  ``docs/reproduction.md`` for the 1-dirty-qubit recursive variant).
 """
 
 from repro.adders.layout import AdderLayout

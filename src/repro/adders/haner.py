@@ -13,8 +13,8 @@ and :func:`haner_ripple_constant_adder` assembles a full *out-of-place*
 constant adder ``|x>|y> -> |x>|y XOR (x + c)>`` from it: the harvest
 CNOTs target a separate output register, so every control wire keeps its
 value and the dirty ancillas still uncompute safely.  (The paper's
-1-dirty-qubit in-place Θ(n log n) recursion is future work; see
-DESIGN.md §4.)
+1-dirty-qubit in-place Θ(n log n) recursion is not implemented; see the
+substitutions in ``docs/reproduction.md``.)
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ Design notes
   ``or``.
 * Constructors simplify locally (constant folding, flattening,
   idempotence, XOR-pair cancellation).  The cancellation can be disabled
-  (``simplify_xor=False``) — this is ablation A1 of DESIGN.md and mirrors
-  running the paper's reduction without the Figure 6.1 simplification.
+  (``simplify_xor=False``) — this is ablation A1 (``docs/reproduction.md``)
+  and mirrors running the paper's reduction without the Figure 6.1
+  simplification.
 """
 
 from __future__ import annotations

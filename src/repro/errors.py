@@ -73,15 +73,6 @@ class SolverError(ReproError):
     """Raised when a SAT/BDD backend is misused or exceeds its limits."""
 
 
-class SolverCancelled(SolverError):
-    """Raised inside a solver whose caller no longer needs the answer.
-
-    The portfolio backend races engines against each other and sets the
-    losers' cancel event once the first verdict lands; solvers poll it
-    at their loop heads and unwind with this exception.
-    """
-
-
 class VerificationError(ReproError):
     """Raised when a verifier is applied outside its supported fragment.
 

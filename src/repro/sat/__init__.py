@@ -2,7 +2,8 @@
 
 The paper discharges formulas (6.1)/(6.2) with CVC5 and Bitwuzla; those
 native solvers are unavailable offline, so this package provides
-self-contained replacements (see DESIGN.md §4):
+self-contained replacements (see the substitutions in
+``docs/reproduction.md``):
 
 * :class:`repro.sat.cdcl.CdclSolver` — conflict-driven clause learning with
   two-literal watching, VSIDS, 1-UIP learning, phase saving, Luby restarts
@@ -14,20 +15,16 @@ self-contained replacements (see DESIGN.md §4):
   literal with fresh-solver economics and rolls it back — the mechanism
   the ``cdcl`` checker backend uses to discharge every per-qubit
   obligation off one shared Tseitin instance;
-* :class:`repro.sat.dpll.DpllSolver` — plain DPLL with unit propagation
-  (the ablation baseline);
 * :func:`repro.sat.brute.brute_force_solve` — exhaustive enumeration, used
   as the differential-testing oracle.
 """
 
 from repro.sat.result import SatResult, SatStats
 from repro.sat.cdcl import CdclSolver
-from repro.sat.dpll import DpllSolver
 from repro.sat.brute import brute_force_solve
 
 __all__ = [
     "CdclSolver",
-    "DpllSolver",
     "SatResult",
     "SatStats",
     "brute_force_solve",

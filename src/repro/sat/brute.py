@@ -1,35 +1,23 @@
 """Brute-force SAT by enumeration — the differential-testing oracle.
 
 Only usable for small variable counts; the property-based tests compare
-CDCL and DPLL verdicts against this on random instances.
+CDCL verdicts against this on random instances.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.boolfn.cnf import Cnf
-from repro.errors import SolverCancelled, SolverError
+from repro.errors import SolverError
 from repro.sat.result import SatResult, SatStats
 
 
-def brute_force_solve(
-    cnf: Cnf,
-    max_vars: int = 24,
-    stop_check: Optional[Callable[[], bool]] = None,
-) -> SatResult:
+def brute_force_solve(cnf: Cnf, max_vars: int = 24) -> SatResult:
     """Try all ``2**num_vars`` assignments in index order."""
     n = cnf.num_vars
     if n > max_vars:
         raise SolverError(f"brute force caps at {max_vars} variables, got {n}")
     stats = SatStats()
     for word in range(2**n):
-        if (
-            stop_check is not None
-            and word % 4096 == 0
-            and stop_check()
-        ):
-            raise SolverCancelled("enumeration cancelled by caller")
         stats.decisions += 1
         if _satisfies(cnf, word):
             model = {v: bool((word >> (v - 1)) & 1) for v in range(1, n + 1)}

@@ -4,8 +4,8 @@ A compact MiniSat-style engine: two-literal watching, VSIDS branching with
 exponential decay, first-UIP conflict analysis, non-chronological
 backjumping, phase saving, Luby restarts and activity-based learned-clause
 deletion.  It stands in for the native bit-blasting solvers the paper uses
-(DESIGN.md §4) and is the default backend of
-:func:`repro.verify.boolean.check_formula`.
+(``docs/reproduction.md``, substitutions) and is the default backend of
+:func:`repro.verify.verify_circuit`.
 
 The engine is **incremental** in the MiniSat sense: a solver outlives a
 single query.  :meth:`CdclSolver.add_clause` grows the instance between
@@ -22,10 +22,10 @@ sound.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.boolfn.cnf import Cnf
-from repro.errors import SolverCancelled, SolverError
+from repro.errors import SolverError
 from repro.sat.result import SatResult, SatStats
 
 _RESTART_BASE = 128
@@ -74,22 +74,15 @@ class CdclSolver:
         Optional conflict budget (lifetime total across calls);
         exceeding it raises :class:`SolverError` so benchmark sweeps
         fail loudly rather than silently hang.
-    stop_check:
-        Optional zero-argument callable polled at the search-loop head;
-        returning True aborts the run with :class:`SolverCancelled`
-        (how a portfolio race reclaims its losers).  Reassignable
-        between :meth:`solve` calls.
     """
 
     def __init__(
         self,
         cnf: Optional[Cnf] = None,
         max_conflicts: Optional[int] = None,
-        stop_check: Optional[Callable[[], bool]] = None,
     ):
         self.num_vars = 0
         self.max_conflicts = max_conflicts
-        self.stop_check = stop_check
         self.stats = SatStats()
 
         self._assign: List[int] = [0]  # 0 / +1 / -1, 1-indexed
@@ -333,8 +326,6 @@ class CdclSolver:
         max_learned = max(2000, 2 * len(self._clauses))
 
         while True:
-            if self.stop_check is not None and self.stop_check():
-                raise SolverCancelled("CDCL run cancelled by caller")
             conflict = self._propagate()
             if conflict is not None:
                 self.stats.conflicts += 1

@@ -14,12 +14,11 @@ Checkers, from most semantic to most scalable:
 * :mod:`repro.verify.backends` — the pluggable decision procedures
   behind Theorem 6.4: a ``@register_backend`` registry with one module
   per engine (``cdcl`` — incremental by default, probing each
-  obligation off one long-lived shared solver; ``dpll``; ``brute``;
-  ``bitset`` — vectorised truth tables, also ``brute``'s fast path
-  under its cone-width threshold; ``bdd`` — ROBDDs over the order in
-  which the circuit first touches its wires; ``bdd-reversed`` — the
-  reverse of that order) plus ``portfolio``, which races the
-  recorded-best SAT engine against BDD and returns the first verdict;
+  obligation off one long-lived shared solver; ``brute`` — the
+  enumeration oracle; ``bitset`` — vectorised truth tables, also
+  ``brute``'s fast path under its cone-width threshold; ``bdd`` —
+  ROBDDs over the order in which the circuit first touches its wires;
+  ``bdd-reversed`` — the reverse of that order);
 * :mod:`repro.verify.batch` — :class:`BatchVerifier`, the throughput
   engine: one tracking pass and one checker per circuit, per-qubit
   checks fanned out over a worker pool (``executor="thread"`` shares
@@ -33,9 +32,7 @@ Checkers, from most semantic to most scalable:
   simulator-replayed counterexamples;
 * :mod:`repro.verify.pipeline` — :func:`verify_circuit`, the
   single-circuit shim over the batch engine;
-* :mod:`repro.verify.booltrace` — the Figure 6.1 construction trace;
-* :mod:`repro.verify.boolean` — compatibility façade over tracking +
-  backends for pre-refactor imports.
+* :mod:`repro.verify.booltrace` — the Figure 6.1 construction trace.
 """
 
 from repro.verify.unitary import factor_unitary, unitary_acts_identity_on

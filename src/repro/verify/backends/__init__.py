@@ -7,13 +7,11 @@ Layout
 * :mod:`~repro.verify.backends.registry` — ``@register_backend`` and the
   name → class lookup behind :func:`make_checker`;
 * one module per engine: :mod:`~repro.verify.backends.cdcl`
-  (incremental assumption-probing SAT), :mod:`~repro.verify.backends.dpll`,
-  :mod:`~repro.verify.backends.brute` (CNF SAT),
+  (incremental assumption-probing SAT),
+  :mod:`~repro.verify.backends.brute` (CNF enumeration, the oracle),
   :mod:`~repro.verify.backends.bitset` (vectorised truth tables),
-  :mod:`~repro.verify.backends.bdd`,
-  :mod:`~repro.verify.backends.bdd_reversed` (canonical ROBDDs) and
-  :mod:`~repro.verify.backends.portfolio` (SAT vs BDD race, its SAT
-  contender picked from the recorded bench trajectory).
+  :mod:`~repro.verify.backends.bdd` and
+  :mod:`~repro.verify.backends.bdd_reversed` (canonical ROBDDs).
 
 Importing this package registers every built-in backend.  Third-party
 backends only need to subclass :class:`CheckerBackend` and apply the
@@ -30,12 +28,10 @@ from repro.verify.backends.registry import (
 
 # Importing the engine modules is what populates the registry.
 from repro.verify.backends.cdcl import CdclCheckerBackend
-from repro.verify.backends.dpll import DpllCheckerBackend
 from repro.verify.backends.brute import BruteCheckerBackend
 from repro.verify.backends.bitset import BitsetCheckerBackend
 from repro.verify.backends.bdd import BddCheckerBackend
 from repro.verify.backends.bdd_reversed import BddReversedCheckerBackend
-from repro.verify.backends.portfolio import PortfolioCheckerBackend
 from repro.verify.backends.sat import SatCheckerBackend
 
 __all__ = [
@@ -46,8 +42,6 @@ __all__ = [
     "BruteCheckerBackend",
     "CdclCheckerBackend",
     "CheckerBackend",
-    "DpllCheckerBackend",
-    "PortfolioCheckerBackend",
     "SatCheckerBackend",
     "available_backends",
     "backend_class",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from repro.verify.tracking import TrackedFormulas
 
@@ -61,22 +61,5 @@ class CheckerBackend(abc.ABC):
         self.serial_lock = threading.Lock()
 
     @abc.abstractmethod
-    def check_qubit(
-        self,
-        qubit: int,
-        cancel_event: Optional[threading.Event] = None,
-    ) -> BooleanCheckOutcome:
-        """Decide formulas (6.1)/(6.2) for one dirty qubit.
-
-        ``cancel_event``, when given, is polled during long-running
-        work; once set, the check unwinds with
-        :class:`~repro.errors.SolverCancelled` instead of finishing.
-        The portfolio backend uses this to reclaim losing contenders.
-        """
-
-    @staticmethod
-    def _stop_check(
-        cancel_event: Optional[threading.Event],
-    ) -> Optional[Callable[[], bool]]:
-        """Adapt an event to the solvers' ``stop_check`` protocol."""
-        return None if cancel_event is None else cancel_event.is_set
+    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
+        """Decide formulas (6.1)/(6.2) for one dirty qubit."""

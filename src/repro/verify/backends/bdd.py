@@ -13,13 +13,11 @@ serialises its checks (they are cheap after the shared compile).
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, Dict, List
 
 from repro.bdd.robdd import Bdd
 from repro.circuits.circuit import Circuit
-from repro.errors import SolverCancelled
 from repro.verify.backends.base import BooleanCheckOutcome, CheckerBackend
 from repro.verify.backends.registry import register_backend
 from repro.verify.tracking import TrackedFormulas
@@ -71,11 +69,7 @@ class BddCheckerBackend(CheckerBackend):
                 tracked.formulas[q], self._expr_cache
             )
 
-    def check_qubit(
-        self,
-        qubit: int,
-        cancel_event: Optional[threading.Event] = None,
-    ) -> BooleanCheckOutcome:
+    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
         start = time.perf_counter()
         name = self.tracked.names[qubit]
         bdd = self.bdd
@@ -94,8 +88,6 @@ class BddCheckerBackend(CheckerBackend):
             )
         # Formula (6.2): each other final formula must be q-independent.
         for other in range(self.tracked.circuit.num_qubits):
-            if cancel_event is not None and cancel_event.is_set():
-                raise SolverCancelled("BDD check cancelled by caller")
             if other == qubit:
                 continue
             f = self.compiled[other]

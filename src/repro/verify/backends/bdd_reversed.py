@@ -2,8 +2,8 @@
 
 Identical algebra to :mod:`repro.verify.backends.bdd` but with the
 variable order of :func:`~repro.verify.backends.bdd.variable_order`
-reversed — the DESIGN.md ablation quantifying how much the first-use
-order buys the canonical representation.
+reversed — ablation A3 (``docs/reproduction.md``), quantifying how much
+the first-use order buys the canonical representation.
 """
 
 from __future__ import annotations

@@ -8,18 +8,15 @@ op.  On cones the obligations actually produce (bounded by the circuit
 width), exhaustive checking becomes the *fast* path — it beats the CNF
 solvers outright on the adder family — while remaining the same
 enumeration-complete oracle.  Cones wider than ``max_vars`` raise
-:class:`~repro.errors.SolverError`; under a portfolio race another
-contender then supplies the verdict.
+:class:`~repro.errors.SolverError`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from repro.boolfn.bitset import DEFAULT_MAX_VARS, bitset_solve
-from repro.errors import SolverCancelled
 from repro.verify.backends.base import BooleanCheckOutcome, CheckerBackend
 from repro.verify.backends.registry import register_backend
 from repro.verify.tracking import TrackedFormulas, formula_61, formula_62
@@ -35,17 +32,8 @@ class BitsetCheckerBackend(CheckerBackend):
         super().__init__(tracked)
         self.max_vars = max_vars
 
-    def check_qubit(
-        self,
-        qubit: int,
-        cancel_event: Optional[threading.Event] = None,
-    ) -> BooleanCheckOutcome:
+    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
         start = time.perf_counter()
-        # One table evaluation is a handful of big-int ops — there is no
-        # loop worth polling inside, so cancellation is honoured at the
-        # obligation boundary.
-        if cancel_event is not None and cancel_event.is_set():
-            raise SolverCancelled("bitset check cancelled by caller")
         expr1 = formula_61(self.tracked, qubit)
         result1, model1 = bitset_solve(expr1, max_vars=self.max_vars)
         if result1.is_sat:
@@ -58,8 +46,6 @@ class BitsetCheckerBackend(CheckerBackend):
                 solve_seconds=time.perf_counter() - start,
                 details={"assignments": result1.stats.decisions},
             )
-        if cancel_event is not None and cancel_event.is_set():
-            raise SolverCancelled("bitset check cancelled by caller")
         expr2 = formula_62(self.tracked, qubit)
         result2, model2 = bitset_solve(expr2, max_vars=self.max_vars)
         elapsed = time.perf_counter() - start

@@ -26,7 +26,7 @@ from repro.boolfn.expr import Expr
 from repro.sat.brute import brute_force_solve
 from repro.sat.result import SatResult
 from repro.verify.backends.registry import register_backend
-from repro.verify.backends.sat import SatCheckerBackend, StopCheck
+from repro.verify.backends.sat import SatCheckerBackend
 from repro.verify.tracking import TrackedFormulas
 
 
@@ -45,14 +45,14 @@ class BruteCheckerBackend(SatCheckerBackend):
         self.bitset_max_vars = bitset_max_vars
 
     def _solve_fresh(
-        self, expr: Expr, stop_check: StopCheck = None
+        self, expr: Expr
     ) -> Tuple[SatResult, Optional[Dict[str, bool]], Cnf]:
         if len(expr.variables()) <= self.bitset_max_vars:
             result, model = bitset_solve(expr, max_vars=self.bitset_max_vars)
             # No CNF was built; an empty instance keeps the outcome
             # details honest (zero clauses enumerated).
             return result, model, Cnf()
-        return super()._solve_fresh(expr, stop_check)
+        return super()._solve_fresh(expr)
 
-    def _run_solver(self, cnf: Cnf, stop_check: StopCheck = None) -> SatResult:
-        return brute_force_solve(cnf, stop_check=stop_check)
+    def _run_solver(self, cnf: Cnf) -> SatResult:
+        return brute_force_solve(cnf)

@@ -15,7 +15,7 @@ from repro.boolfn.cnf import Cnf
 from repro.sat.cdcl import CdclSolver
 from repro.sat.result import SatResult
 from repro.verify.backends.registry import register_backend
-from repro.verify.backends.sat import SatCheckerBackend, StopCheck
+from repro.verify.backends.sat import SatCheckerBackend
 from repro.verify.tracking import TrackedFormulas
 
 
@@ -32,5 +32,5 @@ class CdclCheckerBackend(SatCheckerBackend):
     def _new_incremental_solver(self) -> CdclSolver:
         return CdclSolver()
 
-    def _run_solver(self, cnf: Cnf, stop_check: StopCheck = None) -> SatResult:
-        return CdclSolver(cnf, stop_check=stop_check).solve()
+    def _run_solver(self, cnf: Cnf) -> SatResult:
+        return CdclSolver(cnf).solve()

@@ -1,4 +1,4 @@
-"""Shared machinery of the CNF SAT backends (cdcl / dpll / brute).
+"""Shared machinery of the CNF SAT backends (cdcl / brute).
 
 Each check Tseitin-encodes the obligation and runs the solver named by
 the subclass.  The zero-restoration formulas (6.1) of different qubits
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.boolfn.cnf import Cnf, TseitinEncoder
 from repro.boolfn.expr import Expr
@@ -38,8 +38,6 @@ from repro.errors import SolverError
 from repro.sat.result import SatResult
 from repro.verify.backends.base import BooleanCheckOutcome, CheckerBackend
 from repro.verify.tracking import TrackedFormulas, formula_61, formula_62
-
-StopCheck = Optional[Callable[[], bool]]
 
 
 class SatCheckerBackend(CheckerBackend):
@@ -73,7 +71,7 @@ class SatCheckerBackend(CheckerBackend):
     # Solver plumbing
     # ------------------------------------------------------------------ #
 
-    def _run_solver(self, cnf: Cnf, stop_check: StopCheck = None) -> SatResult:
+    def _run_solver(self, cnf: Cnf) -> SatResult:
         raise NotImplementedError
 
     def _new_incremental_solver(self):
@@ -83,26 +81,26 @@ class SatCheckerBackend(CheckerBackend):
         )
 
     def _solve_fresh(
-        self, expr: Expr, stop_check: StopCheck = None
+        self, expr: Expr
     ) -> Tuple[SatResult, Optional[Dict[str, bool]], Cnf]:
         encoder = TseitinEncoder()
         encoder.assert_true(expr)
-        result = self._run_solver(encoder.cnf, stop_check)
+        result = self._run_solver(encoder.cnf)
         model = encoder.decode_model(result.model) if result.is_sat else None
         return result, model, encoder.cnf
 
     def _solve_shared(
-        self, expr: Expr, stop_check: StopCheck = None
+        self, expr: Expr
     ) -> Tuple[SatResult, Optional[Dict[str, bool]], Cnf]:
         """Encode into the per-circuit instance, assert via one extra
         unit clause, and solve a throwaway view of the clause list."""
         if self._zero_encoder is None:
-            return self._solve_fresh(expr, stop_check)
+            return self._solve_fresh(expr)
         with self._encoder_lock:
             literal = self._zero_encoder.literal(expr)
             base = self._zero_encoder.cnf
             cnf = Cnf(base.num_vars, base.clauses + [[literal]])
-        result = self._run_solver(cnf, stop_check)
+        result = self._run_solver(cnf)
         model = None
         if result.is_sat:
             with self._encoder_lock:
@@ -110,7 +108,7 @@ class SatCheckerBackend(CheckerBackend):
         return result, model, cnf
 
     def _solve_incremental(
-        self, expr: Expr, stop_check: StopCheck = None
+        self, expr: Expr
     ) -> Tuple[SatResult, Optional[Dict[str, bool]], Cnf]:
         """Encode into the long-lived instance and probe one assumption.
 
@@ -137,11 +135,7 @@ class SatCheckerBackend(CheckerBackend):
             while self._inc_fed < len(clauses):
                 solver.add_clause(clauses[self._inc_fed])
                 self._inc_fed += 1
-            solver.stop_check = stop_check
-            try:
-                result = solver.probe(literal, focus=focus)
-            finally:
-                solver.stop_check = None
+            result = solver.probe(literal, focus=focus)
             if not result.is_sat:
                 # UNSAT under the assumption means the instance entails
                 # the root's negation; asserting it is equivalence-
@@ -156,27 +150,22 @@ class SatCheckerBackend(CheckerBackend):
             return result, model, cnf
 
     def _discharge(
-        self, expr: Expr, stop_check: StopCheck, shared: bool
+        self, expr: Expr, shared: bool
     ) -> Tuple[SatResult, Optional[Dict[str, bool]], Cnf]:
         if self.incremental:
-            return self._solve_incremental(expr, stop_check)
+            return self._solve_incremental(expr)
         if shared:
-            return self._solve_shared(expr, stop_check)
-        return self._solve_fresh(expr, stop_check)
+            return self._solve_shared(expr)
+        return self._solve_fresh(expr)
 
     # ------------------------------------------------------------------ #
     # The Theorem 6.4 check
     # ------------------------------------------------------------------ #
 
-    def check_qubit(
-        self,
-        qubit: int,
-        cancel_event: Optional[threading.Event] = None,
-    ) -> BooleanCheckOutcome:
+    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
         start = time.perf_counter()
-        stop_check = self._stop_check(cancel_event)
         expr1 = formula_61(self.tracked, qubit)
-        result1, model1, cnf1 = self._discharge(expr1, stop_check, shared=True)
+        result1, model1, cnf1 = self._discharge(expr1, shared=True)
         if result1.is_sat:
             model1[self.tracked.names[qubit]] = False
             return BooleanCheckOutcome(
@@ -188,7 +177,7 @@ class SatCheckerBackend(CheckerBackend):
                 details={"cnf_clauses": len(cnf1.clauses)},
             )
         expr2 = formula_62(self.tracked, qubit)
-        result2, model2, cnf2 = self._discharge(expr2, stop_check, shared=False)
+        result2, model2, cnf2 = self._discharge(expr2, shared=False)
         elapsed = time.perf_counter() - start
         if result2.is_sat:
             return BooleanCheckOutcome(

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import Circuit
 from repro.errors import VerificationError
-from repro.verify.backends import CheckerBackend, make_checker
+from repro.verify.backends import CheckerBackend, backend_class, make_checker
 from repro.verify.backends.base import BooleanCheckOutcome
 from repro.verify.report import (
     VerificationReport,
@@ -138,7 +138,9 @@ class BatchVerifier:
     Parameters
     ----------
     backend:
-        Default backend name for jobs that do not pin their own.
+        Default backend name for jobs that do not pin their own; an
+        unregistered name raises :class:`~repro.errors.SolverError`
+        here rather than at the first verification.
     max_workers:
         Worker count for fanning out per-qubit checks; ``None`` uses
         the CPU count.  ``1`` degenerates to the sequential loop.
@@ -186,6 +188,7 @@ class BatchVerifier:
         cache_path: Optional[str] = None,
         executor: str = "thread",
     ):
+        backend_class(backend)  # SolverError for an unregistered name
         if max_workers is not None and max_workers < 1:
             raise VerificationError("max_workers must be at least 1")
         if executor not in ("thread", "process"):
@@ -243,11 +246,10 @@ class BatchVerifier:
     def clear(self) -> None:
         """Drop memoised verdicts and per-circuit structures.
 
-        Per-circuit trackers, checkers (compiled BDDs, Tseitin tables,
-        portfolio pools) and cached verdicts are retained for the
-        verifier's lifetime; a long-running service cycling through many
-        *distinct* circuits should call this periodically to bound
-        memory.
+        Per-circuit trackers, checkers (compiled BDDs, Tseitin tables)
+        and cached verdicts are retained for the verifier's lifetime; a
+        long-running service cycling through many *distinct* circuits
+        should call this periodically to bound memory.
         """
         self.cache.clear()
         self._tracked.clear()

@@ -31,28 +31,16 @@ from repro.circuits.circuit import Circuit
 from repro.errors import SolverError, VerificationError
 from repro.sat.brute import brute_force_solve
 from repro.sat.cdcl import CdclSolver
-from repro.sat.dpll import DpllSolver
 from repro.verify.backends.bdd import variable_order
-from repro.verify.backends.portfolio import DEFAULT_CONTENDERS
-from repro.verify.boolean import TrackedFormulas, formula_61, track_circuit
-from repro.verify.pipeline import (
-    Counterexample,
-    QubitVerdict,
-    VerificationReport,
-)
+from repro.verify.report import Counterexample, QubitVerdict, VerificationReport
+from repro.verify.tracking import TrackedFormulas, formula_61, track_circuit
 
 
 def check_clean_uncomputation(
     tracked: TrackedFormulas, qubit: int, backend: str = "cdcl"
 ):
-    """Decide formula (6.1) only; returns ``(clean, model_or_None)``.
-
-    ``portfolio`` decides it with its default first contender; one
-    formula leaves no race worth running.
-    """
+    """Decide formula (6.1) only; returns ``(clean, model_or_None)``."""
     expr = formula_61(tracked, qubit)
-    if backend == "portfolio":
-        backend = DEFAULT_CONTENDERS[0]
     if backend == "bdd" or backend == "bdd-reversed":
         order = [tracked.names[q] for q in variable_order(tracked.circuit)]
         if backend == "bdd-reversed":
@@ -65,15 +53,13 @@ def check_clean_uncomputation(
     if backend == "bitset":
         result, model = bitset_solve(expr)
         return (True, None) if result.is_unsat else (False, model)
-    if backend in ("cdcl", "dpll", "brute"):
+    if backend in ("cdcl", "brute"):
         encoder = TseitinEncoder()
         encoder.assert_true(expr)
-        solver = {
-            "cdcl": lambda: CdclSolver(encoder.cnf).solve(),
-            "dpll": lambda: DpllSolver(encoder.cnf).solve(),
-            "brute": lambda: brute_force_solve(encoder.cnf),
-        }[backend]
-        result = solver()
+        if backend == "cdcl":
+            result = CdclSolver(encoder.cnf).solve()
+        else:
+            result = brute_force_solve(encoder.cnf)
         if result.is_unsat:
             return True, None
         return False, encoder.decode_model(result.model)

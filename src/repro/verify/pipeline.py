@@ -16,17 +16,7 @@ from typing import Sequence
 
 from repro.circuits.circuit import Circuit
 from repro.verify.batch import BatchVerifier
-from repro.verify.report import (
-    Counterexample,
-    QubitVerdict,
-    VerificationReport,
-    outcome_to_verdict,
-    replay_counterexample,
-)
-
-# Historical private names, still imported by older tests and tools.
-_replay = replay_counterexample
-_to_verdict = outcome_to_verdict
+from repro.verify.report import Counterexample, QubitVerdict, VerificationReport
 
 
 def verify_circuit(
@@ -46,7 +36,7 @@ def verify_circuit(
         Wire indices whose safe uncomputation must be checked.
     backend:
         Any name in :func:`repro.verify.backends.available_backends`,
-        e.g. ``"cdcl"``, ``"bdd"`` or ``"portfolio"``.
+        e.g. ``"cdcl"`` or ``"bdd"``.
     simplify_xor:
         Apply the Figure 6.1 ``x ⊕ x = 0`` simplification while tracking
         (ablation A1 turns this off).

@@ -20,7 +20,8 @@ class TestCostRows:
         rows = {row.adder: row for row in adder_cost_rows([16])}
         n = 16
         # Cuccaro: n+1 clean; Takahashi: n clean; Draper: 0;
-        # Häner strip: n-1 dirty (see DESIGN.md substitution note).
+        # Häner strip: n-1 dirty (see the substitutions in
+        # docs/reproduction.md).
         assert rows["cuccaro"].clean_ancillas == n + 1
         assert rows["takahashi"].clean_ancillas == n
         assert rows["draper"].clean_ancillas == 0

@@ -32,7 +32,7 @@ class TestFigure13:
         assert classical_safe_uncomputation(fig13_circuit(), 2).safe
 
     def test_all_backends_agree_safe(self):
-        for backend in ("cdcl", "dpll", "bdd", "bdd-reversed", "brute"):
+        for backend in ("cdcl", "bdd", "bdd-reversed", "brute"):
             report = verify_circuit(fig13_circuit(), [2], backend=backend)
             assert report.all_safe, backend
 

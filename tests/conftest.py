@@ -64,7 +64,8 @@ def fig31_circuit() -> Circuit:
     ``a2`` a *control*, which would make a2 genuinely unsafe (our
     verifier finds the counterexample).  Figure 3.1's caption asserts a2
     is safely uncomputed, so the intended accumulator must be ``a2``;
-    this builder uses that corrected reading (see EXPERIMENTS.md, D2).
+    this builder uses that corrected reading (see docs/reproduction.md,
+    deviation D2).
     """
     c = Circuit(7, labels=["q1", "q2", "q3", "q4", "q5", "a1", "a2"])
     c.append(cnot(1, 2))

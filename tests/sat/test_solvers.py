@@ -1,12 +1,19 @@
-"""Tests for the CDCL and DPLL solvers, including differential fuzzing."""
+"""Tests for the CDCL solver, including differential fuzzing against
+brute-force enumeration."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.boolfn import Cnf
+from repro.boolfn.cnf import TseitinEncoder
 from repro.errors import SolverError
-from repro.sat import CdclSolver, DpllSolver, brute_force_solve
+from repro.lang.surface import elaborate
+from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
+from repro.sat import CdclSolver, brute_force_solve
+from repro.verify import formula_61, formula_62, track_circuit
 
 
 def cnf_from(num_vars, clauses):
@@ -27,7 +34,6 @@ def check_model(cnf, model):
 
 SOLVERS = [
     pytest.param(lambda c: CdclSolver(c).solve(), id="cdcl"),
-    pytest.param(lambda c: DpllSolver(c).solve(), id="dpll"),
 ]
 
 
@@ -145,13 +151,123 @@ def random_cnf(draw):
 class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(random_cnf())
-    def test_three_solvers_agree(self, cnf):
+    def test_cdcl_agrees_with_brute(self, cnf):
         reference = brute_force_solve(cnf)
         cdcl = CdclSolver(cnf_from(cnf.num_vars, cnf.clauses)).solve()
-        dpll = DpllSolver(cnf_from(cnf.num_vars, cnf.clauses)).solve()
         assert cdcl.is_sat == reference.is_sat
-        assert dpll.is_sat == reference.is_sat
         if cdcl.is_sat:
             assert check_model(cnf, cdcl.model)
-        if dpll.is_sat:
-            assert check_model(cnf, dpll.model)
+
+
+def pigeonhole(pigeons, holes):
+    def var(i, j):
+        return i * holes + j + 1
+
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                clauses.append([-var(i1, j), -var(i2, j)])
+    return cnf_from(pigeons * holes, clauses)
+
+
+def random_3sat(seed, num_vars=60, ratio=4.26):
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(int(num_vars * ratio)):
+        chosen = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return cnf_from(num_vars, clauses)
+
+
+def adder_plus_restoration(n):
+    """Formula (6.2) for the middle carry ancilla of ``adder.qbr``."""
+    program = elaborate(adder_qbr_source(n))
+    tracked = track_circuit(program.circuit)
+    wire = program.dirty_wires[len(program.dirty_wires) // 2]
+    encoder = TseitinEncoder()
+    encoder.assert_true(formula_62(tracked, wire))
+    return encoder.cnf
+
+
+def stats_tuple(stats):
+    return (
+        stats.decisions,
+        stats.propagations,
+        stats.conflicts,
+        stats.restarts,
+        stats.learned_clauses,
+    )
+
+
+class TestSearchPath:
+    """Pinned search statistics of the CDCL engine.
+
+    Any change to branching, propagation, restarts, learning or clause
+    deletion moves these numbers, so a change that claims to leave the
+    search alone must keep them.  Each tuple is (decisions,
+    propagations, conflicts, restarts, learned clauses).
+    """
+
+    @pytest.mark.parametrize(
+        "build, is_sat, expected",
+        [
+            (lambda: pigeonhole(6, 5), False, (184, 1647, 143, 1, 142)),
+            (lambda: pigeonhole(7, 6), False, (881, 9175, 735, 4, 734)),
+            (lambda: random_3sat(0), False, (139, 2107, 127, 0, 126)),
+            (lambda: random_3sat(1), True, (30, 258, 11, 0, 11)),
+            (lambda: adder_plus_restoration(8), False, (47, 578, 41, 0, 40)),
+            (
+                lambda: adder_plus_restoration(12),
+                False,
+                (100, 1244, 68, 0, 67),
+            ),
+        ],
+        ids=[
+            "pigeonhole-6-5",
+            "pigeonhole-7-6",
+            "random-3sat-0",
+            "random-3sat-1",
+            "adder-8",
+            "adder-12",
+        ],
+    )
+    def test_solve(self, build, is_sat, expected):
+        cnf = build()
+        solver = CdclSolver(cnf)
+        result = solver.solve()
+        assert result.is_sat == is_sat
+        if is_sat:
+            assert check_model(cnf, result.model)
+        assert stats_tuple(solver.stats) == expected
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (adder_qbr_source(8), (305, 4273, 235, 0, 229)),
+            (adder_qbr_source(12), (1610, 27069, 1233, 0, 1223)),
+            (mcx_qbr_source(40), (99, 717, 25, 0, 24)),
+        ],
+        ids=["adder-8", "adder-12", "mcx-40"],
+    )
+    def test_probe_every_dirty_wire(self, source, expected):
+        # The incremental discharge of the cdcl backend: one shared
+        # instance, formulas (6.1) then (6.2) probed per dirty wire, and
+        # each refuted root asserted negated.
+        program = elaborate(source)
+        tracked = track_circuit(program.circuit)
+        encoder = TseitinEncoder()
+        solver = CdclSolver()
+        fed = 0
+        for wire in program.dirty_wires:
+            for formula in (formula_61, formula_62):
+                expr = formula(tracked, wire)
+                literal = encoder.literal(expr)
+                focus = encoder.cone_vars(expr)
+                solver.ensure_vars(encoder.cnf.num_vars)
+                while fed < len(encoder.cnf.clauses):
+                    solver.add_clause(encoder.cnf.clauses[fed])
+                    fed += 1
+                assert solver.probe(literal, focus=focus).is_unsat
+                solver.add_clause([-literal])
+        assert stats_tuple(solver.stats) == expected

@@ -33,7 +33,7 @@ def verify_record(
     if bdd_nodes is not None:
         bdd_row["bdd_nodes"] = bdd_nodes
     record = {
-        "backends": [bdd_row, {"backend": "dpll", "error": "capped"}],
+        "backends": [bdd_row, {"backend": "brute", "error": "capped"}],
         "sequential_vs_batch": [
             {
                 "backend": "bdd",
@@ -315,7 +315,7 @@ class TestCompareVerify:
 
     def test_errored_baseline_row_is_skipped(self):
         comp = compare_verify(verify_record(), verify_record())
-        assert not any("dpll" in m for m in regressed(comp))
+        assert not any("brute" in m for m in regressed(comp))
 
     def test_bdd_node_rise_fails(self):
         comp = compare_verify(verify_record(), verify_record(bdd_nodes=129))

@@ -1,15 +1,21 @@
 """Tests for the pluggable backend registry (repro.verify.backends)."""
 
+import importlib
+import json
 import random
-import threading
+from pathlib import Path
 
 import pytest
 
 from repro.adders.cuccaro import cuccaro_add_registers
 from repro.adders.takahashi import takahashi_add_registers
-from repro.circuits import Circuit, cnot, mcx, toffoli, x
-from repro.errors import SolverCancelled, SolverError
-from repro.verify import make_checker, track_circuit
+from repro.alloc import VerifiedStrategy
+from repro.circuits import Circuit, cnot, mcx, solver_restore_checker, toffoli
+from repro.errors import SolverError
+from repro.lang import unitary
+from repro.lang.surface import verify_qbr
+from repro.multiprog import FleetRouter, MultiProgrammer
+from repro.verify import BatchVerifier, make_checker, track_circuit, verify_circuit
 from repro.verify.backends import (
     BooleanCheckOutcome,
     CheckerBackend,
@@ -19,8 +25,11 @@ from repro.verify.backends import (
 )
 from repro.verify.backends.bdd import variable_order
 from repro.verify.backends.registry import _REGISTRY
+from repro.verify.program import verify_borrows_in_program
 
-BUILTIN = ("bdd", "bdd-reversed", "bitset", "brute", "cdcl", "dpll", "portfolio")
+BUILTIN = ("bdd", "bdd-reversed", "bitset", "brute", "cdcl")
+
+BENCH_VERIFY = Path(__file__).resolve().parents[2] / "BENCH_verify.json"
 
 
 def random_circuit(seed: int, num_qubits: int = 6, max_gates: int = 12):
@@ -44,6 +53,62 @@ class TestRegistry:
         assert "z3" in message
         for name in BUILTIN:
             assert name in message
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_every_backend_has_a_committed_bench_row(self, name):
+        # A registry entry stays only while the committed record measures
+        # it, so a backend cannot linger registered but unbenchmarked.
+        record = json.loads(BENCH_VERIFY.read_text())
+        assert name in {row["backend"] for row in record["backends"]}
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.sat.dpll",
+            "repro.verify.backends.dpll",
+            "repro.verify.backends.portfolio",
+            "repro.verify.boolean",
+        ],
+    )
+    def test_retired_engine_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: BatchVerifier(backend="z3"),
+            lambda: MultiProgrammer(4, backend="z3"),
+            lambda: FleetRouter([4], backend="z3"),
+            # Wire 1 is outside the register as well: the name is
+            # rejected first, when the verifier is built.
+            lambda: verify_circuit(Circuit(1), [1], backend="z3"),
+            # The remaining entry points build a private BatchVerifier;
+            # each input has nothing to verify, so only that can raise.
+            lambda: VerifiedStrategy(backend="z3"),
+            lambda: solver_restore_checker(backend="z3"),
+            lambda: verify_borrows_in_program(
+                unitary("X", "q"), ["q"], backend="z3"
+            ),
+            lambda: verify_qbr("alloc q[1];\nX[q[1]];\n", backend="z3"),
+        ],
+        ids=[
+            "BatchVerifier",
+            "MultiProgrammer",
+            "FleetRouter",
+            "verify_circuit",
+            "VerifiedStrategy",
+            "solver_restore_checker",
+            "verify_borrows_in_program",
+            "verify_qbr",
+        ],
+    )
+    def test_unknown_name_fails_at_construction(self, construct):
+        with pytest.raises(SolverError) as excinfo:
+            construct()
+        assert str(excinfo.value) == (
+            f"unknown backend 'z3'; registered backends: {', '.join(BUILTIN)}"
+        )
 
     def test_backend_class_lookup(self):
         cls = backend_class("cdcl")
@@ -137,87 +202,3 @@ class TestDifferential:
                     checker.name,
                     qubit,
                 )
-
-
-class TestPortfolio:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_portfolio_verdict_identical_to_cdcl(self, seed):
-        circuit = random_circuit(seed + 500)
-        tracked = track_circuit(circuit)
-        portfolio = make_checker(tracked, "portfolio")
-        cdcl = make_checker(tracked, "cdcl")
-        for qubit in range(circuit.num_qubits):
-            raced = portfolio.check_qubit(qubit)
-            reference = cdcl.check_qubit(qubit)
-            assert raced.safe == reference.safe, qubit
-            assert raced.failed_condition == reference.failed_condition, qubit
-
-    def test_winner_recorded(self):
-        tracked = track_circuit(random_circuit(7))
-        outcome = make_checker(tracked, "portfolio").check_qubit(0)
-        assert outcome.details["winner"] in ("cdcl", "bdd")
-
-    def test_pool_threads_released_on_gc(self):
-        import gc
-        import time
-
-        for _ in range(3):  # settle unrelated thread churn
-            gc.collect()
-        time.sleep(0.05)
-        before = threading.active_count()
-        for _ in range(8):
-            tracked = track_circuit(random_circuit(13, num_qubits=3))
-            make_checker(tracked, "portfolio").check_qubit(0)
-        gc.collect()
-        time.sleep(0.2)  # woken workers need a moment to exit
-        # Without the finalizer this leaks 2 threads per checker (16+).
-        assert threading.active_count() <= before + 4
-
-    def test_empty_portfolio_rejected(self):
-        from repro.verify.backends.portfolio import PortfolioCheckerBackend
-
-        tracked = track_circuit(Circuit(1))
-        with pytest.raises(SolverError):
-            PortfolioCheckerBackend(tracked, contenders=())
-        with pytest.raises(SolverError):
-            PortfolioCheckerBackend(tracked, contenders=("portfolio",))
-
-
-class TestCancellation:
-    """A pre-set cancel event must abort checks with SolverCancelled."""
-
-    @pytest.mark.parametrize("backend", ("cdcl", "dpll"))
-    def test_sat_check_unwinds(self, backend):
-        # x(1) keeps formula (6.1) non-trivial, so the solver loop runs.
-        tracked = track_circuit(Circuit(2).append(x(1)))
-        checker = make_checker(tracked, backend)
-        cancelled = threading.Event()
-        cancelled.set()
-        with pytest.raises(SolverCancelled):
-            checker.check_qubit(1, cancel_event=cancelled)
-
-    def test_bdd_check_unwinds(self):
-        from tests.conftest import fig13_circuit
-
-        tracked = track_circuit(fig13_circuit())
-        checker = make_checker(tracked, "bdd")
-        cancelled = threading.Event()
-        cancelled.set()
-        with pytest.raises(SolverCancelled):
-            checker.check_qubit(2, cancel_event=cancelled)
-
-    def test_unset_event_changes_nothing(self):
-        tracked = track_circuit(random_circuit(11))
-        checker = make_checker(tracked, "cdcl")
-        free = threading.Event()
-        with_event = checker.check_qubit(0, cancel_event=free)
-        without = make_checker(tracked, "cdcl").check_qubit(0)
-        assert with_event.safe == without.safe
-
-    def test_portfolio_forwards_outer_cancellation(self):
-        tracked = track_circuit(Circuit(2).append(x(1)))
-        checker = make_checker(tracked, "portfolio")
-        cancelled = threading.Event()
-        cancelled.set()
-        with pytest.raises(SolverCancelled):
-            checker.check_qubit(1, cancel_event=cancelled)

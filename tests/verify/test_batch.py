@@ -6,7 +6,12 @@ from repro.circuits import Circuit, cnot, x
 from repro.errors import VerificationError
 from repro.lang.surface import elaborate
 from repro.lang.surface.sources import adder_qbr_source
-from repro.verify import BatchVerifier, VerificationJob, verify_circuit
+from repro.verify import (
+    BatchVerifier,
+    VerificationJob,
+    available_backends,
+    verify_circuit,
+)
 from tests.conftest import fig13_circuit
 
 
@@ -35,7 +40,7 @@ class TestParallelMatchesSequential:
         assert verdict_tuples(parallel) == verdict_tuples(sequential)
         assert parallel.all_safe
 
-    @pytest.mark.parametrize("backend", ("bdd", "cdcl", "portfolio"))
+    @pytest.mark.parametrize("backend", available_backends())
     def test_unsafe_circuit_identical_verdicts(self, backend):
         circuit = Circuit(4, labels=["w", "d1", "d2", "d3"]).extend(
             [cnot(0, 1), cnot(0, 1), x(2), cnot(3, 0)]

@@ -5,13 +5,15 @@ import pytest
 from repro.circuits import Circuit, cnot, toffoli, x
 from repro.errors import SolverError, VerificationError
 from repro.verify import (
+    available_backends,
     formula_61,
     formula_62,
     make_checker,
     track_circuit,
 )
-from repro.verify.boolean import BACKENDS, BddBooleanChecker, SatBooleanChecker
 from tests.conftest import fig13_circuit
+
+BACKENDS = available_backends()
 
 
 class TestTrackCircuit:
@@ -122,14 +124,12 @@ class TestBackends:
         tracked = track_circuit(Circuit(1).append(x(0)))
         with pytest.raises(SolverError):
             make_checker(tracked, "z3")
-        with pytest.raises(SolverError):
-            SatBooleanChecker(tracked, solver="bdd")
 
     def test_bdd_reports_dependent_qubit(self):
         tracked = track_circuit(
             Circuit(2, labels=["t", "d"]).append(cnot(1, 0))
         )
-        outcome = BddBooleanChecker(tracked).check_qubit(1)
+        outcome = make_checker(tracked, "bdd").check_qubit(1)
         assert outcome.details["dependent_qubit"] == "t"
 
     def test_ablation_no_simplify_same_verdicts(self):

@@ -1,7 +1,7 @@
 """Property-based differential testing of the Theorem 6.4 reduction.
 
-For random classical circuits, every scalable backend (SAT via CDCL and
-DPLL, BDD in both orders) must agree with the exhaustive Theorem 6.2
+For random classical circuits, every scalable backend (SAT via CDCL,
+BDD in both orders) must agree with the exhaustive Theorem 6.2
 truth-table oracle on every qubit — and, since Theorem 6.2 is itself
 proven equivalent to Definition 3.1, with the unitary factorisation
 check on small registers.
@@ -25,7 +25,7 @@ def test_sat_and_bdd_match_truth_table_oracle(circuit):
     tracked = track_circuit(circuit)
     checkers = {
         backend: make_checker(tracked, backend)
-        for backend in ("cdcl", "dpll", "bdd", "bdd-reversed")
+        for backend in ("cdcl", "bdd", "bdd-reversed")
     }
     for qubit in range(circuit.num_qubits):
         expected = classical_safe_uncomputation(circuit, qubit).safe

@@ -6,7 +6,7 @@ import pytest
 from repro.circuits import Circuit, cnot, x
 from repro.errors import VerificationError
 from repro.verify import verify_circuit
-from repro.verify.pipeline import Counterexample, _replay
+from repro.verify.report import Counterexample, replay_counterexample
 from tests.conftest import fig13_circuit
 
 
@@ -57,7 +57,7 @@ class TestCounterexamples:
 
     def test_plus_restoration_replayable(self):
         circuit = Circuit(2).append(cnot(1, 0))
-        for backend in ("cdcl", "dpll", "bdd", "brute"):
+        for backend in ("cdcl", "bdd", "brute"):
             report = verify_circuit(circuit, [1], backend=backend)
             cex = report.verdicts[0].counterexample
             assert cex.kind == "plus-restoration"
@@ -66,14 +66,16 @@ class TestCounterexamples:
         circuit = fig13_circuit()  # a is actually safe
         bogus = Counterexample("zero-restoration", {}, [0, 0, 0, 0, 0])
         with pytest.raises(VerificationError):
-            _replay(circuit, 2, bogus)
+            replay_counterexample(circuit, 2, bogus)
         bogus2 = Counterexample("plus-restoration", {}, [0, 0, 0, 0, 0])
         with pytest.raises(VerificationError):
-            _replay(circuit, 2, bogus2)
+            replay_counterexample(circuit, 2, bogus2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(VerificationError):
-            _replay(fig13_circuit(), 2, Counterexample("weird", {}, [0] * 5))
+            replay_counterexample(
+                fig13_circuit(), 2, Counterexample("weird", {}, [0] * 5)
+            )
 
 
 class TestBackendAgreement:
@@ -91,7 +93,7 @@ class TestBackendAgreement:
             gates.append(mcx(wires[:-1], wires[-1]))
         circuit = Circuit(n).extend(gates)
         verdicts = {}
-        for backend in ("cdcl", "dpll", "bdd", "bdd-reversed", "brute"):
+        for backend in ("cdcl", "bdd", "bdd-reversed", "brute"):
             report = verify_circuit(circuit, list(range(n)), backend=backend)
             verdicts[backend] = [v.safe for v in report.verdicts]
         reference = verdicts.pop("brute")
