@@ -19,7 +19,7 @@ can track the trajectory:
   multi-programming workload per strategy, the seeded 50-job queueing
   trace per queue policy (fifo / backfill / sjf / priority), and the
   seeded 50-job *lending* trace per (policy, lending-mode) pair —
-  whole vs. windowed vs. segmented admitted counts — and the seeded
+  windowed vs. segmented admitted counts — and the seeded
   50-job *fleet* trace routed through single-machine baselines and a
   2x11 :class:`FleetRouter` under every placement policy; together
   the numbers the bench-regression gate guards.
@@ -687,18 +687,16 @@ def _queueing_workload(policy: str) -> dict:
 #: ancillas can only be hosted by a cross-program lease — 70% of them
 #: segmented guests whose two identity blocks straddle a long restore
 #: gap) against an 11-qubit machine.  Offers are scarce by
-#: construction, so whole-residency lending runs out of lease-free
-#: wires, windowed lending multiplexes them, and segmented lending
-#: additionally threads guests through the restore gaps — replayed
-#: under every registered queue policy and all three lending modes so
-#: the admitted counts are directly comparable (and CI-gated:
-#: windowed must never admit fewer than whole, segmented never fewer
-#: than windowed, and segmented must beat windowed outright under at
-#: least one policy).
+#: construction, so windowed lending multiplexes them and segmented
+#: lending additionally threads guests through the restore gaps —
+#: replayed under every registered queue policy and both lending modes
+#: so the admitted counts are directly comparable (and CI-gated:
+#: segmented never admits fewer than windowed, and must beat it
+#: outright under at least one policy).
 LENDING_TRACE_SEED = 1
 LENDING_TRACE_JOBS = 50
 LENDING_MACHINE = 11
-LENDING_MODES = ("whole", "windowed", "segmented")
+LENDING_MODES = ("windowed", "segmented")
 
 
 def _lending_workload(policy: str, lending: str) -> dict:
@@ -1258,35 +1256,37 @@ def _streaming_frontend_section() -> dict:
 
 
 # --------------------------------------------------------------------- #
-# Restore-check admission cost (structural vs solver)
+# Restore-check admission cost (segmented lending, solver certifier)
 # --------------------------------------------------------------------- #
 
 #: The restore-check record's pinned workload: a large seeded lending
 #: trace (timeouts off, so admission work — not queue churn —
-#: dominates) replayed under segmented lending with each certifier.
+#: dominates) replayed under segmented lending, whose restore segments
+#: are certified by the solver-backed checker.
 RESTORE_TRACE_SEED = 2
 RESTORE_TRACE_JOBS = 100 if QUICK else 300
 RESTORE_MACHINE = 11
 
 
-def _restore_check_row(restore_check: str) -> dict:
+def _restore_check_section() -> dict:
+    """Admission cost of segmented lending's solver-backed restore
+    certifier: the solver only runs where the structural palindrome
+    check fails, and its verdicts share the scheduler's memoised
+    verifier.  One row, keyed ``restore_check="solver"``."""
     walls = []
     for _ in range(FRONTEND_REPEATS):
         trace = random_lending_trace(
             RESTORE_TRACE_SEED, num_jobs=RESTORE_TRACE_JOBS, timeouts=False
         )
         programmer = MultiProgrammer(
-            RESTORE_MACHINE,
-            lending="segmented",
-            restore_check=restore_check,
-            max_workers=1,
+            RESTORE_MACHINE, lending="segmented", max_workers=1
         )
         start = time.perf_counter()
         log = replay_trace(programmer, trace)
         walls.append(time.perf_counter() - start)
     wall = _median(walls)
     row = {
-        "restore_check": restore_check,
+        "restore_check": "solver",
         "jobs": RESTORE_TRACE_JOBS,
         "machine": RESTORE_MACHINE,
         "admitted": len(log.admitted),
@@ -1294,42 +1294,10 @@ def _restore_check_row(restore_check: str) -> dict:
         "wall_seconds": round(wall, 4),
     }
     print(
-        f"  restore    {restore_check:<11} admitted={row['admitted']:<4} "
+        f"  restore    solver      admitted={row['admitted']:<4} "
         f"leases={row['leases_granted']:<4} wall={wall:>8.4f}s"
     )
-    return row
-
-
-def _restore_check_section() -> dict:
-    """Admission cost of the solver-backed restore certifier.
-
-    The measurement behind the scheduler's segmented-mode default: the
-    solver certifier only runs where the structural palindrome check
-    fails, and its verdicts share the scheduler's memoised verifier,
-    so the overhead on the pinned trace is small — under the 10%
-    budget that justified flipping ``lending="segmented"`` to
-    ``restore_check="solver"`` by default.
-    """
-    rows = [
-        _restore_check_row(check) for check in ("structural", "solver")
-    ]
-    structural, solver = rows
-    overhead = (
-        round(
-            (solver["wall_seconds"] - structural["wall_seconds"])
-            / structural["wall_seconds"],
-            3,
-        )
-        if structural["wall_seconds"] > 0
-        else None
-    )
-    print(f"  restore    solver overhead fraction: {overhead}")
-    return {
-        "seed": RESTORE_TRACE_SEED,
-        "rows": rows,
-        "solver_overhead_fraction": overhead,
-        "segmented_default": "solver",
-    }
+    return {"seed": RESTORE_TRACE_SEED, "rows": [row]}
 
 
 def bench_alloc(path: str) -> None:

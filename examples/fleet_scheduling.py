@@ -16,20 +16,12 @@ This walkthrough:
    machine and through a 2x11 fleet under each registered placement
    policy, comparing admissions and counting migrations;
 2. demonstrates a wall-clock deadline expiring a queued job, with an
-   injected clock so the run is deterministic;
-3. drives a burst of jobs through the :class:`FleetService` front end,
-   showing how one hopeless job is rejected without shedding the rest
-   of the burst.
+   injected clock so the run is deterministic.
 
 Run:  python examples/fleet_scheduling.py
 """
 
-from repro.multiprog import (
-    FleetRouter,
-    FleetService,
-    QuantumJob,
-    available_placements,
-)
+from repro.multiprog import FleetRouter, available_placements
 from repro.testing import random_fleet_trace, replay_trace
 
 
@@ -95,38 +87,9 @@ def deadline_demo() -> None:
     )
 
 
-def service_demo() -> None:
-    print("\n=== FleetService: burst submission front end ===")
-    service = FleetService(shards=[6, 6], placement="best-fit-width")
-    trace = random_fleet_trace(seed=7, num_jobs=6, max_data=5)
-    for event in trace:
-        if event.kind == "submit":
-            service.enqueue(event.job)
-    # One job wider than the widest shard rides along in the burst.
-    wide = random_fleet_trace(seed=9, num_jobs=1, max_data=9)[0].job
-    service.enqueue(
-        QuantumJob("too-wide", wide.circuit, wide.ancilla_requests)
-    )
-    print(f"buffered {service.buffered} jobs; flushing the burst...")
-    for result in service.flush():
-        line = f"  {result.name}: {result.status}"
-        if result.status == "admitted":
-            line += f" on {result.outcome.shard}"
-        elif result.error:
-            line += f" ({result.error.splitlines()[0][:60]}...)"
-        print(line)
-    summary = service.status()
-    print(f"outcome counts: {summary['flushed_results']}")
-    print(
-        "A hopeless job is rejected on the spot; the rest of the burst\n"
-        "still routes - one bad job never sheds its neighbours."
-    )
-
-
 def main() -> None:
     policy_shootout()
     deadline_demo()
-    service_demo()
 
 
 if __name__ == "__main__":

@@ -152,12 +152,8 @@ def main() -> None:
     print("      share that wire and takes the second offer instead")
     clash = window_machine.admit(windowed_guest_job("clash", prelude=1))
     print(f"      leases: {[str(lease) for lease in clash.leases.values()]}")
-    print(
-        f"      whole-residency lending would have needed "
-        f"{sum(1 for _ in (early, late, clash))} separate wires for "
-        f"these guests; windowed lending used "
-        f"{len(window_machine.lease_table())}"
-    )
+    shared = len(window_machine.lease_table())
+    print(f"      three guests share {shared} lent wires")
 
     print("\n=== segmented lending: restore gaps become capacity ===")
     print("a guest whose ancilla runs two identity blocks around a")

@@ -21,14 +21,13 @@ Module tour
       concurrent guests.  Under ``lending="segmented"`` each
       window carries the restore-point segmentation — a lease covers
       only the ancilla's compute/uncompute segments, and other guests
-      thread through the restore gaps; ``lending="windowed"`` keeps
-      whole-period windows and ``lending="whole"`` the historical
-      one-guest-per-wire rule, both as comparison baselines.  Which
-      feasible wire a lease lands on is a registered
+      thread through the restore gaps; ``lending="windowed"`` (the
+      default) keeps whole-period windows.  Which feasible wire a
+      lease lands on is a registered
       :class:`~repro.multiprog.packing.LeasePacker` (``first-fit`` /
-      ``best-fit`` / ``earliest-gap``), selectable per scheduler and
-      per admission.  :meth:`~MultiProgrammer.release` retires only
-      the releasing guest's leases, and
+      ``best-fit`` / ``earliest-gap``), selectable per scheduler.
+      :meth:`~MultiProgrammer.release` retires only the releasing
+      guest's leases, and
       :meth:`~MultiProgrammer.lease_table` /
       :meth:`~MultiProgrammer.idle_offers` report per-window
       availability;
@@ -45,15 +44,18 @@ Module tour
     list through the online path and compacts it into one composite
     circuit — byte-for-byte the seed scheduler's result.
 
-    Two admission-cost knobs ride along: interval-conflict models are
-    **memoised** by ``(circuit fingerprint, request wires)``
-    (``memoise_models``, on by default — a queued job re-tried at every
+    :meth:`~MultiProgrammer.admit_stream` admits a still-open gate
+    stream on its prefix through the same admission core as
+    :meth:`~MultiProgrammer.admit`, and refines its leases gate by
+    gate.
+
+    Interval-conflict models are **memoised** by ``(circuit
+    fingerprint, request wires)`` — a queued job re-tried at every
     release event builds its model once; hits/misses surface in
-    :meth:`~MultiProgrammer.stats`), and ``restore_check="solver"``
-    swaps the structural palindrome certifier for a shared memoised
-    :func:`~repro.circuits.intervals.solver_restore_checker`, so
-    segmented lending also splits windows at *semantic* (non-mirror)
-    identity blocks.
+    :meth:`~MultiProgrammer.stats`.  Segmented lending certifies
+    restore segments with a shared memoised
+    :func:`~repro.circuits.intervals.solver_restore_checker`, so it
+    also splits windows at *semantic* (non-mirror) identity blocks.
 
 :mod:`repro.multiprog.queueing`
     The pluggable queue-policy layer, a decorator registry mirroring
@@ -85,13 +87,6 @@ Module tour
     lazily per event) layers over the authoritative logical clocks;
     ``fleet_stats()`` / ``shard_tables()`` mirror the single-machine
     introspection at fleet scale.
-
-:mod:`repro.multiprog.service`
-    The burst boundary: :class:`FleetService` buffers ``enqueue()``
-    bursts and routes them through the fleet in arrival order on
-    ``flush()`` (optionally auto-flushing at ``batch_size``), turning
-    per-job failures into recorded results instead of burst-shedding
-    exceptions — the seam where a future async/RPC front end plugs in.
 
 Safety is non-negotiable throughout: a job's dirty ancilla may borrow
 an idle qubit *from another job* only when it is verified safely
@@ -147,7 +142,6 @@ from repro.multiprog.scheduler import (
     ScheduleResult,
     StreamAdmission,
 )
-from repro.multiprog.service import FleetService, ServiceResult
 
 __all__ = [
     "Admission",
@@ -158,7 +152,6 @@ __all__ = [
     "FifoPolicy",
     "FirstFitPacker",
     "FleetRouter",
-    "FleetService",
     "FleetStats",
     "FleetSubmitOutcome",
     "Lease",
@@ -171,7 +164,6 @@ __all__ = [
     "QueuePolicy",
     "QueueStats",
     "ScheduleResult",
-    "ServiceResult",
     "ShardSpec",
     "ShortestJobFirstPolicy",
     "StreamAdmission",

@@ -58,7 +58,6 @@ from typing import (
     Union,
 )
 
-from repro.circuits.classical import is_classical_circuit
 from repro.errors import CapacityError, CircuitError, VerificationError
 from repro.multiprog.scheduler import (
     Admission,
@@ -77,7 +76,7 @@ class ShardSpec:
     ``ShardSpec(machine_size=that_int)``; a full spec tunes one shard's
     packing behaviour independently of its neighbours (e.g. one
     ``segmented``-lending shard for palindrome-heavy families next to
-    a conservative ``whole``-lending shard).
+    ``windowed``-lending ones).
     """
 
     machine_size: int
@@ -86,9 +85,6 @@ class ShardSpec:
     queue_policy: str = "fifo"
     lending: str = "windowed"
     lease_packer: str = "first-fit"
-    #: ``None`` defers to the scheduler's lending-mode default
-    #: (``"solver"`` for segmented shards, ``"structural"`` otherwise).
-    restore_check: Optional[str] = None
 
 
 class PlacementPolicy(ABC):
@@ -315,7 +311,6 @@ class FleetRouter:
         cache_path: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
         check_invariants: bool = False,
-        memoise_models: bool = True,
     ):
         if not shards:
             raise CircuitError("a fleet needs at least one shard")
@@ -345,8 +340,6 @@ class FleetRouter:
                     queue_policy=spec.queue_policy,
                     lending=spec.lending,
                     lease_packer=spec.lease_packer,
-                    restore_check=spec.restore_check,
-                    memoise_models=memoise_models,
                 )
             if name in self.shards:
                 raise CircuitError(f"duplicate shard name {name!r}")
@@ -541,12 +534,11 @@ class FleetRouter:
             raise CircuitError(f"job {job.name!r} is already queued")
         self._event()
         self._stats.submitted += 1
-        if job.request_wires and not is_classical_circuit(job.circuit):
+        try:
+            job.check_verifiable()
+        except VerificationError:
             self._stats.rejected += 1
-            raise VerificationError(
-                f"job {job.name}: only classical circuits can be "
-                f"auto-verified for cross-program borrowing"
-            )
+            raise
         eligible = self._eligible(job)
         if not eligible:
             self._stats.rejected += 1
@@ -647,8 +639,9 @@ class FleetRouter:
         shard, cross-shard migration of still-queued jobs, and an
         overflow drain.  Everything admitted along the way lands in
         :attr:`last_backfilled` / ``fleet_stats()["last_backfilled"]``.
+        A name that is not resident raises before anything happens: a
+        failed release is not a fleet event.
         """
-        self._event()
         shard_name = self._resident_on.get(name)
         if shard_name is None:
             if name in self._queued_on or any(
@@ -661,6 +654,7 @@ class FleetRouter:
             raise CircuitError(
                 f"no resident job named {name!r} on any shard"
             )
+        self._event()
         shard = self.shards[shard_name]
         freed = shard.release(name)
         del self._resident_on[name]

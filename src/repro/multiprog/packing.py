@@ -1,10 +1,9 @@
 """Pluggable lease-packing policies for the online multi-programmer.
 
 When a verified-safe guest ancilla needs a cross-program host, the
-scheduler first computes the *feasible* offered wires — under
-``lending="whole"`` the lease-free offers, otherwise every offer whose
-existing leases are all window-set-disjoint from the new window — and
-then asks a :class:`LeasePacker` to pick one.  The packer is therefore
+scheduler first computes the *feasible* offered wires — every offer
+whose existing leases are all window-set-disjoint from the new window
+— and then asks a :class:`LeasePacker` to pick one.  The packer is therefore
 a pure preference policy over already-feasible wires (disjointness is
 enforced once, in the scheduler), registered with the same decorator
 registry shape as the allocation strategies, verification backends and
@@ -14,8 +13,7 @@ queue policies:
   behaviour, O(1) per choice, spreads early guests across offers;
 * ``best-fit`` — the feasible wire already carrying the most leased
   rounds: concentrates guests on few wires, keeping the others
-  lease-free for guests (and whole-residency tenants) that cannot
-  share;
+  lease-free for guests that cannot share;
 * ``earliest-gap`` — the feasible wire whose latest lease before the
   new window ends last: packs each new lease tightly against its
   predecessor, leaving the largest contiguous gaps open for later,
@@ -24,8 +22,7 @@ queue policies:
 All three are deterministic (ties break to the smallest wire index), so
 seeded traces replay identically under any fixed packer.  The policy is
 selectable per scheduler (``MultiProgrammer(lease_packer=...)``) and
-per admission (``admit(job, packer=...)``); the lending benchmark
-replays the same trace under each to make them comparable.
+per fleet shard (``ShardSpec(lease_packer=...)``).
 """
 
 from __future__ import annotations

@@ -23,12 +23,11 @@ declared *dirty-ancilla requests*.  Jobs arrive over time
   segmentation (:func:`~repro.circuits.intervals.restore_segments`) —
   an ancilla idle *and restored* between its compute/uncompute
   segments releases the wire in the gap, so other guests interleave
-  through it; ``lending="windowed"`` keeps whole-period windows and
-  ``lending="whole"`` the historical one-guest-per-wire rule, both as
-  measured baselines.  Which feasible wire a new lease lands on is a
-  registered :class:`~repro.multiprog.packing.LeasePacker` policy
+  through it; ``lending="windowed"`` (the default) keeps whole-period
+  windows.  Which feasible wire a new lease lands on is a registered
+  :class:`~repro.multiprog.packing.LeasePacker` policy
   (``first-fit`` / ``best-fit`` / ``earliest-gap``), selectable per
-  scheduler and per admission;
+  scheduler;
 * verification is *lazy*: only ancillas with a candidate host (their
   own circuit's, or an offered co-tenant wire) pay solver time, in one
   batched :class:`~repro.verify.batch.BatchVerifier` call per
@@ -60,6 +59,7 @@ from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -71,14 +71,12 @@ from typing import (
 from repro.alloc import (
     BorrowPlan,
     ConflictModel,
-    LookaheadPolicy,
     StreamingAllocator,
     allocate,
     build_model,
     strategy_class,
 )
 from repro.circuits.circuit import Circuit
-from repro.circuits.classical import is_classical_circuit
 from repro.circuits.gates import Gate
 from repro.circuits.intervals import (
     SegmentCheck,
@@ -97,9 +95,8 @@ from repro.multiprog.queueing import (
 from repro.verify.batch import BatchVerifier
 
 #: Lending modes, loosest first: ``segmented`` leases restore-point
-#: window sets, ``windowed`` leases whole-period windows, ``whole``
-#: dedicates a lent wire to one guest for its entire residency.
-LENDING_MODES = ("segmented", "windowed", "whole")
+#: window sets, ``windowed`` leases whole-period windows.
+LENDING_MODES = ("segmented", "windowed")
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,20 @@ class QuantumJob:
         capacity precheck, the submit fail-fast and the ``sjf`` queue
         policy all key off this."""
         return self.circuit.num_qubits - len(self.ancilla_requests)
+
+    def check_verifiable(self, gates: Optional[Iterable[Gate]] = None):
+        """Raise :class:`~repro.errors.VerificationError` when the job
+        requests ancillas and one of ``gates`` (by default its whole
+        circuit) is not classical: the Section 6 checks decide
+        classical circuits only, so nothing else may borrow."""
+        if self.ancilla_requests and not all(
+            gate.is_classical
+            for gate in (self.circuit.gates if gates is None else gates)
+        ):
+            raise VerificationError(
+                f"job {self.name}: only classical circuits can be "
+                f"auto-verified for cross-program borrowing"
+            )
 
 
 @dataclass
@@ -325,7 +336,9 @@ class StreamAdmission:
     re-proven on the full circuit at :meth:`close`, which revokes any
     lease whose safety the tail broke.  A stream job offers no idle
     wires of its own — wires that look idle in the prefix may be busy
-    one gate later.
+    one gate later.  Releasing the job through
+    :meth:`MultiProgrammer.release` ends the stream too: later feeds
+    raise and :meth:`close` returns ``None``.
     """
 
     def __init__(
@@ -333,24 +346,20 @@ class StreamAdmission:
         scheduler: "MultiProgrammer",
         job: QuantumJob,
         allocator: StreamingAllocator,
-        packer: LeasePacker,
     ):
         self._mp = scheduler
         self.job = job
         #: The live online allocator; its ``stats`` carry the stream's
         #: throughput counters (gates, commits, re-plans, rollbacks).
         self.allocator = allocator
-        self._packer = packer
-        #: The live admission, ``None`` once revoked to the queue.
+        #: The live admission, ``None`` once revoked to the queue or
+        #: released.
         self.admission: Optional[Admission] = None
         #: Outcome of the :meth:`close`-time resubmission, when the
         #: admission was revoked mid-stream.
         self.outcome: Optional[SubmitOutcome] = None
         self._closed = False
         self._revoked = False
-        self._certified = frozenset(
-            r.wire for r in job.ancilla_requests if r.certified
-        )
 
     @property
     def name(self) -> str:
@@ -381,15 +390,10 @@ class StreamAdmission:
         """
         if self._closed:
             raise CircuitError(
-                f"stream job {self.job.name!r} is closed; no more gates"
+                f"stream job {self.job.name!r} is closed or released; "
+                f"no more gates"
             )
-        if self.job.ancilla_requests and not gate.is_classical:
-            raise VerificationError(
-                f"job {self.job.name}: only classical circuits can be "
-                f"auto-verified for cross-program borrowing"
-            )
-        self.job.circuit.append(gate)
-        index = self.allocator.feed(gate)
+        index = self._ingest(gate)
         if not self._revoked:
             touched = sorted(set(gate.qubits) & set(self.admission.leases))
             for ancilla in touched:
@@ -435,109 +439,46 @@ class StreamAdmission:
     # ------------------------------------------------------------------ #
 
     def _ingest(self, gate: Gate) -> int:
-        """Feed a prefix gate (before admission: no leases to refine)."""
-        if self.job.ancilla_requests and not gate.is_classical:
-            raise VerificationError(
-                f"job {self.job.name}: only classical circuits can be "
-                f"auto-verified for cross-program borrowing"
-            )
+        """Append one gate to the job and its allocator."""
+        self.job.check_verifiable((gate,))
         self.job.circuit.append(gate)
         return self.allocator.feed(gate)
 
-    def _verify_prefix(self) -> Dict[int, bool]:
-        """Eagerly verify every requested wire on the prefix circuit.
+    def _admit_prefix(self) -> None:
+        """Admit the job on its prefix through the scheduler's admission
+        core, with an identity layout: the stream's width is not reduced
+        (future gates may touch any wire), so every non-leased original
+        wire takes a fresh machine wire.
 
-        Eager (unlike :meth:`MultiProgrammer._verify_job`'s lazy mode)
-        because the verdicts gate which ancillas may lease *and* which
-        later internal placements count as sound — and the prefix is
-        usually short, so the solver bill is small.  Certified wires
-        skip the solver exactly like the offline path.
+        Every requested wire is verified eagerly, unlike
+        :meth:`MultiProgrammer.admit`'s lazy mode: the verdicts gate
+        which ancillas may lease *and* which later internal placements
+        count as sound, and the prefix is usually short.  An ancilla the
+        prefix has not touched yet has no window to lease.
         """
-        mp, job = self._mp, self.job
-        if not job.request_wires:
-            return {}
-        safety = {a: True for a in self._certified}
-        mp.static_discharged += len(self._certified)
-        to_verify = tuple(
-            a for a in job.request_wires if a not in self._certified
-        )
-        if to_verify:
-            report = mp.verifier.verify_circuit(job.circuit, to_verify)
-            safety.update({v.qubit: v.safe for v in report.verdicts})
-        return safety
-
-    def _admit_prefix(self, enforce_capacity: bool) -> None:
-        """Admit the job on its prefix: leases, fresh wires, residency.
-
-        Mirrors :meth:`MultiProgrammer.admit` with an identity layout —
-        the stream's width is not reduced (future gates may touch any
-        wire), so every non-leased original wire takes a fresh machine
-        wire and ``wire_map`` is the identity.
-        """
-        mp, job = self._mp, self.job
-        safety = self._verify_prefix()
-        placement = self.allocator.placement()
-        gate_offset = mp._clock
-        placed = set(placement.assignment)
-        cross_hosts: Dict[int, int] = {}
-        leases: Dict[int, Lease] = {}
-        for a in job.request_wires:
-            if a in placed or a in cross_hosts or not safety.get(a):
-                continue
-            if a not in set(self.allocator.active):
-                continue  # untouched so far: no window to lease yet
-            window = self.allocator.window(a).shifted(gate_offset)
-            wire = mp._lease_host(window, self._packer)
-            if wire is None:
-                continue
-            lease = Lease(
-                guest=job.name, ancilla=a, wire=wire, window=window
-            )
-            cross_hosts[a] = wire
-            leases[a] = lease
-            mp._leases.setdefault(wire, []).append(lease)
-            mp._holders[wire].add(job.name)
-
-        fresh_needed = job.circuit.num_qubits - len(cross_hosts)
-        try:
-            fresh = mp._take_free(job.name, fresh_needed, enforce_capacity)
-        except CircuitError:
-            mp._retire_leases(leases.values())
-            for wire in set(cross_hosts.values()):
-                mp._holders[wire].discard(job.name)
-            raise
-        pool = iter(fresh)
-        wires = tuple(
-            cross_hosts[q] if q in cross_hosts else next(pool)
-            for q in range(job.circuit.num_qubits)
-        )
+        mp, job, allocator = self._mp, self.job, self.allocator
+        safety = mp._verdicts(job, job.request_wires)
+        placed = allocator.placement().assignment
+        active = set(allocator.active)
+        width = job.circuit.num_qubits
         plan = BorrowPlan(
             circuit=job.circuit,
             assignment={},
             unplaced=sorted(job.request_wires),
             periods={},
-            wire_map={q: q for q in range(job.circuit.num_qubits)},
-            original_width=job.circuit.num_qubits,
-            final_width=job.circuit.num_qubits,
-            notes=[],
-            strategy=self.allocator.name,
-            windows={},
+            wire_map={q: q for q in range(width)},
+            original_width=width,
+            final_width=width,
+            strategy=allocator.name,
         )
-        mp._seq += 1
-        mp.total_leases += len(leases)
-        self.admission = Admission(
-            name=job.name,
-            job=job,
-            plan=plan,
-            wires=wires,
-            cross_hosts=cross_hosts,
-            safety=safety,
-            seq=mp._seq,
-            strategy=self.allocator.name,
-            leases=leases,
-            gate_offset=gate_offset,
+        candidates = (
+            (a, allocator.window(a))
+            for a in dict.fromkeys(job.request_wires)
+            if a not in placed and a in active and safety.get(a)
         )
-        mp._residents[job.name] = self.admission
+        self.admission = mp._place(
+            job, plan, safety, candidates, allocator.name, offer_idle=False
+        )
         self._refresh_plan()
 
     def _refresh_lease(self, ancilla: int) -> None:
@@ -554,41 +495,23 @@ class StreamAdmission:
         window = self.allocator.window(ancilla).shifted(adm.gate_offset)
         if window.segments == lease.window.segments:
             return
-        siblings = [
-            other
-            for other in mp._leases.get(lease.wire, ())
-            if other is not lease
-        ]
-        if all(not window.overlaps(o.window) for o in siblings):
-            grown = Lease(
-                guest=adm.name,
-                ancilla=ancilla,
-                wire=lease.wire,
-                window=window,
-            )
-            slot = mp._leases[lease.wire].index(lease)
-            mp._leases[lease.wire][slot] = grown
-            adm.leases[ancilla] = grown
-            mp.stream_refinements += 1
+        if all(
+            other is lease or not window.overlaps(other.window)
+            for other in mp._leases[lease.wire]
+        ):
+            target = lease.wire
+        else:
+            target = mp._lease_host(window)
+        if target is None:
+            if not self._revoke_lease(ancilla):
+                self._revoke()
             return
-        target = mp._lease_host(window, self._packer)
-        if target is not None:
-            moved = Lease(
-                guest=adm.name, ancilla=ancilla, wire=target, window=window
-            )
-            mp._retire_leases([lease])
-            mp._leases.setdefault(target, []).append(moved)
-            mp._holders[target].add(adm.name)
-            adm.leases[ancilla] = moved
-            adm.cross_hosts[ancilla] = target
-            wires = list(adm.wires)
-            wires[ancilla] = target
-            adm.wires = tuple(wires)
-            self._drop_hold(lease.wire)
-            mp.stream_refinements += 1
-            return
-        if not self._revoke_lease(ancilla):
-            self._revoke()
+        mp._retire_leases([lease])
+        adm.leases[ancilla] = Lease(adm.name, ancilla, target, window)
+        mp._grant(adm.leases[ancilla])
+        adm.cross_hosts[ancilla] = target
+        self._rewire(ancilla, target, lease.wire)
+        mp.stream_refinements += 1
 
     def _revoke_lease(self, ancilla: int) -> bool:
         """Move a leased ancilla onto a fresh wire (lease revoked).
@@ -597,36 +520,25 @@ class StreamAdmission:
         revokes the whole job.
         """
         mp, adm = self._mp, self.admission
-        lease = adm.leases[ancilla]
         try:
             fresh = mp._take_free(adm.name, 1, True)
         except CapacityError:
             return False
-        mp._retire_leases([lease])
-        del adm.leases[ancilla]
+        lease = adm.leases.pop(ancilla)
         del adm.cross_hosts[ancilla]
-        wires = list(adm.wires)
-        wires[ancilla] = fresh[0]
-        adm.wires = tuple(wires)
-        self._drop_hold(lease.wire)
+        mp._retire_leases([lease])
+        self._rewire(ancilla, fresh[0], lease.wire)
         mp.stream_lease_revocations += 1
         return True
 
-    def _drop_hold(self, wire: int) -> None:
-        """Release this job's hold on ``wire`` if nothing of its still
-        uses it (neither the wire table nor another of its leases)."""
+    def _rewire(self, ancilla: int, wire: int, old: int) -> None:
+        """Put original wire ``ancilla`` on machine wire ``wire`` and
+        give up the hold on ``old`` once nothing of the job uses it."""
         mp, adm = self._mp, self.admission
-        if wire in adm.wires:
-            return
-        if any(l.wire == wire for l in adm.leases.values()):
-            return
-        holders = mp._holders.get(wire)
-        if holders is None:
-            return
-        holders.discard(adm.name)
-        if not holders:
-            del mp._holders[wire]
-            mp._idle_owner.pop(wire, None)
+        wires = list(adm.wires)
+        wires[ancilla] = wire
+        adm.wires = tuple(wires)
+        if old not in adm.wires and mp._drop_holds(adm.name, [old]):
             mp._drain()
 
     def _revoke(self) -> None:
@@ -636,18 +548,15 @@ class StreamAdmission:
         mp, adm = self._mp, self.admission
         self._revoked = True
         self.admission = None
-        mp._residents.pop(adm.name, None)
-        mp._retire_leases(adm.leases.values())
-        for wire in set(adm.wires):
-            holders = mp._holders.get(wire)
-            if holders is None:
-                continue
-            holders.discard(adm.name)
-            if not holders:
-                del mp._holders[wire]
-                mp._idle_owner.pop(wire, None)
+        mp._evict(adm)
         mp.stream_job_revocations += 1
         mp._drain()
+
+    def _detach(self) -> None:
+        """The scheduler released the job: end the stream with no
+        resubmission."""
+        self._closed = True
+        self.admission = None
 
     def _verify_full(self) -> None:
         """Re-prove ancilla safety over the complete circuit at close.
@@ -658,17 +567,10 @@ class StreamAdmission:
         when the pool is dry); the refreshed verdicts also re-gate the
         internal placement via :meth:`_refresh_plan`.
         """
-        mp, adm = self._mp, self.admission
-        job = self.job
-        if not job.request_wires:
-            return
-        safety = {a: True for a in self._certified}
-        to_verify = tuple(
-            a for a in job.request_wires if a not in self._certified
+        adm = self.admission
+        safety = self._mp._verdicts(
+            self.job, self.job.request_wires, count=False
         )
-        if to_verify:
-            report = mp.verifier.verify_circuit(job.circuit, to_verify)
-            safety.update({v.qubit: v.safe for v in report.verdicts})
         adm.safety.clear()
         adm.safety.update(safety)
         for ancilla in sorted(adm.leases):
@@ -742,38 +644,23 @@ class MultiProgrammer:
         idle wire; ``"segmented"`` — windows are refined by the
         restore-point analysis into :class:`WindowSet`\\ s, so a lease
         covers only the guest's compute/uncompute segments and other
-        guests interleave through the restore gaps; ``"whole"`` — the
-        historical behaviour, one guest per lent wire for its entire
-        residency.  The two stricter modes are kept as the measured
-        baselines the benchmark and the differential tests compare
-        against.
+        guests interleave through the restore gaps.  Restore segments
+        are certified by the structural ``C;C⁻¹`` palindrome check with
+        a semantic fallback
+        (:func:`~repro.circuits.intervals.solver_restore_checker`
+        sharing this scheduler's memoised verifier), so identity blocks
+        that are not palindromes still split into lease segments.
     lease_packer:
         Which feasible offered wire a new lease lands on — a registered
         name (:func:`repro.multiprog.packing.available_packers`:
         ``first-fit``, ``best-fit`` or ``earliest-gap``) or a
-        :class:`LeasePacker` instance; overridable per admission via
-        ``admit(job, packer=...)``.
-    restore_check:
-        How segmented lending certifies an ancilla's restore segments:
-        ``"structural"`` accepts only the syntactic ``C;C⁻¹``
-        palindromes; ``"solver"`` adds the semantic fallback
-        (:func:`~repro.circuits.intervals.solver_restore_checker`
-        sharing this scheduler's memoised verifier), so
-        semantically-identity blocks that are not palindromes still
-        split into lease segments.  ``None`` (the default) resolves to
-        ``"solver"`` under ``lending="segmented"`` and
-        ``"structural"`` otherwise — the benchmark's ``restore_check``
-        record measures the solver certifier's admission overhead on
-        the pinned lending trace at ~0%, so segmented mode gets the
-        stronger certifier for free.  Irrelevant outside
-        ``lending="segmented"``.
-    memoise_models:
-        Cache interval-conflict models by circuit fingerprint (the
-        lending mode and restore check are fixed per scheduler, so the
-        fingerprint plus the request wires identify the model).  Drain
-        passes and resubmissions then stop paying O(gates) per
-        re-attempted queue entry; hit/miss counts show in
-        :meth:`stats`.  Off only for differential testing.
+        :class:`LeasePacker` instance.
+
+    Interval-conflict models are memoised by ``(circuit fingerprint,
+    request wires)`` (the lending mode is fixed per scheduler, so that
+    key identifies the model): drain passes and resubmissions pay a
+    dict lookup instead of O(gates) per re-attempted queue entry, and
+    the hit/miss counts show in :meth:`stats`.
     """
 
     def __init__(
@@ -787,8 +674,6 @@ class MultiProgrammer:
         queue_policy: Union[str, QueuePolicy] = "fifo",
         lending: str = "windowed",
         lease_packer: Union[str, LeasePacker] = "first-fit",
-        restore_check: Optional[str] = None,
-        memoise_models: bool = True,
     ):
         if machine_size < 1:
             raise CircuitError("machine must have at least one qubit")
@@ -797,20 +682,15 @@ class MultiProgrammer:
                 f"lending must be one of {', '.join(LENDING_MODES)}, "
                 f"got {lending!r}"
             )
-        if restore_check is None:
-            restore_check = (
-                "solver" if lending == "segmented" else "structural"
-            )
-        if restore_check not in ("structural", "solver"):
-            raise CircuitError(
-                f"restore_check must be 'structural' or 'solver', "
-                f"got {restore_check!r}"
-            )
         self.machine_size = machine_size
         self.backend = backend
         self.strategy = strategy
         self.lending = lending
-        self.lease_packer = self._resolve_packer(lease_packer)
+        self.lease_packer = (
+            lease_packer
+            if isinstance(lease_packer, LeasePacker)
+            else make_packer(lease_packer)
+        )
         self.queue_policy = (
             queue_policy
             if isinstance(queue_policy, QueuePolicy)
@@ -819,16 +699,15 @@ class MultiProgrammer:
         self.verifier = verifier or BatchVerifier(
             backend=backend, max_workers=max_workers, cache_path=cache_path
         )
-        self.restore_check = restore_check
-        #: The segment certifier handed to every model build (None for
-        #: the structural default).  Shared with the invariant checker,
-        #: which must re-derive lease windows over the same analysis.
+        #: The segment certifier handed to every model build (None
+        #: outside segmented lending, which never segments).  Shared
+        #: with the invariant checker, which must re-derive lease
+        #: windows over the same analysis.
         self.segment_check: Optional[SegmentCheck] = (
             solver_restore_checker(verifier=self.verifier)
-            if restore_check == "solver"
+            if lending == "segmented"
             else None
         )
-        self.memoise_models = memoise_models
         #: (circuit fingerprint, request wires) -> memoised model.
         self._model_cache: Dict[
             Tuple[str, Tuple[int, ...]], ConflictModel
@@ -984,7 +863,6 @@ class MultiProgrammer:
         data["policy"] = self.queue_policy.name
         data["lending"] = self.lending
         data["packer"] = self.lease_packer.name
-        data["restore_check"] = self.restore_check
         data["leases_granted"] = self.total_leases
         data["static_discharged"] = self.static_discharged
         data["pending"] = len(self._queue)
@@ -1041,25 +919,21 @@ class MultiProgrammer:
         strategy: Optional[str] = None,
         enforce_capacity: bool = True,
         lazy_verify: bool = True,
-        packer: Optional[Union[str, LeasePacker]] = None,
     ) -> Admission:
         """Place an arriving job against live machine occupancy.
 
-        ``packer`` overrides the scheduler's lease-packing policy for
-        this admission only (a registered name or a
-        :class:`LeasePacker` instance).  Raises
-        :class:`~repro.errors.CapacityError` when the job needs more
-        free qubits than the machine has (the over-capacity
+        Raises :class:`~repro.errors.CapacityError` when the job needs
+        more free qubits than the machine has (the over-capacity
         rejection), unless ``enforce_capacity`` is off — the batch
         replay uses that to report non-fitting schedules instead of
         failing fast.
 
         The capacity check costs O(1) and runs right after the
-        argument checks (already resident, unknown packer, a
-        non-classical job with requests, unknown strategy name),
-        before any verification, model, allocation, lease or
-        materialise work: ``job.reduced_width > free_qubits`` refuses
-        at once.  The refusal is exact.  An admission holds
+        argument checks (already resident, a non-classical job with
+        requests, unknown strategy name), before any verification,
+        model, allocation, lease or materialise work:
+        ``job.reduced_width > free_qubits`` refuses at once.  The
+        refusal is exact.  An admission holds
         ``plan.final_width - len(cross_hosts)`` fresh wires, and its
         assigned, untouched and cross-hosted ancillas are disjoint
         subsets of its requests, so it never holds fewer than
@@ -1069,14 +943,7 @@ class MultiProgrammer:
         if job.name in self._residents:
             raise CircuitError(f"job {job.name!r} is already resident")
         strategy = strategy or self.strategy
-        packer = (
-            self.lease_packer if packer is None else self._resolve_packer(packer)
-        )
-        if job.request_wires and not is_classical_circuit(job.circuit):
-            raise VerificationError(
-                f"job {job.name}: only classical circuits can be "
-                f"auto-verified for cross-program borrowing"
-            )
+        job.check_verifiable()
         if isinstance(strategy, str):
             strategy_class(strategy)  # an unknown name raises CircuitError
         free = self.free_qubits
@@ -1104,75 +971,15 @@ class MultiProgrammer:
             on_unsafe="skip",
             model=model,
         )
-
         # Ancillas the internal pass could not place may lease a wire a
         # co-tenant lends out (safe ones only — an unverified ancilla
-        # never crosses a program boundary).  Each lease covers just
-        # the ancilla's lending window on the machine timeline, so a
-        # wire that is already lent can serve this guest too as long as
-        # the windows are disjoint.
-        gate_offset = self._clock
-        cross_hosts: Dict[int, int] = {}
-        leases: Dict[int, Lease] = {}
-        for a in plan.unplaced:
-            if not safety.get(a):
-                continue
-            window = plan.windows[a].shifted(gate_offset)
-            wire = self._lease_host(window, packer)
-            if wire is None:
-                continue
-            lease = Lease(
-                guest=job.name, ancilla=a, wire=wire, window=window
-            )
-            cross_hosts[a] = wire
-            leases[a] = lease
-            self._leases.setdefault(wire, []).append(lease)
-            self._holders[wire].add(job.name)
-
-        fresh_needed = plan.final_width - len(cross_hosts)
-        try:
-            fresh = self._take_free(job.name, fresh_needed, enforce_capacity)
-        except CircuitError:
-            self._retire_leases(leases.values())  # roll back the borrows
-            for wire in set(cross_hosts.values()):
-                self._holders[wire].discard(job.name)
-            raise
-
-        # Reduced-circuit wire -> machine wire.
-        wires: List[int] = []
-        pool = iter(fresh)
-        borrowed_by_reduced = {
-            plan.wire_map[a]: w for a, w in cross_hosts.items()
-        }
-        for reduced in range(plan.final_width):
-            if reduced in borrowed_by_reduced:
-                wires.append(borrowed_by_reduced[reduced])
-            else:
-                wires.append(next(pool))
-
-        # Offer this job's untouched fresh wires to future guests.
-        idle_reduced = plan.circuit.idle_qubits()
-        for reduced in idle_reduced:
-            wire = wires[reduced]
-            if wire in fresh:
-                self._idle_owner[wire] = job.name
-
-        self._seq += 1
-        self.total_leases += len(leases)
-        admission = Admission(
-            name=job.name,
-            job=job,
-            plan=plan,
-            wires=tuple(wires),
-            cross_hosts=cross_hosts,
-            safety=safety,
-            seq=self._seq,
-            strategy=strategy,
-            leases=leases,
-            gate_offset=gate_offset,
+        # never crosses a program boundary).
+        candidates = (
+            (a, plan.windows[a]) for a in plan.unplaced if safety.get(a)
         )
-        self._residents[job.name] = admission
-        return admission
+        return self._place(
+            job, plan, safety, candidates, strategy, enforce_capacity
+        )
 
     def admit_stream(
         self,
@@ -1180,9 +987,6 @@ class MultiProgrammer:
         num_qubits: int,
         ancilla_requests: Sequence[Union[int, BorrowRequest]] = (),
         prefix: Sequence[Gate] = (),
-        lookahead: Union[None, int, float, str, LookaheadPolicy] = "adaptive",
-        packer: Optional[Union[str, LeasePacker]] = None,
-        enforce_capacity: bool = True,
     ) -> StreamAdmission:
         """Admit a still-open gate stream on its prefix.
 
@@ -1203,12 +1007,10 @@ class MultiProgrammer:
         not one full parse — the overlap the streaming-front-end bench
         section measures.
 
-        ``lookahead`` configures the handle's internal
-        :class:`~repro.alloc.StreamingAllocator` (a horizon, a
-        registered policy name — default ``"adaptive"`` — or a
-        :class:`~repro.alloc.LookaheadPolicy` instance).  ``prefix``
-        gates count into the admission's safety verdicts and leases;
-        an empty prefix admits on width alone.  Raises
+        The handle's internal :class:`~repro.alloc.StreamingAllocator`
+        runs the ``adaptive`` lookahead policy.  ``prefix`` gates count
+        into the admission's safety verdicts and leases; an empty
+        prefix admits on width alone.  Raises
         :class:`~repro.errors.CapacityError` when the machine cannot
         host the width right now (nothing is queued — use
         :meth:`submit` with the finished circuit for queueing
@@ -1230,19 +1032,14 @@ class MultiProgrammer:
         allocator = StreamingAllocator(
             num_qubits,
             job.request_wires,
-            lookahead=lookahead,
+            lookahead="adaptive",
             segmented=self.lending == "segmented",
             segment_check=self.segment_check,
         )
-        stream = StreamAdmission(
-            self,
-            job,
-            allocator,
-            self.lease_packer if packer is None else self._resolve_packer(packer),
-        )
+        stream = StreamAdmission(self, job, allocator)
         for gate in prefix:
             stream._ingest(gate)
-        stream._admit_prefix(enforce_capacity)
+        stream._admit_prefix()
         self.stream_admissions += 1
         self._streams[name] = stream
         return stream
@@ -1302,12 +1099,11 @@ class MultiProgrammer:
         # must run even when the policy skips the immediate admit
         # attempt (fifo with a non-empty queue), or an unadmittable
         # job would silently head-block the queue.
-        if job.request_wires and not is_classical_circuit(job.circuit):
+        try:
+            job.check_verifiable()
+        except VerificationError:
             self._queue_stats.rejected += 1
-            raise VerificationError(
-                f"job {job.name}: only classical circuits can be "
-                f"auto-verified for cross-program borrowing"
-            )
+            raise
         min_fresh = job.reduced_width
         if min_fresh > self.machine_size:
             self._queue_stats.rejected += 1
@@ -1467,7 +1263,7 @@ class MultiProgrammer:
         ``stats()["last_backfilled"]`` so callers can attribute queue
         admissions to the release that caused them.
         """
-        admission = self._residents.pop(name, None)
+        admission = self._residents.get(name)
         if admission is None:
             if any(entry.name == name for entry in self._queue):
                 raise CircuitError(
@@ -1478,22 +1274,10 @@ class MultiProgrammer:
         self._clock += 1
         self._expire()
         self.last_backfilled = ()
-        self._retire_leases(admission.leases.values())
-        freed: List[int] = []
-        for wire in set(admission.wires):
-            holders = self._holders.get(wire)
-            if holders is None:
-                continue
-            holders.discard(name)
-            if not holders:
-                del self._holders[wire]
-                self._idle_owner.pop(wire, None)
-                freed.append(wire)
-        # Wires this job owned but could not free (guests still hold
-        # leases) stop being offered — the owner is gone.
-        for wire, owner in list(self._idle_owner.items()):
-            if owner == name:
-                del self._idle_owner[wire]
+        freed = self._evict(admission)
+        stream = self._streams.get(name)
+        if stream is not None and stream.admission is admission:
+            stream._detach()
         # Windows this job leased return to the owners' pools
         # automatically: the owners' _idle_owner entries persist and
         # the retired leases no longer block anyone.
@@ -1530,8 +1314,6 @@ class MultiProgrammer:
             verifier=self.verifier,
             lending=self.lending,
             lease_packer=self.lease_packer,
-            restore_check=self.restore_check,
-            memoise_models=self.memoise_models,
         )
         admissions = [
             replay.admit(job, enforce_capacity=False, lazy_verify=False)
@@ -1574,34 +1356,99 @@ class MultiProgrammer:
     # Internals
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _resolve_packer(packer: Union[str, LeasePacker]) -> LeasePacker:
-        if isinstance(packer, LeasePacker):
-            return packer
-        return make_packer(packer)
+    def _place(
+        self,
+        job: QuantumJob,
+        plan: BorrowPlan,
+        safety: Dict[int, bool],
+        candidates: Iterable[Tuple[int, WindowSet]],
+        strategy: str,
+        enforce_capacity: bool = True,
+        offer_idle: bool = True,
+    ) -> Admission:
+        """The admission core shared by :meth:`admit` and
+        :meth:`admit_stream`: lease, take fresh wires, record.
 
-    def _lease_host(
-        self, window: WindowSet, packer: LeasePacker
-    ) -> Optional[int]:
-        """The offered wire ``packer`` picks to host ``window``.
+        Each ``(ancilla, window)`` candidate — ``window`` in the job's
+        own gate rounds — leases the offered wire :meth:`_lease_host`
+        picks for it on the machine timeline, if any.  Each lease covers
+        just the ancilla's lending window, so a wire that is already
+        lent can serve this guest too as long as the windows are
+        disjoint.  The job then takes ``plan.final_width`` minus its
+        leases in fresh wires; when the pool is short every lease is
+        rolled back and the :class:`~repro.errors.CapacityError`
+        propagates.  Leased ancillas map onto their lent wires through
+        ``plan.wire_map`` (the identity for a stream), and with
+        ``offer_idle`` the job's untouched fresh wires are offered to
+        future guests.
+        """
+        gate_offset = self._clock
+        cross_hosts: Dict[int, int] = {}
+        leases: Dict[int, Lease] = {}
+        for a, window in candidates:
+            window = window.shifted(gate_offset)
+            wire = self._lease_host(window)
+            if wire is None:
+                continue
+            leases[a] = Lease(job.name, a, wire, window)
+            cross_hosts[a] = wire
+            self._grant(leases[a])
+        try:
+            fresh = self._take_free(
+                job.name, plan.final_width - len(cross_hosts), enforce_capacity
+            )
+        except CircuitError:
+            self._retire_leases(leases.values())
+            self._drop_holds(job.name, set(cross_hosts.values()))
+            raise
+        # Reduced-circuit wire -> machine wire.
+        borrowed = {plan.wire_map[a]: w for a, w in cross_hosts.items()}
+        pool = iter(fresh)
+        wires = tuple(
+            borrowed[reduced] if reduced in borrowed else next(pool)
+            for reduced in range(plan.final_width)
+        )
+        if offer_idle:
+            for reduced in plan.circuit.idle_qubits():
+                if wires[reduced] in fresh:
+                    self._idle_owner[wires[reduced]] = job.name
+        self._seq += 1
+        self.total_leases += len(leases)
+        admission = Admission(
+            name=job.name,
+            job=job,
+            plan=plan,
+            wires=wires,
+            cross_hosts=cross_hosts,
+            safety=safety,
+            seq=self._seq,
+            strategy=strategy,
+            leases=leases,
+            gate_offset=gate_offset,
+        )
+        self._residents[job.name] = admission
+        return admission
 
-        Feasibility is decided here, once, and is mode-dependent:
-        windowed/segmented lending accepts any offered wire whose
-        existing leases are all window-set-disjoint from ``window``;
-        whole-residency lending only accepts a wire with no lease at
-        all (the historical one-guest-per-wire rule).  The packer then
-        expresses a pure preference among the feasible wires.
+    def _lease_host(self, window: WindowSet) -> Optional[int]:
+        """The offered wire the scheduler's packer picks to host
+        ``window``.
+
+        Feasibility is decided here, once: an offered wire is feasible
+        when its existing leases are all window-set-disjoint from
+        ``window``.  The packer then expresses a pure preference among
+        the feasible wires.
         """
         feasible: Dict[int, Tuple[Lease, ...]] = {}
         for wire in self._idle_owner:
             leases = tuple(self._leases.get(wire, ()))
-            if self.lending == "whole":
-                if leases:
-                    continue
-            elif any(lease.window.overlaps(window) for lease in leases):
-                continue
-            feasible[wire] = leases
-        return packer.choose(window, feasible)
+            if not any(lease.window.overlaps(window) for lease in leases):
+                feasible[wire] = leases
+        return self.lease_packer.choose(window, feasible)
+
+    def _grant(self, lease: Lease) -> None:
+        """File ``lease`` under its wire; its guest now holds the wire."""
+        self._leases.setdefault(lease.wire, []).append(lease)
+        self._holders[lease.wire].add(lease.guest)
 
     def _retire_leases(self, leases) -> None:
         """Remove ``leases`` from the per-wire tables."""
@@ -1612,6 +1459,36 @@ class MultiProgrammer:
             active.remove(lease)
             if not active:
                 del self._leases[lease.wire]
+
+    def _drop_holds(self, name: str, wires: Iterable[int]) -> List[int]:
+        """Drop ``name``'s hold on each of ``wires``; returns the wires
+        no resident holds any more, which are back in the free pool
+        and no longer offered."""
+        freed: List[int] = []
+        for wire in wires:
+            holders = self._holders.get(wire)
+            if holders is None:
+                continue
+            holders.discard(name)
+            if not holders:
+                del self._holders[wire]
+                self._idle_owner.pop(wire, None)
+                freed.append(wire)
+        return freed
+
+    def _evict(self, admission: Admission) -> List[int]:
+        """End a residency: retire the admission's leases and drop its
+        holds; returns the freed wires.  Wires it owned but could not
+        free (guests still hold leases) stop being offered — the owner
+        is gone."""
+        name = admission.name
+        del self._residents[name]
+        self._retire_leases(admission.leases.values())
+        freed = self._drop_holds(name, set(admission.wires))
+        for wire, owner in list(self._idle_owner.items()):
+            if owner == name:
+                del self._idle_owner[wire]
+        return freed
 
     def _engine(self, strategy: str, certified: FrozenSet[int] = frozenset()):
         """Resolve a strategy name, sharing the scheduler's memoising
@@ -1628,87 +1505,71 @@ class MultiProgrammer:
             )
         return strategy
 
+    def _verdicts(
+        self, job: QuantumJob, wires: Sequence[int], count: bool = True
+    ) -> Dict[int, bool]:
+        """Safety verdicts for ``wires``, plus every certified request.
+
+        Ancillas whose :class:`BorrowRequest` arrived ``certified``
+        (proven safe statically, e.g. by the surface language's borrow
+        checker) are safe without a solver obligation; with ``count``
+        set (admission attempts, not a stream's close-time re-proof)
+        each such skip among ``wires`` bumps :attr:`static_discharged`.
+        The remaining wires go to the verifier in one batch.
+        """
+        certified = {r.wire for r in job.ancilla_requests if r.certified}
+        safety = dict.fromkeys(certified, True)
+        to_verify = tuple(a for a in wires if a not in certified)
+        if count:
+            self.static_discharged += len(wires) - len(to_verify)
+        if to_verify:
+            report = self.verifier.verify_circuit(job.circuit, to_verify)
+            safety.update({v.qubit: v.safe for v in report.verdicts})
+        return safety
+
     def _verify_job(
         self, job: QuantumJob, lazy_verify: bool
     ) -> Tuple[Dict[int, bool], Optional[ConflictModel]]:
         """Batch-verify the job's requested ancillas.
 
         :meth:`admit` calls this only for a classical job that passed
-        its capacity precheck.  Lazy mode skips ancillas that could
-        never be placed anyway — no candidate host in the job's own
-        circuit and no lendable co-tenant wire — so they pay no solver
-        time at all.  Returns
+        its capacity precheck, so refused attempts verify (and count)
+        nothing.  Lazy mode skips ancillas that could never be placed
+        anyway — no candidate host in the job's own circuit and no live
+        co-tenant offer — so they pay no solver time at all.  Returns
         the verdicts plus the interval model (built with this
-        scheduler's lending mode: segmented windows under
-        ``lending="segmented"``, certified by ``restore_check``), so
-        the caller hands it on to :func:`allocate` instead of
-        rebuilding it — every admission path plans over the same
-        window sets the leases will cover.  The model itself comes
-        from the fingerprint-keyed cache (see :meth:`_job_model`), so
-        drain-pass re-attempts of a queued job cost a dict lookup.
-
-        Ancillas whose :class:`BorrowRequest` arrived ``certified``
-        (proven safe statically, e.g. by the surface language's borrow
-        checker) are marked safe without a solver obligation; each such
-        skip of an otherwise-due verification bumps
-        :attr:`static_discharged`.  Attempts the precheck refused never
-        get here, so they never count.
+        scheduler's lending mode), so the caller hands it on to
+        :func:`allocate` instead of rebuilding it — every admission
+        path plans over the same window sets the leases will cover.
+        The model itself comes from the fingerprint-keyed cache (see
+        :meth:`_job_model`), so drain-pass re-attempts of a queued job
+        cost a dict lookup.
         """
         requests = job.request_wires
         if not requests:
             return {}, None
-        certified = {
-            r.wire for r in job.ancilla_requests if r.certified
-        }
         model = self._job_model(job)
         if lazy_verify:
-            # Any live offer can potentially host a window under
-            # windowed/segmented lending; whole-residency needs a
-            # lease-free one.
-            if self.lending == "whole":
-                lendable = bool(self.lendable_wires)
-            else:
-                lendable = bool(self._idle_owner)
-            to_verify = tuple(
-                a
-                for a in model.ancillas
-                if model.candidates[a] or lendable
+            lendable = bool(self._idle_owner)
+            requests = tuple(
+                a for a in model.ancillas if model.candidates[a] or lendable
             )
-        else:
-            to_verify = requests
-        safety = {a: True for a in certified}
-        self.static_discharged += sum(
-            1 for a in to_verify if a in certified
-        )
-        to_verify = tuple(a for a in to_verify if a not in certified)
-        if not to_verify:
-            return safety, model
-        report = self.verifier.verify_circuit(job.circuit, to_verify)
-        safety.update({v.qubit: v.safe for v in report.verdicts})
-        return safety, model
+        return self._verdicts(job, requests), model
 
     def _job_model(self, job: QuantumJob) -> ConflictModel:
         """The job's interval-conflict model, memoised.
 
-        Lending mode and restore check are fixed for the scheduler's
-        lifetime, so ``(circuit fingerprint, request wires)`` fully
-        identifies the model — a drain pass re-attempting a queued
-        entry, or a resubmission of an identical circuit, pays one
-        dict lookup instead of an O(gates) rebuild.  Because
+        The lending mode is fixed for the scheduler's lifetime, so
+        ``(circuit fingerprint, request wires)`` fully identifies the
+        model — a drain pass re-attempting a queued entry, or a
+        resubmission of an identical circuit, pays one dict lookup
+        instead of an O(gates) rebuild.  Because
         :func:`repro.alloc.allocate` checks model/circuit *identity*,
         a hit for an equal-but-distinct circuit object rebinds the
         cached model onto the caller's circuit (same gates by
         fingerprint, so every derived structure stays valid).
         """
         requests = job.request_wires
-        segmented = self.lending == "segmented"
-        if not self.memoise_models:
-            return build_model(
-                job.circuit,
-                requests,
-                segmented=segmented,
-                segment_check=self.segment_check,
-            )
         key = (job.circuit.fingerprint(), requests)
         model = self._model_cache.get(key)
         if model is None:
@@ -1716,7 +1577,7 @@ class MultiProgrammer:
             model = build_model(
                 job.circuit,
                 requests,
-                segmented=segmented,
+                segmented=self.lending == "segmented",
                 segment_check=self.segment_check,
             )
             self._model_cache[key] = model

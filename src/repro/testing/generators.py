@@ -270,12 +270,12 @@ def random_lending_trace(
     :func:`windowed_guest_job`\\ s.  Release bursts are suppressed for
     ``lender_guard`` submissions after each lender so the offers
     survive long enough to be contended.  The result is a workload
-    where whole-residency lending runs out of lease-free wires,
-    windowed lending keeps multiplexing them, and segmented lending
-    additionally threads guests through the segmented guests' idle
-    gaps — the regime the ``lending`` benchmark section and its CI
-    gate measure.  ``timeouts=False`` emits the same arrival shape
-    with no deadlines (the differential tests' drained comparisons).
+    where offers are scarce, windowed lending multiplexes them, and
+    segmented lending additionally threads guests through the
+    segmented guests' idle gaps — the regime the ``lending``
+    benchmark section and its CI gate measure.  ``timeouts=False``
+    emits the same arrival shape with no deadlines (the differential
+    tests' drained comparisons).
     """
     rng = _rng(seed)
     events: List[TraceEvent] = []

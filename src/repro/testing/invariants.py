@@ -23,9 +23,8 @@ the first inconsistency:
    analysis under ``lending="segmented"``, whole-period otherwise —
    shifted by the admission's gate offset, the admission's
    ``cross_hosts`` and ``leases`` agree, and **no two leases on one
-   wire overlap** as window sets (under whole-residency lending no
-   wire carries more than one lease at all, and outside segmented
-   lending every window is a single segment);
+   wire overlap** as window sets (outside segmented lending every
+   window is a single segment);
 5. the wait queue never overlaps the residents and has no duplicates;
 6. every resident's internal borrow placement still satisfies
    :func:`repro.alloc.model.validate_placement` against a freshly
@@ -158,8 +157,8 @@ class OccupancyInvariantChecker:
         def model_of(adm):
             if adm.name not in models:
                 # Re-derive with the scheduler's own segment certifier
-                # (solver-backed under restore_check="solver"): the
-                # lease windows being checked were cut by it, and the
+                # (solver-backed under segmented lending): the lease
+                # windows being checked were cut by it, and the
                 # structural-only analysis would be stricter.
                 models[adm.name] = build_model(
                     adm.job.circuit,
@@ -207,11 +206,6 @@ class OccupancyInvariantChecker:
                         f"lease {lease} carries a segmented window "
                         f"under {mp.lending!r} lending"
                     )
-            if mp.lending == "whole" and len(leases) > 1:
-                self._fail(
-                    f"wire {wire} carries {len(leases)} leases under "
-                    f"whole-residency lending"
-                )
             for i, first in enumerate(leases):
                 for second in leases[i + 1 :]:
                     if first.overlaps(second):

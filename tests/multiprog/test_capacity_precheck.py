@@ -49,12 +49,6 @@ class TestErrorPrecedence:
         with pytest.raises(CircuitError, match="already resident"):
             mp.admit(busy_job("hog", 2))
 
-    def test_unknown_packer_beats_capacity(self):
-        mp = full_machine()
-        with pytest.raises(CircuitError, match="unknown lease packer") as info:
-            mp.admit(cccnot_job(), packer="nope")
-        assert not isinstance(info.value, CapacityError)
-
     @pytest.mark.parametrize("strategy", [None, "nope"])
     def test_non_classical_job_with_requests_beats_capacity(self, strategy):
         """The VerificationError also beats an unknown strategy name."""

@@ -1,6 +1,6 @@
 """Fleet-tier routing: placement policies, migration, deadlines,
-overflow, the service front end, and seeded property traces with the
-fleet invariant checker on.
+overflow, and seeded property traces with the fleet invariant checker
+on.
 
 Deterministic classes pin the routing contract shard by shard; the
 property classes replay seeded :func:`random_fleet_trace` sequences
@@ -14,12 +14,11 @@ import os
 
 import pytest
 
-from repro.circuits import Circuit, cnot, x
+from repro.circuits import Circuit, cnot, mcx, x
 from repro.errors import CapacityError, CircuitError, InvariantViolation
 from repro.multiprog import (
     BorrowRequest,
     FleetRouter,
-    FleetService,
     MultiProgrammer,
     PlacementPolicy,
     QuantumJob,
@@ -369,6 +368,27 @@ class TestFleetErrors:
         with pytest.raises(CircuitError, match="no resident job"):
             router.release("ghost")
 
+    def test_failed_release_is_not_a_fleet_event(self):
+        """Releasing an unknown or queued name raises before the fleet
+        ticks: no event, so no expiry of a timed overflow entry."""
+        router = make_router([3, 8])
+        router.submit(busy_job("res", 2))
+        busy = mcx(list(range(7)), 7)  # wires 0..7 active throughout
+        wide = Circuit(10).extend(
+            [busy, cnot(0, 8), busy, cnot(0, 8), busy]
+            + [cnot(0, 9), busy, cnot(0, 9), busy]
+        )
+        job = QuantumJob("wide", wide, [BorrowRequest(8), BorrowRequest(9)])
+        outcome = router.submit(job, timeout=2)
+        assert outcome.status == "queued" and outcome.shard is None
+        events = router.events
+        for name in ("typo", "typo", "wide"):
+            with pytest.raises(CircuitError):
+                router.release(name)
+        assert router.events == events
+        assert router.fleet_stats()["expired"] == 0
+        assert router.pending() == ("wide",)
+
     def test_cancel_distinguishes_resident(self):
         router = make_router([2, 2])
         router.submit(busy_job("a", 2))
@@ -433,84 +453,6 @@ class TestIntrospection:
         assert "fleet: 2 shards" in text
         assert "shard0" in text and "shard1" in text
         assert "overflow: g" in text
-
-
-class TestFleetService:
-    def test_flush_routes_in_arrival_order(self):
-        service = FleetService(
-            shards=[6, 6], verifier=SHARED_VERIFIER
-        )
-        service.enqueue(busy_job("a", 4))
-        service.enqueue(busy_job("b", 4))
-        service.enqueue(busy_job("c", 6))
-        assert service.buffered == 3
-        results = service.flush()
-        assert [r.name for r in results] == ["a", "b", "c"]
-        assert [r.status for r in results] == [
-            "admitted",
-            "admitted",
-            "queued",
-        ]
-        assert service.buffered == 0
-
-    def test_rejection_does_not_shed_the_burst(self):
-        service = FleetService(shards=[4], verifier=SHARED_VERIFIER)
-        service.enqueue(busy_job("a", 2))
-        service.enqueue(busy_job("wide", 9))
-        service.enqueue(busy_job("b", 2))
-        results = service.flush()
-        assert [r.status for r in results] == [
-            "admitted",
-            "rejected",
-            "admitted",
-        ]
-        assert "widest shard" in results[1].error
-        assert service.status()["flushed_results"] == {
-            "admitted": 2,
-            "rejected": 1,
-        }
-
-    def test_batch_size_auto_flushes(self):
-        service = FleetService(
-            shards=[6], batch_size=2, verifier=SHARED_VERIFIER
-        )
-        service.enqueue(busy_job("a", 2))
-        assert service.buffered == 1
-        service.enqueue(busy_job("b", 2))
-        assert service.buffered == 0
-        assert "a" in service.router.residents
-
-    def test_submit_and_release_flush_first(self):
-        service = FleetService(shards=[6], verifier=SHARED_VERIFIER)
-        service.enqueue(busy_job("a", 3))
-        outcome = service.submit(busy_job("b", 3))
-        assert outcome.admitted
-        assert list(service.router.residents) == ["a", "b"]
-        service.enqueue(busy_job("c", 3))
-        service.release("a")
-        assert "c" in service.router.pending() or "c" in service.router.residents
-
-    def test_cancel_reaches_buffer_and_fleet(self):
-        service = FleetService(shards=[2], verifier=SHARED_VERIFIER)
-        service.enqueue(busy_job("a", 2))
-        assert service.cancel("a").name == "a"
-        assert service.buffered == 0
-        service.submit(busy_job("b", 2))
-        service.submit(busy_job("c", 2))
-        assert service.cancel("c").name == "c"
-
-    def test_construction_contract(self):
-        with pytest.raises(CircuitError, match="router or shards"):
-            FleetService()
-        router = make_router([2])
-        with pytest.raises(CircuitError, match="not both"):
-            FleetService(router, shards=[2])
-        with pytest.raises(CircuitError, match="batch_size"):
-            FleetService(shards=[2], batch_size=0)
-        with pytest.raises(CircuitError, match="buffered"):
-            service = FleetService(shards=[4], verifier=SHARED_VERIFIER)
-            service.enqueue(busy_job("a", 2))
-            service.enqueue(busy_job("a", 2))
 
 
 class TestFleetProperties:

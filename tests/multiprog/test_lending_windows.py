@@ -78,16 +78,6 @@ class TestWindowedLeases:
         assert a.cross_hosts[1] != c.cross_hosts[1]
         OccupancyInvariantChecker(mp).check()
 
-    def test_whole_residency_never_shares(self):
-        mp = MultiProgrammer(9, lending="whole")
-        mp.admit(lender_job())
-        a = mp.admit(guest_job("A", 0, post=6))
-        b = mp.admit(guest_job("B", 4))
-        assert a.cross_hosts[1] != b.cross_hosts[1]
-        for leases in mp.lease_table().values():
-            assert len(leases) == 1
-        OccupancyInvariantChecker(mp).check()
-
     def test_bad_lending_mode_rejected(self):
         with pytest.raises(CircuitError, match="lending"):
             MultiProgrammer(4, lending="sometimes")
@@ -256,14 +246,13 @@ class TestLendingTrace:
 
     def test_lending_modes_strictly_ordered_on_bench_trace(self):
         """Pins the benchmark acceptance live: seed-1, 50 jobs, 11
-        qubits, fifo — each lending refinement admits strictly more
-        (``segmented > windowed > whole``), and no policy inverts the
-        non-strict ordering."""
+        qubits, fifo — segmented lending admits strictly more than
+        windowed, and no policy inverts the non-strict ordering."""
         from repro.testing import random_lending_trace, replay_trace
 
         admitted = {}
         for policy in ("fifo", "backfill"):
-            for lending in ("whole", "windowed", "segmented"):
+            for lending in ("windowed", "segmented"):
                 mp = MultiProgrammer(
                     11,
                     queue_policy=policy,
@@ -275,39 +264,8 @@ class TestLendingTrace:
                 )
                 admitted[(policy, lending)] = len(log.admitted)
         assert (
-            admitted[("fifo", "segmented")]
-            > admitted[("fifo", "windowed")]
-            > admitted[("fifo", "whole")]
+            admitted[("fifo", "segmented")] > admitted[("fifo", "windowed")]
         ), admitted
         assert (
-            admitted[("backfill", "segmented")]
-            >= admitted[("backfill", "windowed")]
-            >= admitted[("backfill", "whole")]
+            admitted[("backfill", "segmented")] >= admitted[("backfill", "windowed")]
         ), admitted
-
-
-class TestWindowedThroughput:
-    def test_windowed_admits_where_whole_residency_cannot(self):
-        """The headline effect: with every offered wire already lent,
-        whole-residency lending turns the next guest away while
-        windowed lending multiplexes it onto an existing lease's
-        wire."""
-
-        def run(lending):
-            mp = MultiProgrammer(7, lending=lending)
-            mp.admit(lender_job())  # 4 wires, offers 2
-            mp.admit(guest_job("A", 0, post=6))  # 1 fresh + lease
-            mp.admit(guest_job("C", 1, post=4))  # 1 fresh + lease
-            # 6 wires busy, 1 free: B (2 wires) fits only if its
-            # ancilla can lease — and both offers are lent out.
-            try:
-                mp.admit(guest_job("B", 4))
-            except CircuitError:
-                return mp, False
-            return mp, True
-
-        mp, admitted = run("windowed")
-        assert admitted
-        OccupancyInvariantChecker(mp).check()
-        _, admitted = run("whole")
-        assert not admitted

@@ -1,17 +1,15 @@
-"""Model memoisation and the pluggable restore-point certifier.
+"""Model memoisation and the solver-backed restore-point certifier.
 
-The scheduler rebuilds an interval-conflict model for every admission
-attempt of a job; on drain-heavy traces (the same job re-tried each
-release event) that dominated admission cost.  ``memoise_models``
-caches models by ``(circuit fingerprint, request wires)``;
-``restore_check="solver"`` swaps the structural palindrome certifier
-for the scheduler's shared solver-backed one.  Both knobs must be
-observable in ``stats()`` and change nothing about the decisions."""
+The scheduler would rebuild an interval-conflict model for every
+admission attempt of a job; on drain-heavy traces (the same job
+re-tried each release event) that dominated admission cost, so models
+are cached by ``(circuit fingerprint, request wires)`` and the
+hit/miss counts show in ``stats()``.  Segmented lending certifies
+restore segments with the scheduler's shared solver-backed certifier,
+which also splits windows at non-palindromic identity blocks."""
 
-import pytest
-
+from repro.alloc import build_model
 from repro.circuits import Circuit, cnot, x
-from repro.errors import CircuitError
 from repro.mcx import cccnot_with_dirty_ancilla
 from repro.multiprog import BorrowRequest, MultiProgrammer, QuantumJob
 from repro.testing import OccupancyInvariantChecker
@@ -81,24 +79,6 @@ class TestMemoisation:
         assert stats["model_cache_misses"] == 2
         assert stats["model_cache_hits"] == 0
 
-    def test_memoised_and_unmemoised_schedules_agree(self):
-        jobs = lambda: [  # noqa: E731 - tiny fixture factory
-            cccnot_job("a1"), sampler_job("b1"), cccnot_job("a2"),
-        ]
-        memo = MultiProgrammer(12).schedule(jobs())
-        plain = MultiProgrammer(12, memoise_models=False).schedule(jobs())
-        assert memo.qubits_saved == plain.qubits_saved
-        assert memo.final_width == plain.final_width
-        assert memo.safety == plain.safety
-
-    def test_memoise_off_counts_nothing(self):
-        mp = MultiProgrammer(16, memoise_models=False)
-        mp.admit(cccnot_job("a1"))
-        mp.admit(cccnot_job("a2"))
-        stats = mp.stats()
-        assert stats["model_cache_hits"] == 0
-        assert stats["model_cache_misses"] == 0
-
     def test_invariants_hold_with_memoised_models(self):
         mp = MultiProgrammer(12, lending="segmented")
         check = OccupancyInvariantChecker(mp)
@@ -113,60 +93,29 @@ class TestMemoisation:
         assert mp.stats()["model_cache_hits"] >= 1
 
 
-class TestRestoreCheckKnob:
-    def test_stats_reports_the_certifier(self):
-        assert MultiProgrammer(8).stats()["restore_check"] == "structural"
-        assert (
-            MultiProgrammer(8, restore_check="solver").stats()[
-                "restore_check"
-            ]
-            == "solver"
-        )
+class TestSegmentCertifier:
+    """Segmented lending certifies restore segments with the
+    scheduler's shared solver-backed certifier; the other mode never
+    segments, so it carries none."""
 
-    def test_default_resolves_by_lending_mode(self):
-        """Segmented lending defaults to the solver certifier (the
-        bench's restore_check record puts its admission overhead at
-        ~0%); the other modes keep the free structural check."""
-        assert (
-            MultiProgrammer(8, lending="segmented").stats()[
-                "restore_check"
-            ]
-            == "solver"
-        )
-        for lending in ("whole", "windowed"):
-            assert (
-                MultiProgrammer(8, lending=lending).stats()[
-                    "restore_check"
-                ]
-                == "structural"
-            )
-
-    def test_invalid_restore_check_rejected(self):
-        with pytest.raises(CircuitError, match="restore_check"):
-            MultiProgrammer(8, restore_check="psychic")
+    def test_only_segmented_lending_carries_a_certifier(self):
+        assert MultiProgrammer(8).segment_check is None
+        assert MultiProgrammer(8, lending="segmented").segment_check
 
     def test_solver_certifier_segments_semantic_identity(self):
-        """Under segmented lending the solver certifier must split the
-        non-palindromic identity job's window where the structural one
-        cannot — observable as the lease window's segment count."""
-        structural = MultiProgrammer(
-            8, lending="segmented", restore_check="structural"
-        )
-        solver = MultiProgrammer(
-            8, lending="segmented", restore_check="solver"
-        )
+        """The segmented scheduler must split the non-palindromic
+        identity job's window where the structural check alone cannot
+        — observable as the lease window's segment count."""
         job = semantic_identity_job()
-        s_model = structural._job_model(job)
-        v_model = solver._job_model(job)
-        assert len(s_model.windows[2]) == 1
-        assert len(v_model.windows[2]) == 2
+        structural = build_model(job.circuit, [2], segmented=True)
+        solver = MultiProgrammer(8, lending="segmented")._job_model(job)
+        assert len(structural.windows[2]) == 1
+        assert len(solver.windows[2]) == 2
 
     def test_solver_scheduler_passes_invariants(self):
         """The invariant checker re-derives lease windows with the
         scheduler's own certifier — a solver-backed trace must pass."""
-        mp = MultiProgrammer(
-            12, lending="segmented", restore_check="solver"
-        )
+        mp = MultiProgrammer(12, lending="segmented")
         check = OccupancyInvariantChecker(mp)
         mp.submit(sampler_job())
         check()
@@ -179,11 +128,9 @@ class TestRestoreCheckKnob:
         assert check.checks == 4
 
     def test_structural_and_solver_agree_on_palindromes(self):
-        """Mirror-palindrome uncomputation is certified by both."""
-        jobs = lambda: [cccnot_job(), sampler_job()]  # noqa: E731
-        structural = MultiProgrammer(12).schedule(jobs())
-        solver = MultiProgrammer(12, restore_check="solver").schedule(
-            jobs()
-        )
-        assert structural.qubits_saved == solver.qubits_saved
-        assert structural.safety == solver.safety
+        """Mirror-palindrome uncomputation is certified by both: the
+        solver fallback changes no window of a palindromic job."""
+        job = cccnot_job()
+        structural = build_model(job.circuit, [2], segmented=True)
+        solver = MultiProgrammer(12, lending="segmented")._job_model(job)
+        assert structural.windows == solver.windows

@@ -131,18 +131,6 @@ class TestPackerInScheduler:
         assert b.cross_hosts[1] == a.cross_hosts[1]
         OccupancyInvariantChecker(mp).check()
 
-    def test_per_admission_packer_override(self):
-        mp, a = self.setup_machine("first-fit")
-        # A best-fit override packs onto the loaded wire; the scheduler
-        # default (first-fit) would have done the same here, so push
-        # the distinction: load a second wire more heavily first.
-        wire_a = a.cross_hosts[1]
-        c = mp.admit(guest_job("C", 0, post=6), packer="earliest-gap")
-        assert c.cross_hosts[1] != wire_a  # [0,1] clashes with A anyway
-        d = mp.admit(guest_job("D", 8), packer="best-fit")
-        assert d.cross_hosts[1] in (wire_a, c.cross_hosts[1])
-        OccupancyInvariantChecker(mp).check()
-
     def test_stats_report_packer(self):
         mp = MultiProgrammer(4, lease_packer="earliest-gap")
         assert mp.stats()["packer"] == "earliest-gap"
@@ -151,14 +139,3 @@ class TestPackerInScheduler:
         packer = make_packer("best-fit")
         mp = MultiProgrammer(4, lease_packer=packer)
         assert mp.lease_packer is packer
-
-    def test_modes_agree_under_whole_lending(self):
-        """Under whole-residency lending every feasible wire is
-        lease-free, so all packers behave identically (first-fit)."""
-        for name in available_packers():
-            mp = MultiProgrammer(12, lending="whole", lease_packer=name)
-            mp.admit(lender_job("l1"))
-            a = mp.admit(guest_job("A", 0, post=6))
-            b = mp.admit(guest_job("B", 4))
-            assert a.cross_hosts[1] != b.cross_hosts[1]
-            OccupancyInvariantChecker(mp).check()

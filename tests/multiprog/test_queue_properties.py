@@ -653,18 +653,52 @@ class TestRandomTraceInvariants:
 class TestWindowedLendingProperties:
     """The 110-trace class above already runs with windowed lending on
     (the default) — so the checker's lease-disjointness derivation is
-    exercised per event there.  This class keeps the whole-residency
-    mode honest under the same harness and pins the windowed-vs-whole
-    throughput relation."""
+    exercised per event there.  This class drains windowed lending in
+    the remaining policy orders, keeps segmented lending honest under
+    the same harness, pins the segmented-vs-windowed throughput
+    relation and checks that a drained trace strands no job in either
+    mode."""
 
     @pytest.mark.parametrize("seed", range(0, 110, 5))
-    def test_invariants_hold_with_whole_residency_lending(self, seed):
-        policy = "backfill" if seed % 2 else "fifo"
+    def test_invariants_hold_with_windowed_lending_in_priority_order(
+        self, seed
+    ):
+        """The 110-trace class drains windowed lending in fifo and
+        backfill order; these traces drain it in sjf and priority
+        order, where a queued job's turn depends on its key and not
+        on its arrival."""
+        policy = "priority" if seed % 2 else "sjf"
         programmer, checker, _, trace = run_seeded(
-            seed, policy, lending="whole"
+            seed, policy, lending="windowed"
         )
-        assert programmer.lending == "whole"
+        assert programmer.lending == "windowed"
         assert checker.checks == len(trace)
+
+    @pytest.mark.parametrize("lending", ["windowed", "segmented"])
+    @pytest.mark.parametrize("seed", range(0, 100, 4))
+    def test_drained_trace_strands_no_job(self, seed, lending):
+        """Liveness: with no timeouts racing the drain, the machine
+        empties and every queued job is retried against it, so each
+        submission ends admitted or rejected and nothing is left
+        pending."""
+        policy = "backfill" if seed % 8 else "fifo"
+        _, _, log, _ = run_seeded(
+            seed,
+            policy,
+            check=False,
+            timeout_probability=0.0,
+            lending=lending,
+        )
+        stranded = set(log.jobs) - set(log.admitted) - set(log.rejected)
+        if stranded or log.stats["pending"]:
+            record_seed(seed, f"liveness[{policy},{lending}]", stranded)
+            pytest.fail(
+                f"seed {seed} ({policy}, {lending}): drained trace left "
+                f"{sorted(stranded)} unadmitted, "
+                f"{log.stats['pending']} pending"
+            )
+        assert log.stats["admitted"] == len(log.admitted)
+        assert log.stats["rejected"] == len(log.rejected)
 
     @pytest.mark.parametrize("seed", range(0, 110, 5))
     def test_invariants_hold_with_segmented_lending(self, seed):
@@ -679,38 +713,6 @@ class TestWindowedLendingProperties:
         assert programmer.lending == "segmented"
         assert checker.checks == len(trace)
 
-    @pytest.mark.parametrize("seed", range(0, 100, 2))
-    def test_windowed_admits_at_least_whole_residency(self, seed):
-        """On a drained, timeout-free trace, relaxing one-guest-per-
-        wire to window-disjoint leases can only admit more: every
-        queued job is eventually retried against an emptying machine,
-        and a job that fits under whole-residency fits under windowed
-        lending a fortiori."""
-        _, _, whole_log, _ = run_seeded(
-            seed,
-            "backfill",
-            check=False,
-            timeout_probability=0.0,
-            lending="whole",
-        )
-        _, _, windowed_log, _ = run_seeded(
-            seed,
-            "backfill",
-            check=False,
-            timeout_probability=0.0,
-            lending="windowed",
-        )
-        if len(windowed_log.admitted) < len(whole_log.admitted):
-            record_seed(seed, "lending-differential", "windowed < whole")
-            pytest.fail(
-                f"seed {seed}: windowed lending admitted "
-                f"{len(windowed_log.admitted)} < whole-residency "
-                f"{len(whole_log.admitted)}"
-            )
-        # A drained timeout-free trace admits every admissible job
-        # under either mode, so the sets must in fact coincide.
-        assert set(windowed_log.admitted) == set(whole_log.admitted)
-
     @pytest.mark.parametrize("seed", range(0, 100, 4))
     def test_segmented_admits_at_least_windowed(self, seed):
         """The top of the lending lattice: on a drained, timeout-free
@@ -718,7 +720,7 @@ class TestWindowedLendingProperties:
         only admit more — every window that fits un-segmented fits
         segmented a fortiori."""
         logs = {}
-        for lending in ("whole", "windowed", "segmented"):
+        for lending in ("windowed", "segmented"):
             _, _, log, _ = run_seeded(
                 seed,
                 "backfill",
@@ -728,15 +730,13 @@ class TestWindowedLendingProperties:
             )
             logs[lending] = log
         counts = {k: len(v.admitted) for k, v in logs.items()}
-        if not (
-            counts["segmented"] >= counts["windowed"] >= counts["whole"]
-        ):
+        if counts["segmented"] < counts["windowed"]:
             record_seed(
                 seed, "segmented-differential", f"chain broken: {counts}"
             )
             pytest.fail(
                 f"seed {seed}: admitted counts violate "
-                f"segmented >= windowed >= whole: {counts}"
+                f"segmented >= windowed: {counts}"
             )
         assert set(logs["segmented"].admitted) == set(
             logs["windowed"].admitted

@@ -135,20 +135,12 @@ def alloc_record(
             "seed": 2,
             "rows": [
                 {
-                    "restore_check": "structural",
-                    "admitted": 40,
-                    "leases_granted": 20,
-                    "wall_seconds": wall,
-                },
-                {
                     "restore_check": "solver",
                     "admitted": restore_solver_admitted,
                     "leases_granted": restore_solver_leases,
                     "wall_seconds": restore_solver_wall,
                 },
             ],
-            "solver_overhead_fraction": 0.0,
-            "segmented_default": "solver",
         }
     if fleet:
         record["fleet"] = {
@@ -247,12 +239,6 @@ def _alloc_record_base(
         },
         "lending": {
             "rows": [
-                {
-                    "policy": "fifo",
-                    "lending": "whole",
-                    "admitted": admitted,
-                    "wall_seconds": wall,
-                },
                 {
                     "policy": "fifo",
                     "lending": "windowed",
@@ -443,21 +429,18 @@ class TestCompareAlloc:
         assert not comp.regressions
 
     def test_admitted_drop_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(admitted=39))
+        comp = compare_alloc(
+            alloc_record(), alloc_record(admitted=39, windowed_admitted=43)
+        )
         metrics = regressed(comp)
         assert "alloc.queueing[fifo].admitted" in metrics
-        assert "alloc.lending[fifo,whole].admitted" in metrics
+        assert "alloc.lending[fifo,windowed].admitted" in metrics
 
     def test_inflated_baseline_admitted_fails_the_gate(self):
         """The acceptance probe: bump a baseline number the fresh run
         cannot reach and the gate must fail."""
         comp = compare_alloc(alloc_record(admitted=99), alloc_record())
         assert "alloc.queueing[fifo].admitted" in regressed(comp)
-
-    def test_windowed_below_whole_fails_within_fresh(self):
-        fresh = alloc_record(admitted=40, windowed_admitted=39)
-        comp = compare_alloc(alloc_record(), fresh)
-        assert "alloc.lending[fifo].windowed_vs_whole" in regressed(comp)
 
     def test_segmented_below_windowed_fails_within_fresh(self):
         fresh = alloc_record(windowed_admitted=44, segmented_admitted=43)
@@ -740,50 +723,33 @@ class TestStreamingFrontendGates:
 
 
 class TestRestoreCheckGates:
-    """The ``restore_check`` record: the solver certifier's throughput
-    and cost floors behind the segmented-mode default."""
+    """The ``restore_check`` record: segmented lending with the
+    solver-backed restore certifier keeps its exact counts at
+    tolerable cost."""
 
     def test_identical_restore_records_pass(self):
         comp = compare_alloc(alloc_record(), alloc_record())
         assert not comp.regressions
 
-    def test_solver_admitting_less_fails_within_fresh(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(restore_solver_admitted=39)
-        )
-        assert "alloc.restore_check.solver_admitted_vs_structural" in (
-            regressed(comp)
-        )
-
-    def test_solver_leasing_less_fails_within_fresh(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(restore_solver_leases=19)
-        )
-        assert "alloc.restore_check.solver_leases_vs_structural" in (
-            regressed(comp)
-        )
-
-    def test_solver_wall_blowup_fails_within_fresh(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(restore_solver_wall=1.3)
-        )
-        assert "alloc.restore_check.solver_vs_structural_wall" in (
-            regressed(comp)
-        )
-
     def test_admitted_drop_vs_baseline_fails(self):
         base = alloc_record()
-        base["restore_check"]["rows"][1]["admitted"] = 41
+        base["restore_check"]["rows"][0]["admitted"] = 41
         comp = compare_alloc(base, alloc_record(restore_solver_admitted=40))
         assert "alloc.restore_check[solver].admitted" in regressed(comp)
+
+    def test_leases_drop_vs_baseline_fails(self):
+        comp = compare_alloc(alloc_record(), alloc_record(restore_solver_leases=19))
+        assert "alloc.restore_check[solver].leases_granted" in regressed(comp)
+
+    def test_wall_blowup_vs_baseline_fails(self):
+        comp = compare_alloc(alloc_record(), alloc_record(restore_solver_wall=1.3))
+        assert "alloc.restore_check[solver].wall_seconds" in regressed(comp)
 
     def test_vanished_restore_rows_fail(self):
         fresh = alloc_record()
         del fresh["restore_check"]
         comp = compare_alloc(alloc_record(), fresh)
-        metrics = regressed(comp)
-        assert "alloc.restore_check[structural]" in metrics
-        assert "alloc.restore_check[solver]" in metrics
+        assert "alloc.restore_check[solver]" in regressed(comp)
 
     def test_restore_absent_everywhere_is_fine(self):
         comp = compare_alloc(
@@ -794,16 +760,9 @@ class TestRestoreCheckGates:
     def test_committed_restore_baseline_holds_the_floors(self):
         repo = Path(__file__).resolve().parent.parent
         payload = json.loads((repo / "BENCH_alloc.json").read_text())
-        rows = {
-            row["restore_check"]: row
-            for row in payload["restore_check"]["rows"]
-        }
-        assert rows["solver"]["admitted"] >= rows["structural"]["admitted"]
-        assert (
-            rows["solver"]["leases_granted"]
-            >= rows["structural"]["leases_granted"]
-        )
-        assert payload["restore_check"]["segmented_default"] == "solver"
+        (row,) = payload["restore_check"]["rows"]
+        assert row["restore_check"] == "solver"
+        assert (row["jobs"], row["admitted"], row["leases_granted"]) == (300, 300, 163)
 
 
 class TestCli:
@@ -907,7 +866,7 @@ class TestCli:
         _, summary = self.run_gate(
             tmp_path, alloc_record(), alloc_record(), monkeypatch
         )
-        assert "alloc.lending[fifo].windowed_vs_whole" in summary
+        assert "alloc.lending[fifo].segmented_vs_windowed" in summary
         assert "verify.backends[bdd].wall_seconds" in summary
 
 
@@ -928,10 +887,10 @@ class TestMarkdown:
         assert not compare_alloc(alloc, alloc).regressions
 
     def test_committed_lending_rows_show_refinement_wins(self):
-        """Acceptance: on the seeded 50-job lending trace the lattice
-        ``segmented >= windowed >= whole`` holds under every policy,
-        and each refinement wins strictly under at least one
-        (gate-guarded via the committed baseline)."""
+        """Acceptance: on the seeded 50-job lending trace
+        ``segmented >= windowed`` holds under every policy, and
+        segmented wins strictly under at least one (gate-guarded via
+        the committed baseline)."""
         repo = Path(__file__).resolve().parent.parent
         payload = json.loads((repo / "BENCH_alloc.json").read_text())
         rows = payload["lending"]["rows"]
@@ -940,15 +899,9 @@ class TestMarkdown:
             for row in rows
         }
         policies = {policy for policy, _ in by_key}
-        for finer, coarser in (
-            ("windowed", "whole"),
-            ("segmented", "windowed"),
-        ):
-            assert any(
-                by_key[(p, finer)] > by_key[(p, coarser)]
-                for p in policies
-            ), (finer, coarser, by_key)
-            assert all(
-                by_key[(p, finer)] >= by_key[(p, coarser)]
-                for p in policies
-            ), (finer, coarser, by_key)
+        assert any(
+            by_key[(p, "segmented")] > by_key[(p, "windowed")] for p in policies
+        ), by_key
+        assert all(
+            by_key[(p, "segmented")] >= by_key[(p, "windowed")] for p in policies
+        ), by_key
