@@ -239,9 +239,9 @@ def per_backend_solver_seconds() -> list:
 
 def sequential_vs_batch(program, backend: str) -> dict:
     """The headline comparison: per-qubit verify_circuit loop vs. one
-    BatchVerifier call over the same dirty qubits.  Records parallel
-    *efficiency* (speedup / workers) so a "1.11x with 8 threads" result
-    reads as the 14% efficiency it is, not as a win."""
+    default-constructed BatchVerifier call over the same dirty qubits,
+    both in this thread; the speedup is the shared tracking, checker
+    build and incremental solving."""
     start = time.perf_counter()
     sequential_verdicts = []
     for qubit in program.dirty_wires:
@@ -259,25 +259,18 @@ def sequential_vs_batch(program, backend: str) -> dict:
     agree = [v.safe for v in sequential_verdicts] == [
         v.safe for v in batch_report.verdicts
     ]
-    speedup = (
-        round(sequential_wall / batch_wall, 2) if batch_wall > 0 else None
-    )
-    workers = verifier.max_workers
     row = {
         "backend": backend,
         "dirty_qubits": len(program.dirty_wires),
         "sequential_wall_seconds": round(sequential_wall, 4),
         "batch_wall_seconds": round(batch_wall, 4),
-        "speedup": speedup,
-        "workers": workers,
-        "efficiency": round(speedup / workers, 3)
-        if speedup is not None else None,
+        "speedup": round(sequential_wall / batch_wall, 2)
+        if batch_wall > 0 else None,
         "verdicts_agree": agree,
     }
     print(
         f"  {backend:<14} sequential={sequential_wall:>8.3f}s "
-        f"batch={batch_wall:>8.3f}s speedup={row['speedup']}x "
-        f"efficiency={row['efficiency']}"
+        f"batch={batch_wall:>8.3f}s speedup={row['speedup']}x"
     )
     return row
 
@@ -323,13 +316,15 @@ def front_bitset_vs_brute() -> dict:
 
 def front_incremental_vs_fresh(program) -> dict:
     """Front 2: one long-lived probing solver vs. a fresh CDCL instance
-    per obligation, over the full per-qubit batch.  Interleaved repeats
-    with a median keep the strict `incremental < fresh` gate out of
-    runner-jitter territory."""
+    per obligation, over the full per-qubit batch.  The two sides run
+    in back-to-back pairs, alternating which goes first, and ``ratio``
+    is the median of the per-pair ratios: host drift between pairs
+    cancels inside each pair, which keeps the strict
+    `incremental < fresh` gate out of runner-jitter territory."""
     from repro.verify.backends.cdcl import CdclCheckerBackend
 
     qubits = sorted(program.dirty_wires)
-    repeats = 3 if QUICK else 5
+    pairs = 5 if QUICK else 9
 
     def run(incremental: bool) -> float:
         checker = CdclCheckerBackend(
@@ -341,19 +336,24 @@ def front_incremental_vs_fresh(program) -> dict:
         return time.perf_counter() - start
 
     fresh_walls, incremental_walls = [], []
-    for _ in range(repeats):
-        fresh_walls.append(run(False))
-        incremental_walls.append(run(True))
-    fresh = sorted(fresh_walls)[repeats // 2]
-    incremental = sorted(incremental_walls)[repeats // 2]
+    for pair in range(pairs):
+        if pair % 2:
+            incremental_walls.append(run(True))
+            fresh_walls.append(run(False))
+        else:
+            fresh_walls.append(run(False))
+            incremental_walls.append(run(True))
+    ratios = [i / f for i, f in zip(incremental_walls, fresh_walls) if f > 0]
+    fresh = _median(fresh_walls)
+    incremental = _median(incremental_walls)
     row = {
         "front": "incremental_vs_fresh",
         "adder_n": BENCH_ADDER_N,
         "obligations": len(qubits),
-        "repeats": repeats,
+        "pairs": pairs,
         "fresh_solver_seconds": round(fresh, 4),
         "incremental_solver_seconds": round(incremental, 4),
-        "ratio": round(incremental / fresh, 3) if fresh > 0 else None,
+        "ratio": round(_median(ratios), 3) if ratios else None,
     }
     print(
         f"  incremental_vs_fresh fresh={fresh:>7.3f}s "
@@ -362,12 +362,12 @@ def front_incremental_vs_fresh(program) -> dict:
     return row
 
 
-def front_process_vs_thread() -> dict:
-    """Front 3: the process-pool executor vs. the thread pool on a
-    CPU-bound multi-circuit batch.  Pure-Python solving holds the GIL,
-    so threads add nothing; processes scale with cores — which is why
-    the row records ``cpu_count`` and the gate only binds on machines
-    with enough of them."""
+def front_process_vs_sequential() -> dict:
+    """Front 3: the process pool vs. the in-process loop on a CPU-bound
+    multi-circuit batch.  Pure-Python solving holds the GIL, so only
+    worker processes scale with cores — which is why the row records
+    ``cpu_count`` and the gate only binds on machines with enough of
+    them."""
     import os
 
     from repro.verify import BatchVerifier, VerificationJob
@@ -383,14 +383,11 @@ def front_process_vs_thread() -> dict:
             )
         )
 
-    def run(executor: str) -> float:
+    def run(max_workers: int) -> float:
         with BatchVerifier(
-            backend="cdcl",
-            executor=executor,
-            max_workers=workers,
-            replay=False,
+            backend="cdcl", max_workers=max_workers, replay=False
         ) as verifier:
-            if executor == "process":
+            if max_workers > 1:
                 # Spin the pool up outside the timed region: the row
                 # measures steady-state batch throughput, not fork cost.
                 verifier._process_pool()
@@ -400,20 +397,20 @@ def front_process_vs_thread() -> dict:
         assert all(report.all_safe for report in reports)
         return wall
 
-    thread_wall = run("thread")
-    process_wall = run("process")
+    sequential_wall = run(1)
+    process_wall = run(workers)
     row = {
-        "front": "process_vs_thread",
+        "front": "process_vs_sequential",
         "adder_ns": list(ns),
         "workers": workers,
         "cpu_count": os.cpu_count(),
-        "thread_wall_seconds": round(thread_wall, 4),
+        "sequential_wall_seconds": round(sequential_wall, 4),
         "process_wall_seconds": round(process_wall, 4),
-        "speedup": round(thread_wall / process_wall, 2)
+        "speedup": round(sequential_wall / process_wall, 2)
         if process_wall > 0 else None,
     }
     print(
-        f"  process_vs_thread  thread={thread_wall:>7.3f}s "
+        f"  process_vs_sequential sequential={sequential_wall:>7.3f}s "
         f"process={process_wall:>7.3f}s speedup={row['speedup']}x "
         f"(cpus={row['cpu_count']})"
     )
@@ -461,7 +458,7 @@ def bench_verify(path: str) -> None:
     fronts = [
         front_bitset_vs_brute(),
         front_incremental_vs_fresh(program),
-        front_process_vs_thread(),
+        front_process_vs_sequential(),
     ]
     print("sequential loop vs. batch engine:", flush=True)
     comparison = [
@@ -648,9 +645,7 @@ def _queueing_workload(policy: str) -> dict:
         max_data=7,
         max_ancillas=2,
     )
-    programmer = MultiProgrammer(
-        QUEUE_MACHINE, queue_policy=policy, max_workers=1
-    )
+    programmer = MultiProgrammer(QUEUE_MACHINE, queue_policy=policy)
     start = time.perf_counter()
     log = replay_trace(programmer, trace)
     wall = time.perf_counter() - start
@@ -707,10 +702,7 @@ def _lending_workload(policy: str, lending: str) -> dict:
         LENDING_TRACE_SEED, num_jobs=LENDING_TRACE_JOBS
     )
     programmer = MultiProgrammer(
-        LENDING_MACHINE,
-        queue_policy=policy,
-        lending=lending,
-        max_workers=1,
+        LENDING_MACHINE, queue_policy=policy, lending=lending
     )
     start = time.perf_counter()
     log = replay_trace(programmer, trace)
@@ -762,7 +754,7 @@ def _fleet_row(label: str, shards: list, placement: str) -> dict:
     configuration sees byte-identical jobs; no verifier sharing across
     rows, so each wall time is honest."""
     trace = _fleet_trace()
-    router = FleetRouter(shards, placement=placement, max_workers=1)
+    router = FleetRouter(shards, placement=placement)
     start = time.perf_counter()
     log = replay_trace(router, trace)
     wall = time.perf_counter() - start
@@ -1156,7 +1148,7 @@ def _frontend_first_lease() -> dict:
         parsed = from_qasm(text)
         parse_walls.append(time.perf_counter() - start)
 
-        programmer = MultiProgrammer(9, max_workers=1)
+        programmer = MultiProgrammer(9)
         programmer.admit(QuantumJob("lender", lender))
         start = time.perf_counter()
         stream = iter_qasm_gates(text)
@@ -1278,9 +1270,7 @@ def _restore_check_section() -> dict:
         trace = random_lending_trace(
             RESTORE_TRACE_SEED, num_jobs=RESTORE_TRACE_JOBS, timeouts=False
         )
-        programmer = MultiProgrammer(
-            RESTORE_MACHINE, lending="segmented", max_workers=1
-        )
+        programmer = MultiProgrammer(RESTORE_MACHINE, lending="segmented")
         start = time.perf_counter()
         log = replay_trace(programmer, trace)
         walls.append(time.perf_counter() - start)

@@ -76,7 +76,7 @@ def prefix_admission() -> None:
     tail = "x q[0];\ncx q[0],q[1];\n" * 500
     text = header + prefix_text + tail
 
-    mp = MultiProgrammer(9, max_workers=1)
+    mp = MultiProgrammer(9)
     lender = Circuit(5).extend([cnot(0, 1), cnot(1, 2)])
     mp.admit(QuantumJob("lender", lender, []))
 

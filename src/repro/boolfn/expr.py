@@ -19,7 +19,6 @@ Design notes
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import BooleanError
@@ -101,10 +100,6 @@ class ExprBuilder:
         self.simplify_xor = simplify_xor
         self._intern: Dict[Tuple, Expr] = {}
         self._uid = 0
-        # Interning must stay race-free when worker threads of the batch
-        # engine build formulas concurrently: a duplicated uid would
-        # corrupt every uid-keyed cache downstream.
-        self._intern_lock = threading.Lock()
         self._vars: Dict[str, Expr] = {}
         self._variables_cache: Dict[int, FrozenSet[str]] = {}
         self.false = self._make(CONST, (), None, False)
@@ -124,12 +119,9 @@ class ExprBuilder:
         key = (kind, tuple(c.uid for c in children), name, value)
         node = self._intern.get(key)
         if node is None:
-            with self._intern_lock:
-                node = self._intern.get(key)
-                if node is None:
-                    node = Expr(kind, children, name, value, self._uid, self)
-                    self._uid += 1
-                    self._intern[key] = node
+            node = Expr(kind, children, name, value, self._uid, self)
+            self._uid += 1
+            self._intern[key] = node
         return node
 
     def _check(self, nodes: Iterable[Expr]) -> None:

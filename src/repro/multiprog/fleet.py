@@ -306,7 +306,6 @@ class FleetRouter:
         shards: Sequence[Union[int, ShardSpec, MultiProgrammer]],
         placement: Union[str, PlacementPolicy] = "least-loaded",
         backend: str = "bdd",
-        max_workers: Optional[int] = None,
         verifier: Optional[BatchVerifier] = None,
         cache_path: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -315,7 +314,7 @@ class FleetRouter:
         if not shards:
             raise CircuitError("a fleet needs at least one shard")
         self.verifier = verifier or BatchVerifier(
-            backend=backend, max_workers=max_workers, cache_path=cache_path
+            backend=backend, cache_path=cache_path
         )
         self.shards: Dict[str, MultiProgrammer] = {}
         for index, item in enumerate(shards):

@@ -626,7 +626,9 @@ class MultiProgrammer:
         Optional shared :class:`BatchVerifier`; by default the
         scheduler owns one for its lifetime, so ancilla verdicts are
         memoised by circuit fingerprint and re-submitting a job costs
-        no solver runs after the first admission.
+        no solver runs after the first admission.  The default checks
+        in the caller's thread; pass ``BatchVerifier(max_workers=N)``
+        for a pool of worker processes.
     cache_path:
         Opt-in disk persistence for those verdicts
         (:class:`~repro.verify.cache.DiskVerdictCache`), making
@@ -668,7 +670,6 @@ class MultiProgrammer:
         machine_size: int,
         backend: str = "bdd",
         strategy: str = "greedy",
-        max_workers: Optional[int] = None,
         verifier: Optional[BatchVerifier] = None,
         cache_path: Optional[str] = None,
         queue_policy: Union[str, QueuePolicy] = "fifo",
@@ -697,7 +698,7 @@ class MultiProgrammer:
             else make_policy(queue_policy)
         )
         self.verifier = verifier or BatchVerifier(
-            backend=backend, max_workers=max_workers, cache_path=cache_path
+            backend=backend, cache_path=cache_path
         )
         #: The segment certifier handed to every model build (None
         #: outside segmented lending, which never segments).  Shared

@@ -21,10 +21,11 @@ Checkers, from most semantic to most scalable:
   ``bdd-reversed`` — the reverse of that order);
 * :mod:`repro.verify.batch` — :class:`BatchVerifier`, the throughput
   engine: one tracking pass and one checker per circuit, per-qubit
-  checks fanned out over a worker pool (``executor="thread"`` shares
-  checkers in-process; ``executor="process"`` ships per-circuit chunks
-  to a ``ProcessPoolExecutor`` for true multi-core scaling), verdicts
-  memoised by ``(circuit fingerprint, qubit, backend)``;
+  checks run in the caller's thread (``max_workers=1``, the default)
+  or shipped in per-circuit chunks to a ``ProcessPoolExecutor``
+  (``max_workers > 1``, the only path that uses a second core, since
+  every engine is pure Python), verdicts memoised by
+  ``(circuit fingerprint, qubit, backend)``;
 * :mod:`repro.verify.cache` — :class:`DiskVerdictCache`, the opt-in
   JSON persistence of that memo (``cache_path=`` on the verifier), so
   repeated service runs skip solver work across processes;

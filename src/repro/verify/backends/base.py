@@ -7,19 +7,14 @@ and register themselves under a name with
 instances through :func:`~repro.verify.backends.registry.make_checker`
 or, at scale, through :class:`repro.verify.batch.BatchVerifier`.
 
-Thread-safety contract
-----------------------
-``check_qubit`` may be called from worker threads by the batch engine.
-A backend whose per-qubit checks can safely overlap sets
-``parallel_safe = True`` (taking internal locks around any shared
-mutable state); otherwise the batch engine serialises its checks through
-``serial_lock``.
+The batch engine calls ``check_qubit`` in the caller's thread, or in a
+pool worker process on that process's own checker, so backends keep
+per-circuit state without locks.
 """
 
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional
 
@@ -51,14 +46,9 @@ class CheckerBackend(abc.ABC):
 
     #: Registry name; set by the ``@register_backend`` decorator.
     name: ClassVar[str] = "?"
-    #: Whether concurrent ``check_qubit`` calls on one instance are safe.
-    parallel_safe: ClassVar[bool] = False
 
     def __init__(self, tracked: TrackedFormulas):
         self.tracked = tracked
-        #: Taken by the batch engine around checks of non-parallel-safe
-        #: backends (one lock per instance, i.e. per circuit).
-        self.serial_lock = threading.Lock()
 
     @abc.abstractmethod
     def check_qubit(self, qubit: int) -> BooleanCheckOutcome:

@@ -5,16 +5,12 @@ cache) at construction; per-qubit checks are then cofactor/XOR/zero-test
 operations, each memoised inside the manager.  Canonicity makes the
 unsatisfiability tests O(1) once the compile is paid — which is why the
 batch engine's one-checker-per-circuit reuse matters most here.
-
-The manager's unique/apply tables are not safe under concurrent
-mutation, so this backend is ``parallel_safe = False``: the batch engine
-serialises its checks (they are cheap after the shared compile).
 """
 
 from __future__ import annotations
 
 import time
-from typing import ClassVar, Dict, List
+from typing import Dict, List
 
 from repro.bdd.robdd import Bdd
 from repro.circuits.circuit import Circuit
@@ -53,8 +49,6 @@ class BddCheckerBackend(CheckerBackend):
     ``reverse_order=True`` builds it over the reverse of that order, the
     variable-order ablation registered separately as ``bdd-reversed``.
     """
-
-    parallel_safe: ClassVar[bool] = False
 
     def __init__(self, tracked: TrackedFormulas, reverse_order: bool = False):
         super().__init__(tracked)

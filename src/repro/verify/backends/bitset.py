@@ -14,7 +14,6 @@ enumeration-complete oracle.  Cones wider than ``max_vars`` raise
 from __future__ import annotations
 
 import time
-from typing import ClassVar
 
 from repro.boolfn.bitset import DEFAULT_MAX_VARS, bitset_solve
 from repro.verify.backends.base import BooleanCheckOutcome, CheckerBackend
@@ -25,8 +24,6 @@ from repro.verify.tracking import TrackedFormulas, formula_61, formula_62
 @register_backend("bitset")
 class BitsetCheckerBackend(CheckerBackend):
     """Decide the obligations by vectorised truth-table evaluation."""
-
-    parallel_safe: ClassVar[bool] = True
 
     def __init__(self, tracked: TrackedFormulas, max_vars: int = DEFAULT_MAX_VARS):
         super().__init__(tracked)

@@ -17,18 +17,12 @@ discharged as an *assumption probe* (``solve(assumptions=[root])``)
 against it.  Defining clauses are fed to the solver exactly once, and
 learned clauses, variable activities and saved phases carry over
 between probes, so a 13-obligation batch costs a fraction of 13 fresh
-solver runs.  Probes against the one solver serialise on an internal
-lock; true multi-core parallelism comes from the batch engine's
-process-pool executor, where each worker owns its own solver.
-
-Non-incremental solver runs happen outside the encoder lock, so
-per-qubit checks from the batch engine's worker threads overlap in the
-solve phase.
+solver runs.  Multi-core parallelism comes from the batch engine's
+process pool, where each worker owns its own solver.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import ClassVar, Dict, Optional, Tuple
 
@@ -43,7 +37,6 @@ from repro.verify.tracking import TrackedFormulas, formula_61, formula_62
 class SatCheckerBackend(CheckerBackend):
     """Decide formulas (6.1)/(6.2) with a CNF SAT solver."""
 
-    parallel_safe: ClassVar[bool] = True
     #: Whether (6.1) checks share one per-circuit encoder.  The brute
     #: backend turns this off: enumeration is exponential in the
     #: variable count, so its instances must stay cone-local.
@@ -55,14 +48,11 @@ class SatCheckerBackend(CheckerBackend):
 
     def __init__(self, tracked: TrackedFormulas):
         super().__init__(tracked)
-        self._encoder_lock = threading.Lock()
         self._zero_encoder: Optional[TseitinEncoder] = (
             TseitinEncoder() if self.share_zero_encoder else None
         )
         if self.incremental:
-            #: One encoder + one solver for the whole circuit; the lock
-            #: serialises encode-feed-probe rounds across threads.
-            self._inc_lock = threading.Lock()
+            #: One encoder + one solver for the whole circuit.
             self._inc_encoder = TseitinEncoder()
             self._inc_solver = None
             self._inc_fed = 0
@@ -96,15 +86,13 @@ class SatCheckerBackend(CheckerBackend):
         unit clause, and solve a throwaway view of the clause list."""
         if self._zero_encoder is None:
             return self._solve_fresh(expr)
-        with self._encoder_lock:
-            literal = self._zero_encoder.literal(expr)
-            base = self._zero_encoder.cnf
-            cnf = Cnf(base.num_vars, base.clauses + [[literal]])
+        literal = self._zero_encoder.literal(expr)
+        base = self._zero_encoder.cnf
+        cnf = Cnf(base.num_vars, base.clauses + [[literal]])
         result = self._run_solver(cnf)
         model = None
         if result.is_sat:
-            with self._encoder_lock:
-                model = self._zero_encoder.decode_model(result.model)
+            model = self._zero_encoder.decode_model(result.model)
         return result, model, cnf
 
     def _solve_incremental(
@@ -123,31 +111,30 @@ class SatCheckerBackend(CheckerBackend):
         obligation's own cone, so each probe searches a space the size
         of a fresh cone-local instance without paying re-encoding.
         """
-        with self._inc_lock:
-            literal = self._inc_encoder.literal(expr)
-            focus = self._inc_encoder.cone_vars(expr)
-            solver = self._inc_solver
-            if solver is None:
-                solver = self._inc_solver = self._new_incremental_solver()
-            cnf = self._inc_encoder.cnf
-            solver.ensure_vars(cnf.num_vars)
-            clauses = cnf.clauses
-            while self._inc_fed < len(clauses):
-                solver.add_clause(clauses[self._inc_fed])
-                self._inc_fed += 1
-            result = solver.probe(literal, focus=focus)
-            if not result.is_sat:
-                # UNSAT under the assumption means the instance entails
-                # the root's negation; asserting it is equivalence-
-                # preserving and lets later probes unit-propagate
-                # through this cone instead of re-searching it.
-                solver.add_clause([-literal])
-            model = (
-                self._inc_encoder.decode_model(result.model)
-                if result.is_sat
-                else None
-            )
-            return result, model, cnf
+        literal = self._inc_encoder.literal(expr)
+        focus = self._inc_encoder.cone_vars(expr)
+        solver = self._inc_solver
+        if solver is None:
+            solver = self._inc_solver = self._new_incremental_solver()
+        cnf = self._inc_encoder.cnf
+        solver.ensure_vars(cnf.num_vars)
+        clauses = cnf.clauses
+        while self._inc_fed < len(clauses):
+            solver.add_clause(clauses[self._inc_fed])
+            self._inc_fed += 1
+        result = solver.probe(literal, focus=focus)
+        if not result.is_sat:
+            # UNSAT under the assumption means the instance entails
+            # the root's negation; asserting it is equivalence-
+            # preserving and lets later probes unit-propagate
+            # through this cone instead of re-searching it.
+            solver.add_clause([-literal])
+        model = (
+            self._inc_encoder.decode_model(result.model)
+            if result.is_sat
+            else None
+        )
+        return result, model, cnf
 
     def _discharge(
         self, expr: Expr, shared: bool

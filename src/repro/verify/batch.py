@@ -8,9 +8,10 @@ the multi-programming scheduler.  For a batch of jobs it
 * tracks each distinct circuit once (:func:`track_circuit`) and builds
   one backend checker per (circuit, backend) pair, so Tseitin tables and
   compiled BDDs are shared across every qubit check on that circuit;
-* fans the per-qubit checks out over a ``concurrent.futures`` thread
-  pool (``max_workers``), serialising backends that are not
-  ``parallel_safe`` through their per-instance lock;
+* runs the per-qubit checks in the caller's thread, or, with
+  ``max_workers > 1``, ships them in per-circuit chunks to a process
+  pool (every engine is pure Python and holds the GIL, so processes
+  are the only way to use a second core);
 * memoises verdicts keyed by ``(circuit fingerprint, qubit, backend)``
   so repeated borrows of the same ancilla — the scheduler-time hot path
   — are cache hits, not solver runs.
@@ -23,9 +24,8 @@ caller opts out of replay.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -43,7 +43,7 @@ from repro.verify.tracking import TrackedFormulas, track_circuit
 #: (circuit fingerprint, qubit, backend, simplify_xor) -> outcome.
 VerdictCache = Dict[Tuple[str, int, str, bool], BooleanCheckOutcome]
 
-#: Per-process checker cache for the process-pool executor.  Workers
+#: Per-process checker cache for the process pool.  Workers
 #: receive (circuit, qubit) jobs and rebuild tracking + checker once
 #: per (circuit, backend, simplify_xor); later jobs on the same circuit
 #: — including the incremental SAT backend's long-lived solver — reuse
@@ -142,14 +142,11 @@ class BatchVerifier:
         unregistered name raises :class:`~repro.errors.SolverError`
         here rather than at the first verification.
     max_workers:
-        Worker count for fanning out per-qubit checks; ``None`` uses
-        the CPU count.  ``1`` degenerates to the sequential loop.
-    executor:
-        ``"thread"`` (default) fans out over a thread pool — cheap,
-        shares every in-process structure, but pure-Python solver
-        backends serialise on the GIL.  ``"process"`` fans out over a
-        persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-        for true multi-core solving: each worker process rebuilds
+        ``1`` (the default) checks every obligation in the caller's
+        thread.  A larger count fans batches of more than one pending
+        check out over a persistent
+        :class:`~concurrent.futures.ProcessPoolExecutor` of that many
+        workers for multi-core solving: each worker process rebuilds
         tracking and its own checker per circuit (cached for the
         worker's lifetime) and results merge back into this verifier's
         memo and any shared :class:`~repro.verify.cache.DiskVerdictCache`.
@@ -181,20 +178,15 @@ class BatchVerifier:
     def __init__(
         self,
         backend: str = "cdcl",
-        max_workers: Optional[int] = None,
+        max_workers: int = 1,
         simplify_xor: bool = True,
         replay: bool = True,
         cache: Optional[VerdictCache] = None,
         cache_path: Optional[str] = None,
-        executor: str = "thread",
     ):
         backend_class(backend)  # SolverError for an unregistered name
-        if max_workers is not None and max_workers < 1:
+        if max_workers < 1:
             raise VerificationError("max_workers must be at least 1")
-        if executor not in ("thread", "process"):
-            raise VerificationError(
-                f"unknown executor {executor!r}: pick 'thread' or 'process'"
-            )
         if cache is not None and cache_path is not None:
             raise VerificationError(
                 "pass either cache or cache_path, not both"
@@ -204,8 +196,7 @@ class BatchVerifier:
 
             cache = DiskVerdictCache(cache_path)
         self.backend = backend
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.executor = executor
+        self.max_workers = max_workers
         self.simplify_xor = simplify_xor
         self.replay = replay
         self.cache: VerdictCache = {} if cache is None else cache
@@ -231,7 +222,7 @@ class BatchVerifier:
         """Shut down the process pool, if one was ever started.
 
         Idempotent; the verifier remains usable afterwards (a later
-        process-executor batch lazily starts a fresh pool).
+        pooled batch lazily starts a fresh pool).
         """
         if self._pool is not None:
             self._pool.shutdown()
@@ -312,7 +303,7 @@ class BatchVerifier:
                     misses[index] = misses.get(index, 0) + 1
         self._execute(pending)
 
-        # Assemble per-job reports (replay happens here, on this thread).
+        # Assemble per-job reports (replay happens here, in this process).
         reports: List[VerificationReport] = []
         for index, (job, fingerprint, backend) in enumerate(plan):
             tracked = self._tracked[fingerprint]
@@ -365,13 +356,6 @@ class BatchVerifier:
             self._build_seconds[key] = time.perf_counter() - build_start
             self._checkers[key] = checker
         return checker
-
-    @staticmethod
-    def _run_check(checker: CheckerBackend, qubit: int) -> BooleanCheckOutcome:
-        if checker.parallel_safe:
-            return checker.check_qubit(qubit)
-        with checker.serial_lock:
-            return checker.check_qubit(qubit)
 
     def _process_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -445,20 +429,8 @@ class BatchVerifier:
         deferred = getattr(self.cache, "deferred", None)
         store = deferred() if deferred is not None else nullcontext()
         with store:
-            if self.max_workers == 1 or len(pending) == 1:
-                for key, (checker, qubit, _) in pending.items():
-                    self.cache[key] = checker.check_qubit(qubit)
-                return
-            if self.executor == "process":
+            if self.max_workers > 1 and len(pending) > 1:
                 self._execute_process(pending)
                 return
-            workers = min(self.max_workers, len(pending))
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="verify"
-            ) as pool:
-                futures = {
-                    key: pool.submit(self._run_check, checker, qubit)
-                    for key, (checker, qubit, _) in pending.items()
-                }
-                for key, future in futures.items():
-                    self.cache[key] = future.result()
+            for key, (checker, qubit, _) in pending.items():
+                self.cache[key] = checker.check_qubit(qubit)

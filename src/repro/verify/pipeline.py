@@ -4,10 +4,10 @@
 6 pipeline — formula tracking, the Theorem 6.4 reduction, a registered
 backend — returning a structured report with replayable
 counterexamples.  It is a thin shim over
-:class:`repro.verify.batch.BatchVerifier` (a batch of one, sequential);
-callers with many circuits or qubits should use the batch engine
-directly for shared tracking, worker-pool fan-out and verdict
-memoisation.
+:class:`repro.verify.batch.BatchVerifier` (a batch of one, in the
+caller's thread); callers with many circuits or qubits should use the
+batch engine directly for shared tracking, process-pool fan-out and
+verdict memoisation.
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ def verify_circuit(
         raise if it does not actually violate the claimed condition.
     """
     verifier = BatchVerifier(
-        backend=backend,
-        max_workers=1,
-        simplify_xor=simplify_xor,
-        replay=replay,
+        backend=backend, simplify_xor=simplify_xor, replay=replay
     )
     return verifier.verify_circuit(circuit, dirty_qubits)
 

@@ -44,7 +44,7 @@ def late_guest(name="B", pre=4):
 class TestPrefixAdmission:
     @pytest.mark.parametrize("lending", ["windowed", "segmented"])
     def test_safe_prefix_earns_a_lease(self, lending):
-        mp = MultiProgrammer(9, lending=lending, max_workers=1)
+        mp = MultiProgrammer(9, lending=lending)
         mp.admit(lender())
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         assert handle.name == "guest"
@@ -55,7 +55,7 @@ class TestPrefixAdmission:
         OccupancyInvariantChecker(mp).check()
 
     def test_empty_prefix_admits_on_width_alone(self):
-        mp = MultiProgrammer(6, max_workers=1)
+        mp = MultiProgrammer(6)
         handle = mp.admit_stream("bare", 3)
         assert handle.admission.leases == {}
         assert len(handle.admission.wires) == 3
@@ -64,7 +64,7 @@ class TestPrefixAdmission:
         OccupancyInvariantChecker(mp).check()
 
     def test_duplicate_names_rejected(self):
-        mp = MultiProgrammer(4, max_workers=1)
+        mp = MultiProgrammer(4)
         mp.admit(QuantumJob("busy", Circuit(3).extend([cnot(0, 1)]), []))
         with pytest.raises(CircuitError, match="already resident"):
             mp.admit_stream("busy", 1)
@@ -75,7 +75,7 @@ class TestPrefixAdmission:
             mp.admit_stream("dup", 1)
 
     def test_feed_after_close_rejected(self):
-        mp = MultiProgrammer(4, max_workers=1)
+        mp = MultiProgrammer(4)
         handle = mp.admit_stream("g", 1, prefix=[x(0)])
         first = handle.close()
         assert handle.close() is first  # idempotent
@@ -86,7 +86,7 @@ class TestPrefixAdmission:
         """Releasing a job whose stream is still open ends the stream:
         a later feed raises, even on the formerly leased ancilla, and
         close() returns None without resubmitting anything."""
-        mp = MultiProgrammer(9, max_workers=1)
+        mp = MultiProgrammer(9)
         mp.admit(lender())
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         assert handle.admission.leases
@@ -101,7 +101,7 @@ class TestPrefixAdmission:
         OccupancyInvariantChecker(mp).check()
 
     def test_non_classical_gate_rejected_when_borrowing(self):
-        mp = MultiProgrammer(9, max_workers=1)
+        mp = MultiProgrammer(9)
         mp.admit(lender())
         handle = mp.admit_stream("g", 2, [1], prefix=SAFE_PREFIX)
         with pytest.raises(VerificationError, match="classical"):
@@ -110,7 +110,7 @@ class TestPrefixAdmission:
 
 class TestRefinementLadder:
     def test_lease_extends_in_place(self):
-        mp = MultiProgrammer(9, max_workers=1)
+        mp = MultiProgrammer(9)
         mp.admit(lender())
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         wire = handle.admission.cross_hosts[1]
@@ -127,7 +127,7 @@ class TestRefinementLadder:
         OccupancyInvariantChecker(mp).check()
 
     def test_overlap_with_a_sibling_moves_the_lease(self):
-        mp = MultiProgrammer(9, max_workers=1)
+        mp = MultiProgrammer(9)
         mp.admit(lender())  # offers wires for leases
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         shared = handle.admission.cross_hosts[1]
@@ -150,7 +150,7 @@ class TestRefinementLadder:
     def test_no_host_revokes_the_lease_to_a_fresh_wire(self):
         # A 4-wide lender offers exactly one wire, so when the grown
         # window collides with the sibling there is nowhere to move.
-        mp = MultiProgrammer(8, max_workers=1)
+        mp = MultiProgrammer(8)
         mp.admit(lender(width=4))
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         leased = handle.admission.cross_hosts[1]
@@ -170,7 +170,7 @@ class TestRefinementLadder:
         # fresh 1.  The collision finds no move target and no fresh
         # wire, so the whole job is revoked — and close() resubmits
         # the complete circuit, which queues behind the residents.
-        mp = MultiProgrammer(6, max_workers=1)
+        mp = MultiProgrammer(6)
         mp.admit(lender(width=4))
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         mp.admit(late_guest())
@@ -190,7 +190,7 @@ class TestRefinementLadder:
         OccupancyInvariantChecker(mp).check()
 
     def test_close_revokes_a_lease_the_tail_broke(self):
-        mp = MultiProgrammer(9, max_workers=1)
+        mp = MultiProgrammer(9)
         mp.admit(lender())
         handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
         leased = handle.admission.cross_hosts[1]
@@ -211,7 +211,7 @@ class TestStreamInvariantProperty:
     @pytest.mark.parametrize("seed", range(5))
     def test_invariants_hold_at_every_feed(self, seed, lending):
         rng = random.Random(seed)
-        mp = MultiProgrammer(16, lending=lending, max_workers=1)
+        mp = MultiProgrammer(16, lending=lending)
         mp.admit(lender())
         circuit, ancillas = random_reversible_circuit(
             seed + 300,

@@ -44,7 +44,7 @@ SEED_LOG = os.environ.get("PROPERTY_SEED_LOG", "failing-seeds.txt")
 
 #: One memoising verifier across every router in the module — traces
 #: re-use circuits heavily (that is the point of the fleet trace).
-SHARED_VERIFIER = BatchVerifier(backend="bdd", max_workers=1)
+SHARED_VERIFIER = BatchVerifier(backend="bdd")
 
 
 def busy_job(name, width):

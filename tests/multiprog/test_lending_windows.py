@@ -236,9 +236,7 @@ class TestLendingTrace:
             replay_trace,
         )
 
-        mp = MultiProgrammer(
-            11, queue_policy="backfill", lending=lending, max_workers=1
-        )
+        mp = MultiProgrammer(11, queue_policy="backfill", lending=lending)
         checker = OccupancyInvariantChecker(mp)
         trace = random_lending_trace(seed, num_jobs=20)
         replay_trace(mp, trace, checker=checker)
@@ -253,12 +251,7 @@ class TestLendingTrace:
         admitted = {}
         for policy in ("fifo", "backfill"):
             for lending in ("windowed", "segmented"):
-                mp = MultiProgrammer(
-                    11,
-                    queue_policy=policy,
-                    lending=lending,
-                    max_workers=1,
-                )
+                mp = MultiProgrammer(11, queue_policy=policy, lending=lending)
                 log = replay_trace(
                     mp, random_lending_trace(1, num_jobs=50)
                 )

@@ -42,7 +42,7 @@ SEED_LOG = os.environ.get("PROPERTY_SEED_LOG", "failing-seeds.txt")
 
 #: Traces are regenerated from the same seeds across policies, so one
 #: memoising verifier makes most solver work a cache hit.
-SHARED_VERIFIER = BatchVerifier(backend="bdd", max_workers=1)
+SHARED_VERIFIER = BatchVerifier(backend="bdd")
 
 TRACE_JOBS = 8
 

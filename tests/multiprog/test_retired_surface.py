@@ -1,17 +1,21 @@
-"""The scheduler surface that no workload or benchmark row used is
-gone: whole-residency lending, the restore-check and model-memo knobs,
-the per-admission packer, the stream's lookahead/packer/capacity
-arguments, and the ``FleetService`` burst buffer.  Each now fails
-loudly instead of being silently accepted."""
+"""The scheduler and verifier surface that no workload or benchmark row
+used is gone: whole-residency lending, the restore-check and model-memo
+knobs, the per-admission packer, the stream's lookahead/packer/capacity
+arguments, the ``FleetService`` burst buffer, and the verifier's thread
+pool with its ``executor=`` and scheduler ``max_workers=`` knobs.  Each
+now fails loudly instead of being silently accepted."""
 
 import importlib
+import threading
 
 import pytest
 
-from repro.circuits import Circuit, x
+from repro.circuits import Circuit, cnot, x
 from repro.errors import CircuitError
 from repro.multiprog import FleetRouter, MultiProgrammer, QuantumJob, ShardSpec
 from repro.multiprog.scheduler import LENDING_MODES
+from repro.verify import BatchVerifier
+from tests.conftest import fig13_circuit
 
 
 def test_lending_modes_are_segmented_and_windowed():
@@ -27,8 +31,19 @@ def test_lending_modes_are_segmented_and_windowed():
         lambda: MultiProgrammer(4, memoise_models=False),
         lambda: FleetRouter([4], memoise_models=False),
         lambda: ShardSpec(4, restore_check="solver"),
+        lambda: BatchVerifier(executor="thread"),
+        lambda: MultiProgrammer(4, max_workers=2),
+        lambda: FleetRouter([4], max_workers=2),
     ],
-    ids=["restore_check", "memoise_models", "fleet_memoise_models", "shard_spec"],
+    ids=[
+        "restore_check",
+        "memoise_models",
+        "fleet_memoise_models",
+        "shard_spec",
+        "executor",
+        "max_workers",
+        "fleet_max_workers",
+    ],
 )
 def test_retired_constructor_options_raise(build):
     with pytest.raises(TypeError):
@@ -36,7 +51,7 @@ def test_retired_constructor_options_raise(build):
 
 
 def test_retired_call_options_raise():
-    mp = MultiProgrammer(6, max_workers=1)
+    mp = MultiProgrammer(6)
     job = QuantumJob("j", Circuit(1).extend([x(0)]), [])
     with pytest.raises(TypeError):
         mp.admit(job, packer="best-fit")
@@ -53,3 +68,38 @@ def test_retired_call_options_raise():
 def test_service_module_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module("repro.multiprog.service")
+
+
+def test_default_verifiers_start_no_thread(monkeypatch):
+    """Every engine holds the GIL, so a default verifier checks in the
+    caller's thread: a multi-circuit batch on the default verifier of
+    ``BatchVerifier``, ``MultiProgrammer`` and ``FleetRouter`` starts
+    no thread (a pool joined before the call returns would leave
+    ``threading.enumerate()`` unchanged, so starts are counted too)."""
+    assert BatchVerifier().max_workers == 1
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    unsafe = Circuit(3).extend([x(1), cnot(0, 2), cnot(0, 2)])
+    jobs = [(fig13_circuit(), [2]), (unsafe, [1, 2])]
+    before = threading.enumerate()
+    verifiers = (
+        BatchVerifier(),
+        MultiProgrammer(4).verifier,
+        FleetRouter([4]).verifier,
+    )
+    for verifier in verifiers:
+        reports = verifier.verify_circuits(jobs)
+        assert [r.cache_misses for r in reports] == [1, 2]
+        assert [v.safe for r in reports for v in r.verdicts] == [
+            True,
+            False,
+            True,
+        ]
+    assert threading.enumerate() == before
+    assert started == []

@@ -57,7 +57,7 @@ def verify_record(
                 "ratio": incremental_ratio,
             },
             {
-                "front": "process_vs_thread",
+                "front": "process_vs_sequential",
                 "speedup": process_speedup,
                 "cpu_count": cpu_count,
             },
@@ -375,7 +375,7 @@ class TestSolverSpeedFronts:
             verify_record(),
             verify_record(process_speedup=1.4, cpu_count=4),
         )
-        assert "verify.fronts[process_vs_thread].speedup" in regressed(comp)
+        assert "verify.fronts[process_vs_sequential].speedup" in regressed(comp)
 
     def test_process_scaling_not_enforced_on_small_runner(self):
         """A 1-cpu box cannot show multi-core scaling; the row is
@@ -388,7 +388,7 @@ class TestSolverSpeedFronts:
         waived = [
             f
             for f in comp.findings
-            if f.metric == "verify.fronts[process_vs_thread].speedup"
+            if f.metric == "verify.fronts[process_vs_sequential].speedup"
         ]
         assert waived and "not enforced" in waived[0].detail
 

@@ -26,17 +26,20 @@ def verdict_tuples(report):
 
 
 class TestParallelMatchesSequential:
+    """The process pool (``max_workers > 1``) returns the verdicts of the
+    in-process loop behind the sequential shim."""
+
     @pytest.mark.parametrize("backend", ("bdd", "cdcl"))
     def test_fig63_adder_suite_identical_verdicts(self, backend):
-        """Acceptance: max_workers>1 == the sequential shim on adder.qbr."""
         program = adder_program()
         assert len(program.dirty_wires) >= 12
         sequential = verify_circuit(
             program.circuit, program.dirty_wires, backend=backend
         )
-        parallel = BatchVerifier(backend=backend, max_workers=4).verify_circuit(
-            program.circuit, program.dirty_wires
-        )
+        with BatchVerifier(backend=backend, max_workers=2) as verifier:
+            parallel = verifier.verify_circuit(
+                program.circuit, program.dirty_wires
+            )
         assert verdict_tuples(parallel) == verdict_tuples(sequential)
         assert parallel.all_safe
 
@@ -46,9 +49,8 @@ class TestParallelMatchesSequential:
             [cnot(0, 1), cnot(0, 1), x(2), cnot(3, 0)]
         )
         sequential = verify_circuit(circuit, [1, 2, 3], backend=backend)
-        parallel = BatchVerifier(backend=backend, max_workers=4).verify_circuit(
-            circuit, [1, 2, 3]
-        )
+        with BatchVerifier(backend=backend, max_workers=2) as verifier:
+            parallel = verifier.verify_circuit(circuit, [1, 2, 3])
         assert verdict_tuples(parallel) == verdict_tuples(sequential)
         assert not parallel.all_safe
 
@@ -142,13 +144,19 @@ class TestApi:
         ).verify_circuit(fig13_circuit(), [2])
         assert report.cache_misses == 1  # not a hit: different tracking
 
-    def test_report_timings(self):
-        report = BatchVerifier(backend="bdd", max_workers=1).verify_circuit(
-            fig13_circuit(), [2]
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_report_timings(self, backend):
+        """The stage times of a fresh multi-qubit batch add up to no
+        more than its wall time: no obligation's ``solve_seconds``
+        overlaps another's."""
+        program = adder_program(8)
+        assert len(program.dirty_wires) > 1
+        report = BatchVerifier(backend=backend).verify_circuit(
+            program.circuit, program.dirty_wires
         )
         assert report.total_seconds >= report.solver_seconds >= 0
         assert report.track_seconds >= 0
-        # A fresh verifier compiles the circuit's BDD inside the call.
+        # A fresh verifier builds the circuit's checker inside the call.
         assert report.build_seconds > 0
         assert (
             report.track_seconds + report.build_seconds + report.solver_seconds

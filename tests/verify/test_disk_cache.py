@@ -139,7 +139,7 @@ class TestMappingContract:
             original(self)
 
         monkeypatch.setattr(DiskVerdictCache, "flush", counting_flush)
-        verifier = BatchVerifier(backend="bdd", cache=cache, max_workers=1)
+        verifier = BatchVerifier(backend="bdd", cache=cache)
         verifier.verify_circuit(safe_circuit(), [5, 6])
         assert verifier.cache_misses == 2
         assert sum(writes) == 1  # one write for the whole batch

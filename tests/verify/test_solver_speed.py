@@ -8,15 +8,14 @@ Three fronts, three agreements that must hold exactly:
   including deliberately spoiled (known-unsafe) ancillas;
 * the incremental probe-based ``cdcl`` backend and its historical
   fresh-instance-per-check mode agree verdict-for-verdict;
-* the batch engine's ``process`` executor matches the ``thread``
-  executor and the sequential shim, including when four process-pool
-  verifiers hammer one shared on-disk verdict cache.
+* the batch engine's process pool matches the in-process loop,
+  including when four process-pool verifiers hammer one shared
+  on-disk verdict cache.
 """
 
 import pytest
 
 from repro.circuits import Circuit, cnot, x
-from repro.errors import VerificationError
 from repro.lang.surface import elaborate
 from repro.lang.surface.sources import adder_qbr_source
 from repro.testing.generators import random_reversible_circuit
@@ -92,22 +91,16 @@ class TestIncrementalMatchesFresh:
 
 
 class TestProcessExecutor:
-    def test_fig63_adder_matches_thread_and_sequential(self):
+    def test_fig63_adder_matches_sequential(self):
         program = elaborate(adder_qbr_source(8))
         sequential = verify_circuit(
             program.circuit, program.dirty_wires, backend="cdcl"
         )
-        threaded = BatchVerifier(
-            backend="cdcl", max_workers=4
-        ).verify_circuit(program.circuit, program.dirty_wires)
-        with BatchVerifier(
-            backend="cdcl", executor="process", max_workers=4
-        ) as verifier:
+        with BatchVerifier(backend="cdcl", max_workers=4) as verifier:
             processed = verifier.verify_circuit(
                 program.circuit, program.dirty_wires
             )
         assert verdict_tuples(processed) == verdict_tuples(sequential)
-        assert verdict_tuples(processed) == verdict_tuples(threaded)
         assert processed.all_safe
 
     def test_unsafe_verdicts_cross_the_process_boundary(self):
@@ -115,9 +108,7 @@ class TestProcessExecutor:
             [cnot(0, 1), cnot(0, 1), x(2), cnot(3, 0)]
         )
         sequential = verify_circuit(circuit, [1, 2, 3], backend="cdcl")
-        with BatchVerifier(
-            backend="cdcl", executor="process", max_workers=2
-        ) as verifier:
+        with BatchVerifier(backend="cdcl", max_workers=2) as verifier:
             processed = verifier.verify_circuit(circuit, [1, 2, 3])
         assert verdict_tuples(processed) == verdict_tuples(sequential)
         assert not processed.all_safe
@@ -129,9 +120,7 @@ class TestProcessExecutor:
             (circuit, list(ancillas))
             for circuit, ancillas in CORPUS[:4]
         ]
-        with BatchVerifier(
-            backend="bitset", executor="process", max_workers=2
-        ) as verifier:
+        with BatchVerifier(backend="bitset", max_workers=2) as verifier:
             reports = verifier.verify_circuits(jobs)
         baseline = BatchVerifier(backend="bitset").verify_circuits(jobs)
         assert [verdict_tuples(r) for r in reports] == [
@@ -140,9 +129,7 @@ class TestProcessExecutor:
 
     def test_memoisation_still_applies(self):
         circuit, ancillas = CORPUS[0]
-        with BatchVerifier(
-            backend="cdcl", executor="process", max_workers=2
-        ) as verifier:
+        with BatchVerifier(backend="cdcl", max_workers=2) as verifier:
             first = verifier.verify_circuit(circuit, list(ancillas))
             again = verifier.verify_circuit(circuit, list(ancillas))
         assert first.cache_misses == len(ancillas)
@@ -150,9 +137,7 @@ class TestProcessExecutor:
 
     def test_close_is_idempotent_and_pool_restarts(self):
         circuit, ancillas = CORPUS[1]
-        verifier = BatchVerifier(
-            backend="cdcl", executor="process", max_workers=2
-        )
+        verifier = BatchVerifier(backend="cdcl", max_workers=2)
         verifier.verify_circuit(circuit, list(ancillas))
         verifier.close()
         verifier.close()
@@ -160,10 +145,6 @@ class TestProcessExecutor:
         report = verifier.verify_circuit(circuit, [ancillas[0]])
         assert report.cache_hits == 1
         verifier.close()
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(VerificationError):
-            BatchVerifier(executor="fork-bomb")
 
 
 class TestProcessDiskCacheHammer:
@@ -176,12 +157,7 @@ class TestProcessDiskCacheHammer:
             for circuit, ancillas in CORPUS[:4]
         ]
         verifiers = [
-            BatchVerifier(
-                backend="cdcl",
-                executor="process",
-                max_workers=2,
-                cache_path=path,
-            )
+            BatchVerifier(backend="cdcl", max_workers=2, cache_path=path)
             for _ in range(4)
         ]
         try:
@@ -205,7 +181,7 @@ class TestProcessDiskCacheHammer:
         assert late.cache_misses == 0
 
     def test_workers_share_the_disk_cache_mid_batch(self, tmp_path):
-        """Two process-executor verifiers on one path converge through
+        """Two process-pool verifiers on one path converge through
         their *workers'* chunk flushes alone: neither parent cache ever
         flushes (``autosave=False``, no ``flush()`` call), yet the
         second verifier's workers find the first's verdicts on disk —
@@ -218,13 +194,11 @@ class TestProcessDiskCacheHammer:
 
         first = BatchVerifier(
             backend="cdcl",
-            executor="process",
             max_workers=2,
             cache=DiskVerdictCache(path, autosave=False),
         )
         second = BatchVerifier(
             backend="cdcl",
-            executor="process",
             max_workers=2,
             cache=DiskVerdictCache(path, autosave=False),
         )
