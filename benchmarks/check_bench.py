@@ -11,7 +11,8 @@ The gate fails (exit 1) on:
   regression" is noise, not signal;
 * a **throughput drop** — fewer admitted jobs on the queueing or
   lending trace, fewer placed ancillas or a wider final width on any
-  strategy workload, more lazy solver runs, more ROBDD nodes
+  strategy workload, more lazy solver runs, more verifier misses
+  (``solver_runs``) on an online or queueing row, more ROBDD nodes
   (``bdd_nodes``) on a verify backend row, a safe verdict flipping
   unsafe, or sequential/batch verdicts disagreeing.  These are exact
   deterministic counts, so no tolerance applies;
@@ -348,6 +349,13 @@ def compare_alloc(baseline: dict, fresh: dict) -> Comparator:
         fresh_row = fresh_online.get(key)
         if not comp.present(name, fresh_row):
             continue
+        if "solver_runs" in base_row:
+            comp.at_most(
+                f"{name}.solver_runs",
+                base_row["solver_runs"],
+                fresh_row.get("solver_runs"),
+                "verifier misses must not grow",
+            )
         comp.wall(
             f"{name}.wall_seconds",
             base_row.get("wall_seconds"),
@@ -369,6 +377,13 @@ def compare_alloc(baseline: dict, fresh: dict) -> Comparator:
             fresh_row.get("admitted"),
             "admitted jobs must not drop",
         )
+        if "solver_runs" in base_row:
+            comp.at_most(
+                f"{name}.solver_runs",
+                base_row["solver_runs"],
+                fresh_row.get("solver_runs"),
+                "verifier misses must not grow",
+            )
         comp.wall(
             f"{name}.wall_seconds",
             base_row.get("wall_seconds"),

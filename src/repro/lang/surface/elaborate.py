@@ -58,7 +58,8 @@ from repro.lang.surface.parser import (
     ReleaseStmt,
     iter_statements,
 )
-from repro.verify.pipeline import VerificationReport, verify_circuit
+from repro.verify.batch import BatchVerifier, VerificationJob
+from repro.verify.report import VerificationReport
 
 #: A compiled expression: variable bindings in, integer value out.
 _Evaluator = Callable[[Dict[str, int]], int]
@@ -610,32 +611,24 @@ def verify_qbr(
     already elaborated program.  ``borrow@`` registers are skipped, as in
     the paper's benchmarks.  With ``include_clean=True``, every ``alloc``
     register is additionally checked against the weaker clean-qubit
-    contract (|0> in, |0> out — formula (6.1) only) and its verdicts are
-    appended to the report.  With ``trust_checker=True`` the wires the
-    static borrow checker already proved (``proven_wires``) are omitted
-    from the solver run — the obligations the type system discharged are
-    not re-paid.
+    contract (|0> in, |0> out — formula (6.1) only) in the same job, and
+    its verdicts follow the ``borrow`` ones.  With ``trust_checker=True``
+    the wires the static borrow checker already proved
+    (``proven_wires``) are omitted from the solver run — the obligations
+    the type system discharged are not re-paid.
     """
     program = _as_program(source)
     to_check = program.dirty_wires
     if trust_checker and program.proven_wires:
         proven = set(program.proven_wires)
         to_check = [w for w in to_check if w not in proven]
-    report = verify_circuit(
+    job = VerificationJob(
         program.circuit,
         to_check,
-        backend=backend,
-        simplify_xor=simplify_xor,
+        clean_qubits=program.clean_wires if include_clean else (),
     )
-    if include_clean and program.clean_wires:
-        from repro.verify.clean import verify_clean_wires
-
-        clean_report = verify_clean_wires(
-            program.circuit, program.clean_wires, backend=backend
-        )
-        report.verdicts.extend(clean_report.verdicts)
-        report.total_seconds += clean_report.total_seconds
-    return report
+    verifier = BatchVerifier(backend=backend, simplify_xor=simplify_xor)
+    return verifier.verify_circuits([job])[0]
 
 
 def job_from_qbr(

@@ -20,19 +20,23 @@ Checkers, from most semantic to most scalable:
   ROBDDs over the order in which the circuit first touches its wires;
   ``bdd-reversed`` — the reverse of that order);
 * :mod:`repro.verify.batch` — :class:`BatchVerifier`, the throughput
-  engine: one tracking pass and one checker per circuit, per-qubit
-  checks run in the caller's thread (``max_workers=1``, the default)
-  or shipped in per-circuit chunks to a ``ProcessPoolExecutor``
+  engine for both allocation contracts: dirty (``borrow``) wires owe
+  (6.1) and (6.2), clean (``alloc``) wires (6.1) alone, through the
+  same checkers.  Verdicts are memoised by ``(circuit fingerprint,
+  qubit, backend, simplify_xor, clean)``; a circuit is tracked and its
+  checker built once, on its first memo miss that runs in this
+  process.  Checks run in the caller's thread (``max_workers=1``, the
+  default) or ship in per-circuit chunks to a ``ProcessPoolExecutor``
   (``max_workers > 1``, the only path that uses a second core, since
-  every engine is pure Python), verdicts memoised by
-  ``(circuit fingerprint, qubit, backend)``;
+  every engine is pure Python);
 * :mod:`repro.verify.cache` — :class:`DiskVerdictCache`, the opt-in
   JSON persistence of that memo (``cache_path=`` on the verifier), so
   repeated service runs skip solver work across processes;
 * :mod:`repro.verify.report` — per-qubit verdicts and reports with
   simulator-replayed counterexamples;
-* :mod:`repro.verify.pipeline` — :func:`verify_circuit`, the
-  single-circuit shim over the batch engine;
+* :mod:`repro.verify.pipeline` — :func:`verify_circuit` and
+  :func:`verify_clean_wires`, the single-circuit shims over the batch
+  engine for dirty and clean wires;
 * :mod:`repro.verify.booltrace` — the Figure 6.1 construction trace.
 """
 
@@ -64,7 +68,6 @@ from repro.verify.backends import (
 from repro.verify.batch import BatchVerifier, VerificationJob
 from repro.verify.cache import DiskVerdictCache
 from repro.verify.booltrace import formula_trace
-from repro.verify.clean import check_clean_uncomputation, verify_clean_wires
 from repro.verify.demonstrate import (
     ViolationDemo,
     demonstrate,
@@ -77,7 +80,7 @@ from repro.verify.report import (
     QubitVerdict,
     VerificationReport,
 )
-from repro.verify.pipeline import verify_circuit
+from repro.verify.pipeline import verify_circuit, verify_clean_wires
 from repro.verify.program import (
     BorrowVerdict,
     ProgramSafetyReport,
@@ -99,7 +102,6 @@ __all__ = [
     "ViolationDemo",
     "available_backends",
     "borrow_statement_safe",
-    "check_clean_uncomputation",
     "classical_safe_uncomputation",
     "demonstrate",
     "demonstrate_entanglement_violation",

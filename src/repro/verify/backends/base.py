@@ -1,8 +1,10 @@
 """The abstract checker-backend interface.
 
 A backend decides the two Theorem 6.4 obligations for one dirty qubit of
-one tracked circuit.  Concrete backends subclass :class:`CheckerBackend`
-and register themselves under a name with
+one tracked circuit: (6.1) |0>-restoration, then (6.2) |+>-restoration.
+A clean (``alloc``) wire owes only (6.1), so ``check_qubit(q,
+clean=True)`` returns once (6.1) is decided.  Concrete backends
+subclass :class:`CheckerBackend` and register themselves under a name with
 :func:`repro.verify.backends.registry.register_backend`; callers obtain
 instances through :func:`~repro.verify.backends.registry.make_checker`
 or, at scale, through :class:`repro.verify.batch.BatchVerifier`.
@@ -23,7 +25,7 @@ from repro.verify.tracking import TrackedFormulas
 
 @dataclass
 class BooleanCheckOutcome:
-    """Verdict of the Theorem 6.4 check for one dirty qubit."""
+    """Verdict of the Theorem 6.4 check for one wire."""
 
     qubit: int
     safe: bool
@@ -51,5 +53,6 @@ class CheckerBackend(abc.ABC):
         self.tracked = tracked
 
     @abc.abstractmethod
-    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
-        """Decide formulas (6.1)/(6.2) for one dirty qubit."""
+    def check_qubit(self, qubit: int, clean: bool = False) -> BooleanCheckOutcome:
+        """Decide formula (6.1) for one wire and, unless it is
+        ``clean``, formula (6.2) as well."""

@@ -22,14 +22,19 @@ from repro.verify.tracking import TrackedFormulas
 def variable_order(circuit: Circuit) -> List[int]:
     """The circuit's wires in ROBDD variable order, top first.
 
-    Wires are sorted by the index of the first gate that touches them,
-    ties by wire index; wires no gate touches come last.  The order
-    follows the gates rather than the declarations, so wires first used
-    together sit at neighbouring levels (an adder's two registers
-    interleave bit by bit, for instance).
+    Wires are sorted by the index of the first controlled gate that
+    touches them, ties by wire index; wires no controlled gate touches
+    come last.  The order follows the gates rather than the
+    declarations, so wires first used together sit at neighbouring
+    levels (an adder's two registers interleave bit by bit, for
+    instance).  A lone X relates its wire to no other, so it does not
+    rank it: the X gates that load a constant adder's constant would
+    otherwise pull that whole register above the other.
     """
     first_use: Dict[int, int] = {}
     for index, gate in enumerate(circuit.gates):
+        if not gate.controls:
+            continue
         for qubit in gate.qubits:
             first_use.setdefault(qubit, index)
         if len(first_use) == circuit.num_qubits:
@@ -63,7 +68,7 @@ class BddCheckerBackend(CheckerBackend):
                 tracked.formulas[q], self._expr_cache
             )
 
-    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
+    def check_qubit(self, qubit: int, clean: bool = False) -> BooleanCheckOutcome:
         start = time.perf_counter()
         name = self.tracked.names[qubit]
         bdd = self.bdd
@@ -80,8 +85,10 @@ class BddCheckerBackend(CheckerBackend):
                 solve_seconds=time.perf_counter() - start,
                 details={"bdd_nodes": bdd.node_count},
             )
-        # Formula (6.2): each other final formula must be q-independent.
-        for other in range(self.tracked.circuit.num_qubits):
+        # Formula (6.2), owed by dirty wires only: each other final
+        # formula must be q-independent.
+        others = () if clean else range(self.tracked.circuit.num_qubits)
+        for other in others:
             if other == qubit:
                 continue
             f = self.compiled[other]

@@ -29,10 +29,11 @@ class BitsetCheckerBackend(CheckerBackend):
         super().__init__(tracked)
         self.max_vars = max_vars
 
-    def check_qubit(self, qubit: int) -> BooleanCheckOutcome:
+    def check_qubit(self, qubit: int, clean: bool = False) -> BooleanCheckOutcome:
         start = time.perf_counter()
         expr1 = formula_61(self.tracked, qubit)
         result1, model1 = bitset_solve(expr1, max_vars=self.max_vars)
+        assignments = result1.stats.decisions
         if result1.is_sat:
             model1[self.tracked.names[qubit]] = False
             return BooleanCheckOutcome(
@@ -41,26 +42,24 @@ class BitsetCheckerBackend(CheckerBackend):
                 failed_condition="zero-restoration",
                 counterexample=model1,
                 solve_seconds=time.perf_counter() - start,
-                details={"assignments": result1.stats.decisions},
+                details={"assignments": assignments},
             )
-        expr2 = formula_62(self.tracked, qubit)
-        result2, model2 = bitset_solve(expr2, max_vars=self.max_vars)
-        elapsed = time.perf_counter() - start
-        if result2.is_sat:
-            return BooleanCheckOutcome(
-                qubit,
-                safe=False,
-                failed_condition="plus-restoration",
-                counterexample=model2,
-                solve_seconds=elapsed,
-                details={"assignments": result2.stats.decisions},
-            )
+        if not clean:
+            expr2 = formula_62(self.tracked, qubit)
+            result2, model2 = bitset_solve(expr2, max_vars=self.max_vars)
+            if result2.is_sat:
+                return BooleanCheckOutcome(
+                    qubit,
+                    safe=False,
+                    failed_condition="plus-restoration",
+                    counterexample=model2,
+                    solve_seconds=time.perf_counter() - start,
+                    details={"assignments": result2.stats.decisions},
+                )
+            assignments += result2.stats.decisions
         return BooleanCheckOutcome(
             qubit,
             safe=True,
-            solve_seconds=elapsed,
-            details={
-                "assignments": result1.stats.decisions
-                + result2.stats.decisions,
-            },
+            solve_seconds=time.perf_counter() - start,
+            details={"assignments": assignments},
         )

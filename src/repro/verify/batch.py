@@ -3,18 +3,21 @@
 Every caller used to re-track and re-encode each circuit per call;
 :class:`BatchVerifier` is the shared engine behind
 :func:`repro.verify.pipeline.verify_circuit`, the program verifier and
-the multi-programming scheduler.  For a batch of jobs it
+the multi-programming scheduler.  It serves both allocation contracts:
+a job's dirty (``borrow``) wires owe Theorem 6.4's (6.1) and (6.2),
+its clean (``alloc``) wires (6.1) alone.  For a batch of jobs it
 
-* tracks each distinct circuit once (:func:`track_circuit`) and builds
-  one backend checker per (circuit, backend) pair, so Tseitin tables and
-  compiled BDDs are shared across every qubit check on that circuit;
+* memoises verdicts keyed by ``(circuit fingerprint, qubit, backend,
+  simplify_xor, clean)`` so repeated borrows of the same ancilla — the
+  scheduler-time hot path — are cache hits, not solver runs;
+* tracks a circuit (:func:`track_circuit`) and builds its backend
+  checker only when one of its obligations misses the memo and runs in
+  this process, then shares both — Tseitin tables, compiled BDDs —
+  across every later check on that circuit;
 * runs the per-qubit checks in the caller's thread, or, with
   ``max_workers > 1``, ships them in per-circuit chunks to a process
   pool (every engine is pure Python and holds the GIL, so processes
-  are the only way to use a second core);
-* memoises verdicts keyed by ``(circuit fingerprint, qubit, backend)``
-  so repeated borrows of the same ancilla — the scheduler-time hot path
-  — are cache hits, not solver runs.
+  are the only way to use a second core).
 
 The memo cache holds raw :class:`BooleanCheckOutcome` records; verdict
 construction (and counterexample replay) happens per request, so a
@@ -34,18 +37,20 @@ from repro.circuits.circuit import Circuit
 from repro.errors import VerificationError
 from repro.verify.backends import CheckerBackend, backend_class, make_checker
 from repro.verify.backends.base import BooleanCheckOutcome
+from repro.verify.cache import CacheKey, DiskVerdictCache
 from repro.verify.report import (
     VerificationReport,
     outcome_to_verdict,
 )
 from repro.verify.tracking import TrackedFormulas, track_circuit
 
-#: (circuit fingerprint, qubit, backend, simplify_xor) -> outcome.
-VerdictCache = Dict[Tuple[str, int, str, bool], BooleanCheckOutcome]
+#: The verdict memo: (circuit fingerprint, qubit, backend, simplify_xor,
+#: clean) -> outcome.
+VerdictCache = Dict[CacheKey, BooleanCheckOutcome]
 
 #: Per-process checker cache for the process pool.  Workers
-#: receive (circuit, qubit) jobs and rebuild tracking + checker once
-#: per (circuit, backend, simplify_xor); later jobs on the same circuit
+#: receive (circuit, obligations) chunks and rebuild tracking + checker
+#: once per (circuit, backend, simplify_xor); later jobs on the same circuit
 #: — including the incremental SAT backend's long-lived solver — reuse
 #: the warm instance for the lifetime of the worker process.
 _WORKER_CHECKERS: Dict[Tuple[str, str, bool], CheckerBackend] = {}
@@ -53,15 +58,15 @@ _WORKER_CHECKERS: Dict[Tuple[str, str, bool], CheckerBackend] = {}
 
 def _process_check(
     circuit: Circuit,
-    qubits: Sequence[int],
+    obligations: Sequence[Tuple[int, bool]],
     backend: str,
     simplify_xor: bool,
     cache_path: Optional[str] = None,
 ) -> Tuple[List[BooleanCheckOutcome], int]:
-    """Top-level (picklable) worker: check a chunk of qubits in this
-    process.  Chunks are per-circuit so the tracking rebuild — and the
-    incremental SAT backend's shared instance — amortise over every
-    qubit in the chunk.
+    """Top-level (picklable) worker: check a chunk of ``(qubit, clean)``
+    obligations in this process.  Chunks are per-circuit so the tracking
+    rebuild — and the incremental SAT backend's shared instance —
+    amortise over every obligation in the chunk.
 
     When the parent verifier's memo is a
     :class:`~repro.verify.cache.DiskVerdictCache`, ``cache_path``
@@ -71,20 +76,18 @@ def _process_check(
     solves only the remainder, and flushes its fresh verdicts before
     returning (a read-merge-write under the cache's sidecar lock, so
     chunks racing their flushes union rather than clobber).  Returns
-    the outcomes in ``qubits`` order plus how many came from disk.
+    the outcomes in ``obligations`` order plus how many came from disk.
     """
     fingerprint = circuit.fingerprint()
     cache = None
     if cache_path is not None:
-        from repro.verify.cache import DiskVerdictCache
-
         cache = DiskVerdictCache(cache_path, autosave=False)
     checker = None
     outcomes: List[BooleanCheckOutcome] = []
     disk_hits = 0
     solved = False
-    for qubit in qubits:
-        key = (fingerprint, qubit, backend, simplify_xor)
+    for qubit, clean in obligations:
+        key = (fingerprint, qubit, backend, simplify_xor, clean)
         if cache is not None and key in cache:
             outcomes.append(cache[key])
             disk_hits += 1
@@ -96,7 +99,7 @@ def _process_check(
                 tracked = track_circuit(circuit, simplify_xor=simplify_xor)
                 checker = make_checker(tracked, backend)
                 _WORKER_CHECKERS[warm_key] = checker
-        outcome = checker.check_qubit(qubit)
+        outcome = checker.check_qubit(qubit, clean=clean)
         outcomes.append(outcome)
         if cache is not None:
             cache[key] = outcome
@@ -108,18 +111,25 @@ def _process_check(
 
 @dataclass(frozen=True)
 class VerificationJob:
-    """One circuit plus the dirty qubits to check on it.
+    """One circuit plus the wires to check on it.
 
-    ``backend=None`` inherits the verifier's default, so heterogeneous
-    batches (e.g. BDD for adders, SAT for MCX) can ride in one call.
+    ``dirty_qubits`` are ``borrow`` wires, checked against both
+    Theorem 6.4 conditions; ``clean_qubits`` are ``alloc`` wires, which
+    start in ``|0>`` and owe only the |0>-restoration condition (6.1).
+    The job's report lists the dirty verdicts first, then the clean
+    ones.  ``backend=None`` inherits the verifier's default, so
+    heterogeneous batches (e.g. BDD for adders, SAT for MCX) can ride in
+    one call.
     """
 
     circuit: Circuit
     dirty_qubits: Tuple[int, ...]
     backend: Optional[str] = None
+    clean_qubits: Tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "dirty_qubits", tuple(self.dirty_qubits))
+        object.__setattr__(self, "clean_qubits", tuple(self.clean_qubits))
 
 
 JobLike = Union[VerificationJob, Tuple[Circuit, Sequence[int]]]
@@ -192,8 +202,6 @@ class BatchVerifier:
                 "pass either cache or cache_path, not both"
             )
         if cache_path is not None:
-            from repro.verify.cache import DiskVerdictCache
-
             cache = DiskVerdictCache(cache_path)
         self.backend = backend
         self.max_workers = max_workers
@@ -265,56 +273,51 @@ class BatchVerifier:
         Because work is shared and may overlap across jobs, per-job wall
         time is not well-defined: each report's ``total_seconds`` is the
         elapsed time of the *whole* call (do not sum it over a batch);
-        per-qubit ``solve_seconds`` carries the attribution.
+        per-qubit ``solve_seconds`` carries the attribution.  A report's
+        ``track_seconds`` and ``build_seconds`` stay 0 until one of its
+        circuit's obligations has run in this process.
         """
         started = time.perf_counter()
-        batch = [_as_job(job) for job in jobs]
-        for job in batch:
-            for qubit in job.dirty_qubits:
+        plan: List[Tuple[VerificationJob, str, str, List[Tuple[int, bool]]]] = []
+        for job in map(_as_job, jobs):
+            obligations = [(q, False) for q in job.dirty_qubits] + [
+                (q, True) for q in job.clean_qubits
+            ]
+            for qubit, clean in obligations:
                 if not 0 <= qubit < job.circuit.num_qubits:
+                    kind = "clean" if clean else "dirty"
                     raise VerificationError(
-                        f"dirty qubit {qubit} outside the register"
+                        f"{kind} qubit {qubit} outside the register"
                     )
-
-        # Shared per-circuit structures: one tracking pass, one checker.
-        plan: List[Tuple[VerificationJob, str, str]] = []
-        for job in batch:
             backend = job.backend or self.backend
-            fingerprint = job.circuit.fingerprint()
-            self._ensure_checker(job.circuit, fingerprint, backend)
-            plan.append((job, fingerprint, backend))
+            plan.append((job, job.circuit.fingerprint(), backend, obligations))
 
         # Deduplicate against the memo cache and within the batch.
-        pending: Dict[
-            Tuple[str, int, str, bool], Tuple[CheckerBackend, int, Circuit]
-        ] = {}
+        pending: Dict[CacheKey, Circuit] = {}
         hits: Dict[int, int] = {}
         misses: Dict[int, int] = {}
-        for index, (job, fingerprint, backend) in enumerate(plan):
-            for qubit in job.dirty_qubits:
-                key = (fingerprint, qubit, backend, self.simplify_xor)
-                if key in self.cache:
-                    hits[index] = hits.get(index, 0) + 1
-                elif key in pending:
+        for index, (job, fingerprint, backend, obligations) in enumerate(plan):
+            for qubit, clean in obligations:
+                key = (fingerprint, qubit, backend, self.simplify_xor, clean)
+                if key in self.cache or key in pending:
                     hits[index] = hits.get(index, 0) + 1
                 else:
-                    checker = self._checkers[(fingerprint, backend)]
-                    pending[key] = (checker, qubit, job.circuit)
+                    pending[key] = job.circuit
                     misses[index] = misses.get(index, 0) + 1
         self._execute(pending)
 
         # Assemble per-job reports (replay happens here, in this process).
         reports: List[VerificationReport] = []
-        for index, (job, fingerprint, backend) in enumerate(plan):
-            tracked = self._tracked[fingerprint]
+        for index, (job, fingerprint, backend, obligations) in enumerate(plan):
             verdicts = [
                 outcome_to_verdict(
                     job.circuit,
-                    tracked.names,
-                    self.cache[(fingerprint, qubit, backend, self.simplify_xor)],
+                    self.cache[
+                        (fingerprint, qubit, backend, self.simplify_xor, clean)
+                    ],
                     self.replay,
                 )
-                for qubit in job.dirty_qubits
+                for qubit, clean in obligations
             ]
             reports.append(
                 VerificationReport(
@@ -322,8 +325,10 @@ class BatchVerifier:
                     num_qubits=job.circuit.num_qubits,
                     num_gates=len(job.circuit.gates),
                     verdicts=verdicts,
-                    track_seconds=self._track_seconds[fingerprint],
-                    build_seconds=self._build_seconds[(fingerprint, backend)],
+                    track_seconds=self._track_seconds.get(fingerprint, 0.0),
+                    build_seconds=self._build_seconds.get(
+                        (fingerprint, backend), 0.0
+                    ),
                     total_seconds=time.perf_counter() - started,
                     cache_hits=hits.get(index, 0),
                     cache_misses=misses.get(index, 0),
@@ -362,29 +367,22 @@ class BatchVerifier:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
-    def _execute_process(
-        self,
-        pending: Dict[
-            Tuple[str, int, str, bool], Tuple[CheckerBackend, int, Circuit]
-        ],
-    ) -> None:
+    def _execute_process(self, pending: Dict[CacheKey, Circuit]) -> None:
         """Fan pending checks out over the process pool.
 
         Work ships as per-circuit chunks, not per-qubit tasks: each
         chunk pays one tracking rebuild in its worker and then runs all
-        its qubits against the worker's warm checker.  When the batch
-        holds fewer circuits than workers, each circuit's qubit list is
-        split so every worker still gets work.
+        its obligations against the worker's warm checker.  When the
+        batch holds fewer circuits than workers, each circuit's
+        obligation list is split so every worker still gets work.
         """
-        groups: Dict[
-            Tuple[str, str, bool], Tuple[Circuit, List[Tuple[tuple, int]]]
-        ] = {}
-        for key, (_, qubit, circuit) in pending.items():
-            fingerprint, _, backend, simplify_xor = key
+        groups: Dict[Tuple[str, str, bool], Tuple[Circuit, List[CacheKey]]] = {}
+        for key, circuit in pending.items():
+            fingerprint, _, backend, simplify_xor, _ = key
             group = groups.setdefault(
                 (fingerprint, backend, simplify_xor), (circuit, [])
             )
-            group[1].append((key, qubit))
+            group[1].append(key)
         # Oversubscribe chunks 2x so heterogeneous circuits load-balance
         # (the largest circuit otherwise pins the makespan); tracking
         # rebuilds cost milliseconds, so extra chunks are cheap.
@@ -403,7 +401,7 @@ class BatchVerifier:
                         pool.submit(
                             _process_check,
                             circuit,
-                            [qubit for _, qubit in chunk],
+                            [(qubit, clean) for _, qubit, _, _, clean in chunk],
                             backend,
                             simplify_xor,
                             cache_path,
@@ -413,15 +411,10 @@ class BatchVerifier:
         for chunk, future in futures:
             outcomes, disk_hits = future.result()
             self.worker_disk_hits += disk_hits
-            for (key, _), outcome in zip(chunk, outcomes):
+            for key, outcome in zip(chunk, outcomes):
                 self.cache[key] = outcome
 
-    def _execute(
-        self,
-        pending: Dict[
-            Tuple[str, int, str, bool], Tuple[CheckerBackend, int, Circuit]
-        ],
-    ) -> None:
+    def _execute(self, pending: Dict[CacheKey, Circuit]) -> None:
         if not pending:
             return
         # A persistent cache flushes once per batch, not per verdict
@@ -432,5 +425,7 @@ class BatchVerifier:
             if self.max_workers > 1 and len(pending) > 1:
                 self._execute_process(pending)
                 return
-            for key, (checker, qubit, _) in pending.items():
-                self.cache[key] = checker.check_qubit(qubit)
+            for key, circuit in pending.items():
+                fingerprint, qubit, backend, _, clean = key
+                checker = self._ensure_checker(circuit, fingerprint, backend)
+                self.cache[key] = checker.check_qubit(qubit, clean=clean)

@@ -1,7 +1,8 @@
 """Disk-persistent verdict cache for the batch verification engine.
 
 :class:`BatchVerifier` memoises verdicts in-process, keyed by
-``(circuit fingerprint, qubit, backend, simplify_xor)``.  This module
+``(circuit fingerprint, qubit, backend, simplify_xor, clean)``, where
+``clean`` marks an ``alloc`` wire's (6.1)-only verdict.  This module
 makes that memo survive the process: :class:`DiskVerdictCache` is a
 mutable mapping with the same keys, backed by one JSON file, that the
 verifier accepts through its ``cache=`` (or the convenience
@@ -25,8 +26,9 @@ Design points:
 * **corruption-tolerant** — an unreadable or malformed file is treated
   as empty (recorded in :attr:`DiskVerdictCache.load_error`) and
   overwritten on the next store, so a bad cache can never fail a run;
-* **versioned** — payloads carry a schema tag; a future format bump
-  invalidates old files instead of misreading them.
+* **versioned** — payloads carry a schema tag (``verdict-cache/v2``
+  since the key gained ``clean``); a format bump invalidates old files
+  instead of misreading them.
 """
 
 from __future__ import annotations
@@ -44,20 +46,27 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.verify.backends.base import BooleanCheckOutcome
 
-#: The verifier's memo key: (fingerprint, qubit, backend, simplify_xor).
-CacheKey = Tuple[str, int, str, bool]
+#: The verifier's memo key:
+#: (fingerprint, qubit, backend, simplify_xor, clean).
+CacheKey = Tuple[str, int, str, bool, bool]
 
-_SCHEMA = "verdict-cache/v1"
+_SCHEMA = "verdict-cache/v2"
 
 
 def _encode_key(key: CacheKey) -> str:
-    fingerprint, qubit, backend, simplify_xor = key
-    return f"{fingerprint}:{qubit}:{backend}:{int(simplify_xor)}"
+    fingerprint, qubit, backend, simplify_xor, clean = key
+    return f"{fingerprint}:{qubit}:{backend}:{int(simplify_xor)}:{int(clean)}"
 
 
 def _decode_key(text: str) -> CacheKey:
-    fingerprint, qubit, backend, simplify_xor = text.split(":")
-    return fingerprint, int(qubit), backend, bool(int(simplify_xor))
+    fingerprint, qubit, backend, simplify_xor, clean = text.split(":")
+    return (
+        fingerprint,
+        int(qubit),
+        backend,
+        bool(int(simplify_xor)),
+        bool(int(clean)),
+    )
 
 
 def _encode_outcome(outcome: BooleanCheckOutcome) -> dict:

@@ -1,13 +1,15 @@
-"""End-to-end verification of dirty qubits in classical circuits.
+"""End-to-end verification of borrowed and allocated wires in classical
+circuits.
 
 :func:`verify_circuit` is the single-circuit entry point of the Section
 6 pipeline — formula tracking, the Theorem 6.4 reduction, a registered
 backend — returning a structured report with replayable
-counterexamples.  It is a thin shim over
-:class:`repro.verify.batch.BatchVerifier` (a batch of one, in the
-caller's thread); callers with many circuits or qubits should use the
-batch engine directly for shared tracking, process-pool fan-out and
-verdict memoisation.
+counterexamples.  :func:`verify_clean_wires` is its counterpart for
+``alloc`` wires, which owe only formula (6.1).  Both are thin shims over
+:class:`repro.verify.batch.BatchVerifier` (a batch of one job, in the
+caller's thread); callers with many circuits or qubits, or with both
+kinds of wire on one circuit, should use the batch engine directly for
+shared tracking, process-pool fan-out and verdict memoisation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.verify.batch import BatchVerifier
+from repro.verify.batch import BatchVerifier, VerificationJob
 from repro.verify.report import Counterexample, QubitVerdict, VerificationReport
 
 
@@ -50,9 +52,26 @@ def verify_circuit(
     return verifier.verify_circuit(circuit, dirty_qubits)
 
 
+def verify_clean_wires(
+    circuit: Circuit,
+    clean_wires: Sequence[int],
+    backend: str = "cdcl",
+) -> VerificationReport:
+    """Check that every ``alloc`` wire returns to ``|0>`` when it starts
+    there.
+
+    A clean ancilla owes only formula (6.1), half of the Theorem 6.4
+    check: it may influence other wires while in use, so the Figure 1.4
+    circuit passes this check and fails the dirty one.
+    """
+    job = VerificationJob(circuit, (), clean_qubits=clean_wires)
+    return BatchVerifier(backend=backend).verify_circuits([job])[0]
+
+
 __all__ = [
     "Counterexample",
     "QubitVerdict",
     "VerificationReport",
     "verify_circuit",
+    "verify_clean_wires",
 ]

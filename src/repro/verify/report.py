@@ -19,10 +19,10 @@ from repro.verify.backends.base import BooleanCheckOutcome
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A violating initial basis state for an unsafe dirty qubit.
+    """A violating initial basis state for an unsafe wire.
 
     ``input_bits`` lists the initial state per wire.  For a
-    ``zero-restoration`` violation the dirty qubit starts at 0 and ends
+    ``zero-restoration`` violation the wire starts at 0 and ends
     at 1; for ``plus-restoration`` some other qubit's output depends on
     the dirty qubit's initial value (flip it and re-run to observe).
     """
@@ -38,7 +38,7 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class QubitVerdict:
-    """Per-dirty-qubit outcome."""
+    """Per-wire outcome."""
 
     qubit: int
     name: str
@@ -109,20 +109,21 @@ class VerificationReport:
 
 
 def outcome_to_verdict(
-    circuit: Circuit,
-    names: Dict[int, str],
-    outcome: BooleanCheckOutcome,
-    replay: bool,
+    circuit: Circuit, outcome: BooleanCheckOutcome, replay: bool
 ) -> QubitVerdict:
-    """Turn a backend outcome into a verdict, replaying counterexamples."""
-    name = names[outcome.qubit]
+    """Turn a backend outcome into a verdict, replaying counterexamples.
+
+    Wires are named by :meth:`Circuit.label_of`, the names tracking
+    gives the formula variables.
+    """
+    name = circuit.label_of(outcome.qubit)
     if outcome.safe:
         return QubitVerdict(
             outcome.qubit, name, True, solve_seconds=outcome.solve_seconds
         )
     assignment = dict(outcome.counterexample or {})
     input_bits = [
-        1 if assignment.get(names[q], False) else 0
+        1 if assignment.get(circuit.label_of(q), False) else 0
         for q in range(circuit.num_qubits)
     ]
     if outcome.failed_condition == "zero-restoration":

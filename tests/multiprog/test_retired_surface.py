@@ -1,9 +1,10 @@
 """The scheduler and verifier surface that no workload or benchmark row
 used is gone: whole-residency lending, the restore-check and model-memo
 knobs, the per-admission packer, the stream's lookahead/packer/capacity
-arguments, the ``FleetService`` burst buffer, and the verifier's thread
-pool with its ``executor=`` and scheduler ``max_workers=`` knobs.  Each
-now fails loudly instead of being silently accepted."""
+arguments, the ``FleetService`` burst buffer, the verifier's thread
+pool with its ``executor=`` and scheduler ``max_workers=`` knobs, and
+the clean-wire checker's own backend dispatch (``repro.verify.clean``).
+Each now fails loudly instead of being silently accepted."""
 
 import importlib
 import threading
@@ -68,6 +69,14 @@ def test_retired_call_options_raise():
 def test_service_module_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module("repro.multiprog.service")
+
+
+def test_clean_dispatch_is_gone():
+    # Clean wires are checked through BatchVerifier (verify_clean_wires).
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.verify.clean")
+    with pytest.raises(ImportError):
+        from repro.verify import check_clean_uncomputation  # noqa: F401
 
 
 def test_default_verifiers_start_no_thread(monkeypatch):

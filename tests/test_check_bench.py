@@ -73,6 +73,8 @@ def alloc_record(
     segmented_admitted=45,
     wall=1.0,
     lazy_runs=0,
+    online_runs=6,
+    queueing_runs=59,
     stream_speedup=50.0,
     models_agree=True,
     inf_width_match=True,
@@ -99,6 +101,8 @@ def alloc_record(
     record = _alloc_record_base(
         width, placed, admitted, windowed_admitted, segmented_admitted, wall, lazy_runs
     )
+    record["online"][0]["solver_runs"] = online_runs
+    record["queueing"]["rows"][0]["solver_runs"] = queueing_runs
     if frontend:
         record["streaming_frontend"] = {
             "workloads": [
@@ -466,6 +470,21 @@ class TestCompareAlloc:
     def test_lazy_solver_run_growth_fails(self):
         comp = compare_alloc(alloc_record(), alloc_record(lazy_runs=3))
         assert "alloc.lazy_vs_eager.lazy_solver_runs" in regressed(comp)
+
+    def test_online_solver_run_growth_fails(self):
+        comp = compare_alloc(alloc_record(), alloc_record(online_runs=7))
+        assert regressed(comp) == ["alloc.online[greedy].solver_runs"]
+
+    def test_queueing_solver_run_growth_fails(self):
+        comp = compare_alloc(alloc_record(), alloc_record(queueing_runs=60))
+        assert regressed(comp) == ["alloc.queueing[fifo].solver_runs"]
+
+    def test_baseline_without_solver_runs_is_not_gated(self):
+        base = alloc_record()
+        del base["online"][0]["solver_runs"]
+        del base["queueing"]["rows"][0]["solver_runs"]
+        comp = compare_alloc(base, alloc_record(online_runs=7, queueing_runs=60))
+        assert not comp.regressions
 
     def test_missing_lending_section_in_baseline_is_fine(self):
         """New sections may appear in fresh records before the baseline

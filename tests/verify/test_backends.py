@@ -1,21 +1,41 @@
 """Tests for the pluggable backend registry (repro.verify.backends)."""
 
 import importlib
+import itertools
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.adders.cuccaro import cuccaro_add_registers
-from repro.adders.takahashi import takahashi_add_registers
+from repro.adders.cuccaro import cuccaro_add_registers, cuccaro_constant_adder
+from repro.adders.takahashi import (
+    takahashi_add_registers,
+    takahashi_constant_adder,
+)
 from repro.alloc import VerifiedStrategy
-from repro.circuits import Circuit, cnot, mcx, solver_restore_checker, toffoli
+from repro.circuits import (
+    Circuit,
+    apply_to_bits,
+    cnot,
+    mcx,
+    solver_restore_checker,
+    toffoli,
+    x,
+)
 from repro.errors import SolverError
 from repro.lang import unitary
 from repro.lang.surface import verify_qbr
 from repro.multiprog import FleetRouter, MultiProgrammer
-from repro.verify import BatchVerifier, make_checker, track_circuit, verify_circuit
+from repro.verify import (
+    BatchVerifier,
+    VerificationJob,
+    make_checker,
+    track_circuit,
+    verify_circuit,
+    verify_clean_wires,
+)
 from repro.verify.backends import (
     BooleanCheckOutcome,
     CheckerBackend,
@@ -118,7 +138,7 @@ class TestRegistry:
     def test_register_custom_backend_and_clean_up(self):
         @register_backend("always-safe")
         class AlwaysSafe(CheckerBackend):
-            def check_qubit(self, qubit):
+            def check_qubit(self, qubit, clean=False):
                 return BooleanCheckOutcome(qubit, safe=True)
 
         try:
@@ -126,6 +146,11 @@ class TestRegistry:
             tracked = track_circuit(random_circuit(3))
             outcome = make_checker(tracked, "always-safe").check_qubit(0)
             assert outcome.safe
+            # Clean wires ride the same registry: any backend serves them.
+            report = verify_clean_wires(
+                random_circuit(3), [0], backend="always-safe"
+            )
+            assert [(v.qubit, v.safe) for v in report.verdicts] == [(0, True)]
         finally:
             _REGISTRY.pop("always-safe")
 
@@ -154,6 +179,13 @@ class TestBddVariableOrder:
                 [1, 3, 0, 2, 5, 4],
             ),
             (Circuit(3), [0, 1, 2]),
+            # A lone X relates its wire to no other, so it ranks nothing:
+            # wire 3 ranks by the CNOT of gate 2, and wire 1 is untouched
+            # by any controlled gate.
+            (
+                Circuit(4).extend([x(3), x(1), cnot(2, 0), cnot(0, 3)]),
+                [0, 2, 3, 1],
+            ),
         ],
     )
     def test_first_use_order(self, circuit, expected):
@@ -172,7 +204,15 @@ class TestBddVariableOrder:
         ]
 
     @pytest.mark.parametrize(
-        "adder", [cuccaro_add_registers, takahashi_add_registers]
+        "adder",
+        [
+            cuccaro_add_registers,
+            takahashi_add_registers,
+            # Fig 1.1's clean-ancilla adders load their constant with
+            # leading X gates, which must not split the registers.
+            partial(cuccaro_constant_adder, constant=0x55555555),
+            partial(takahashi_constant_adder, constant=0x55555555),
+        ],
     )
     def test_register_adders_compile_small(self, adder):
         # Under declaration order (all of a, then all of b) these adders
@@ -202,3 +242,30 @@ class TestDifferential:
                     checker.name,
                     qubit,
                 )
+
+    @staticmethod
+    def clean_by_truth_table(circuit, wire):
+        """(6.1) by enumeration: every input with ``wire`` at 0 leaves
+        it at 0."""
+        for bits in itertools.product((0, 1), repeat=circuit.num_qubits):
+            if bits[wire] == 0 and apply_to_bits(circuit, list(bits))[wire]:
+                return False
+        return True
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_clean_verdicts_match_truth_table(self, max_workers):
+        circuits = [random_circuit(seed + 1000) for seed in range(6)]
+        expected = [
+            [self.clean_by_truth_table(c, w) for w in range(c.num_qubits)]
+            for c in circuits
+        ]
+        flat = [safe for row in expected for safe in row]
+        assert any(flat) and not all(flat)  # both verdicts are exercised
+        with BatchVerifier(max_workers=max_workers, replay=True) as verifier:
+            for name in available_backends():
+                reports = verifier.verify_circuits(
+                    VerificationJob(c, (), name, clean_qubits=range(c.num_qubits))
+                    for c in circuits
+                )
+                verdicts = [[v.safe for v in r.verdicts] for r in reports]
+                assert verdicts == expected, name

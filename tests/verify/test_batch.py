@@ -5,7 +5,7 @@ import pytest
 from repro.circuits import Circuit, cnot, x
 from repro.errors import VerificationError
 from repro.lang.surface import elaborate
-from repro.lang.surface.sources import adder_qbr_source
+from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
 from repro.verify import (
     BatchVerifier,
     VerificationJob,
@@ -54,6 +54,18 @@ class TestParallelMatchesSequential:
         assert verdict_tuples(parallel) == verdict_tuples(sequential)
         assert not parallel.all_safe
 
+    def test_pooled_batch_builds_no_checker_in_the_parent(self):
+        programs = [elaborate(mcx_qbr_source(m)) for m in (8, 10)]
+        with BatchVerifier(backend="bdd", max_workers=2) as verifier:
+            reports = verifier.verify_circuits(
+                [(p.circuit, p.dirty_wires) for p in programs]
+            )
+        assert all(r.cache_misses > 0 for r in reports)
+        assert [(r.track_seconds, r.build_seconds) for r in reports] == [
+            (0, 0),
+            (0, 0),
+        ]
+
 
 class TestMemoisation:
     def test_repeat_circuit_is_all_cache_hits(self):
@@ -65,6 +77,17 @@ class TestMemoisation:
         assert again.cache_hits == 1 and again.cache_misses == 0
         assert verdict_tuples(first) == verdict_tuples(again)
         assert verifier.cache_hits == 1 and verifier.cache_misses == 1
+
+    def test_warm_disk_cache_skips_tracking_and_build(self, tmp_path):
+        path = str(tmp_path / "verdicts.json")
+        BatchVerifier(backend="bdd", cache_path=path).verify_circuit(
+            fig13_circuit(), [2]
+        )
+        report = BatchVerifier(backend="bdd", cache_path=path).verify_circuit(
+            fig13_circuit(), [2]
+        )
+        assert report.cache_misses == 0
+        assert report.track_seconds == report.build_seconds == 0
 
     def test_equal_circuits_share_verdicts_across_objects(self):
         verifier = BatchVerifier(backend="cdcl")

@@ -5,12 +5,12 @@ import pytest
 from repro.circuits import Circuit, cnot, toffoli, x
 from repro.errors import SolverError, VerificationError
 from repro.verify import (
+    BatchVerifier,
+    VerificationJob,
     available_backends,
-    check_clean_uncomputation,
-    track_circuit,
     verify_clean_wires,
 )
-from repro.lang.surface import verify_qbr
+from repro.lang.surface import elaborate, verify_qbr
 
 BACKENDS = available_backends()
 
@@ -21,16 +21,16 @@ class TestCheckClean:
         circuit = Circuit(3).extend(
             [toffoli(0, 1, 2), toffoli(0, 1, 2)]
         )
-        tracked = track_circuit(circuit)
-        clean, model = check_clean_uncomputation(tracked, 2, backend)
-        assert clean and model is None
+        verdict = verify_clean_wires(circuit, [2], backend).verdicts[0]
+        assert verdict.safe and verdict.counterexample is None
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_leftover_scratch_detected(self, backend):
         circuit = Circuit(3).append(toffoli(0, 1, 2))
-        tracked = track_circuit(circuit)
-        clean, model = check_clean_uncomputation(tracked, 2, backend)
-        assert not clean
+        verdict = verify_clean_wires(circuit, [2], backend).verdicts[0]
+        assert not verdict.safe
+        assert verdict.failed_condition == "zero-restoration"
+        model = verdict.counterexample.assignment
         assert model.get("q0") and model.get("q1")
 
     def test_clean_is_weaker_than_dirty(self):
@@ -47,15 +47,12 @@ class TestCheckClean:
                 2,
             ),
         ]:
-            tracked = track_circuit(circuit)
-            clean, _ = check_clean_uncomputation(tracked, wire, "bdd")
-            assert clean
+            assert verify_clean_wires(circuit, [wire], "bdd").all_safe
             assert not classical_safe_uncomputation(circuit, wire).safe
 
     def test_unknown_backend(self):
-        tracked = track_circuit(Circuit(1).append(x(0)))
         with pytest.raises(SolverError):
-            check_clean_uncomputation(tracked, 0, "z3")
+            verify_clean_wires(Circuit(1).append(x(0)), [0], "z3")
 
 
 class TestVerifyCleanWires:
@@ -113,3 +110,20 @@ class TestQbrIntegration:
         source = "borrow@ w; alloc c; CNOT[w, c];"
         report = verify_qbr(source, backend="cdcl", include_clean=True)
         assert not report.verdict_for("c").safe
+
+    def test_clean_wires_share_the_dirty_job(self):
+        # One job: both wires are memo misses of the same report.
+        report = verify_qbr(self.SOURCE, backend="bdd", include_clean=True)
+        assert report.cache_misses == 2 and report.cache_hits == 0
+
+    def test_repeated_clean_job_is_all_hits(self):
+        program = elaborate(self.SOURCE)
+        job = VerificationJob(
+            program.circuit, (), clean_qubits=program.clean_wires
+        )
+        verifier = BatchVerifier(backend="cdcl")
+        (first,) = verifier.verify_circuits([job])
+        (again,) = verifier.verify_circuits([job])
+        assert (first.cache_misses, first.cache_hits) == (1, 0)
+        assert (again.cache_misses, again.cache_hits) == (0, 1)
+        assert again.verdicts == first.verdicts

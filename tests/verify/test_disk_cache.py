@@ -85,11 +85,23 @@ class TestCorruption:
         assert len(cache) == 0
         assert "schema" in cache.load_error
 
+    def test_v1_file_discarded(self, tmp_path):
+        # v1 keys lack the clean flag, so a v1 verdict could answer a
+        # clean wire's (6.1)-only question with a dirty verdict or back.
+        path = tmp_path / "verdicts.json"
+        verdicts = {"fp:0:bdd:1": {"qubit": 0, "safe": True}}
+        path.write_text(
+            json.dumps({"schema": "verdict-cache/v1", "verdicts": verdicts})
+        )
+        cache = DiskVerdictCache(str(path))
+        assert len(cache) == 0
+        assert "schema" in cache.load_error
+
     def test_malformed_payload_discarded(self, tmp_path):
         path = tmp_path / "verdicts.json"
         path.write_text(
             json.dumps(
-                {"schema": "verdict-cache/v1", "verdicts": {"bad-key": {}}}
+                {"schema": "verdict-cache/v2", "verdicts": {"bad-key": {}}}
             )
         )
         cache = DiskVerdictCache(str(path))
@@ -108,7 +120,7 @@ class TestMappingContract:
 
         path = str(tmp_path / "verdicts.json")
         cache = DiskVerdictCache(path)
-        key = ("fp", 3, "bdd", True)
+        key = ("fp", 3, "bdd", True, False)
         cache[key] = BooleanCheckOutcome(qubit=3, safe=True)
         assert key in cache
         assert len(cache) == 1
@@ -124,7 +136,9 @@ class TestMappingContract:
 
         path = str(tmp_path / "verdicts.json")
         cache = DiskVerdictCache(path)
-        cache[("fp", 0, "bdd", True)] = BooleanCheckOutcome(qubit=0, safe=True)
+        cache[("fp", 0, "bdd", True, False)] = BooleanCheckOutcome(
+            qubit=0, safe=True
+        )
         cache.clear()
         assert len(DiskVerdictCache(path)) == 0
 
@@ -149,7 +163,9 @@ class TestMappingContract:
 
         path = str(tmp_path / "verdicts.json")
         cache = DiskVerdictCache(path, autosave=False)
-        cache[("fp", 0, "bdd", True)] = BooleanCheckOutcome(qubit=0, safe=True)
+        cache[("fp", 0, "bdd", True, False)] = BooleanCheckOutcome(
+            qubit=0, safe=True
+        )
         assert len(DiskVerdictCache(path)) == 0
         cache.flush()
         assert len(DiskVerdictCache(path)) == 1
@@ -166,24 +182,24 @@ class TestConcurrentWriters:
         path = str(tmp_path / "verdicts.json")
         first = DiskVerdictCache(path)
         second = DiskVerdictCache(path)  # opened before first stores
-        first[("fp1", 0, "bdd", True)] = BooleanCheckOutcome(
+        first[("fp1", 0, "bdd", True, False)] = BooleanCheckOutcome(
             qubit=0, safe=True
         )
-        second[("fp2", 0, "bdd", True)] = BooleanCheckOutcome(
+        second[("fp2", 0, "bdd", True, False)] = BooleanCheckOutcome(
             qubit=0, safe=False
         )
         final = DiskVerdictCache(path)
         assert final.load_error is None
         assert len(final) == 2  # the classic lost update
-        assert final[("fp1", 0, "bdd", True)].safe is True
-        assert final[("fp2", 0, "bdd", True)].safe is False
+        assert final[("fp1", 0, "bdd", True, False)].safe is True
+        assert final[("fp2", 0, "bdd", True, False)].safe is False
 
     def test_deleted_key_not_resurrected_by_merge(self, tmp_path):
         from repro.verify.backends.base import BooleanCheckOutcome
 
         path = str(tmp_path / "verdicts.json")
         cache = DiskVerdictCache(path)
-        key = ("fp", 0, "bdd", True)
+        key = ("fp", 0, "bdd", True, False)
         cache[key] = BooleanCheckOutcome(qubit=0, safe=True)
         del cache[key]  # the merge pass must honour the tombstone
         assert len(DiskVerdictCache(path)) == 0
@@ -194,7 +210,7 @@ class TestConcurrentWriters:
         path = str(tmp_path / "verdicts.json")
         first = DiskVerdictCache(path)
         second = DiskVerdictCache(path)
-        second[("fp2", 0, "bdd", True)] = BooleanCheckOutcome(
+        second[("fp2", 0, "bdd", True, False)] = BooleanCheckOutcome(
             qubit=0, safe=True
         )
         first.clear()  # a wipe is a wipe, not a merge
@@ -231,7 +247,7 @@ class TestConcurrentWriters:
         def hammer(index):
             cache = caches[index]
             for step in range(10):
-                key = (f"fp{index}", step, "bdd", True)
+                key = (f"fp{index}", step, "bdd", True, False)
                 cache[key] = BooleanCheckOutcome(qubit=step, safe=True)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
