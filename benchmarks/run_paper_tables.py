@@ -766,14 +766,12 @@ def _fleet_row(label: str, shards: list, placement: str) -> dict:
         "jobs": FLEET_TRACE_JOBS,
         "admitted": stats["admitted"],
         "admitted_from_queue": stats["admitted_from_queue"],
-        "migrations": stats["migrations"],
         "rejected": stats["rejected"],
         "wall_seconds": round(wall, 4),
     }
     print(
         f"  fleet      {label:<22} admitted={stats['admitted']:<3} "
-        f"(queue {stats['admitted_from_queue']}, "
-        f"migrations {stats['migrations']}) wall={wall:>8.4f}s"
+        f"(queue {stats['admitted_from_queue']}) wall={wall:>8.4f}s"
     )
     return row
 

@@ -80,13 +80,12 @@ Module tour
     tier) behind one ``submit()``/``release()`` front door.  A
     registered :class:`PlacementPolicy` (``least-loaded`` /
     ``best-fit-width`` / ``family-affinity`` by circuit-fingerprint
-    prefix) ranks the shards per job; jobs that cannot run now queue
-    on their best shard, *migrate* to whichever shard frees capacity
-    first, or wait in a fleet-level overflow queue.  Wall-clock
-    ``deadline_s`` expiry (injectable monotonic clock, evaluated
-    lazily per event) layers over the authoritative logical clocks;
-    ``fleet_stats()`` / ``shard_tables()`` mirror the single-machine
-    introspection at fleet scale.
+    prefix) ranks the shards per job.  Shards hold residents only: a
+    job no shard admits waits in the fleet's one queue, which drains
+    earliest deadline first against each shard whose state changes,
+    with timeouts counted in fleet events.  ``fleet_stats()`` /
+    ``shard_tables()`` mirror the single-machine introspection at
+    fleet scale.
 
 Safety is non-negotiable throughout: a job's dirty ancilla may borrow
 an idle qubit *from another job* only when it is verified safely
@@ -100,7 +99,6 @@ after every event.
 
 from repro.multiprog.fleet import (
     FleetRouter,
-    FleetStats,
     FleetSubmitOutcome,
     PlacementPolicy,
     ShardSpec,
@@ -152,7 +150,6 @@ __all__ = [
     "FifoPolicy",
     "FirstFitPacker",
     "FleetRouter",
-    "FleetStats",
     "FleetSubmitOutcome",
     "Lease",
     "LeasePacker",

@@ -5,13 +5,17 @@ result — multi-programming raises utilisation — compounds at the next
 level up: a *fleet* of machines behind one front door, where placement
 (which shard hosts which job) matters as much as packing within a
 shard.  :class:`FleetRouter` owns N shards (heterogeneous
-``machine_size``, per-shard ``lending``/``lease_packer``/
-``queue_policy`` knobs via :class:`ShardSpec`), routes every
-``submit()`` through a pluggable :class:`PlacementPolicy`, and keeps
-queued work fluid: on every event each shard's own backfill drain runs,
-then jobs still queued on one shard are *migrated* to any other shard
-that can admit them right now, then the fleet-level overflow queue —
-jobs no shard could even hold in its local queue — gets a drain pass.
+``machine_size``, per-shard ``strategy``/``lending``/``lease_packer``
+knobs via :class:`ShardSpec`) and routes every ``submit()`` through a
+pluggable :class:`PlacementPolicy`.
+
+Shards hold residents only.  A job no shard admits on arrival waits in
+the fleet's one queue, and every event that changes a shard — an
+admission or a release — drains that queue against that shard alone,
+earliest deadline first.  No other shard needs a retry: a shard
+changes state only through its own admissions and releases, so each
+waiting job has already failed against every other shard's current
+state.
 
 Placement policies are registered with the same decorator-registry
 shape as the allocation strategies, verification backends, queue
@@ -27,38 +31,23 @@ policies and lease packers:
   least-loaded: keeps a family's memoised conflict models and solver
   verdicts hot on one shard.
 
-Two clocks coexist.  The *logical* clocks (one per shard, plus a fleet
-event counter) stay authoritative: timeouts passed to ``submit()`` are
-logical, so seeded traces replay identically.  *Wall-clock* deadlines
-layer on top: ``submit(deadline_s=...)`` stamps an absolute expiry from
-an injectable monotonic ``clock=`` callable (``time.monotonic`` by
-default; tests inject a fake), evaluated lazily at the start of every
-routed event — there is no background thread, so replay stays
-deterministic whenever the injected clock is.
+Timeouts count fleet events (one per routed submit or release), so
+seeded traces replay identically.
 
 All shards share one :class:`~repro.verify.batch.BatchVerifier`
 (unless prebuilt programmers are handed in), so solver verdicts and
-disk-cache hits memoise *across* the fleet — a family admitted on
-shard A verifies for free when migrated to shard B.
+disk-cache hits memoise *across* the fleet — a family verified on
+shard A verifies for free when it next lands on shard B.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import CapacityError, CircuitError, VerificationError
+from repro.multiprog.queueing import QueueEntry, QueueStats
 from repro.multiprog.scheduler import (
     Admission,
     MultiProgrammer,
@@ -82,7 +71,6 @@ class ShardSpec:
     machine_size: int
     name: Optional[str] = None
     strategy: str = "greedy"
-    queue_policy: str = "fifo"
     lending: str = "windowed"
     lease_packer: str = "first-fit"
 
@@ -146,7 +134,7 @@ class BestFitWidthPlacement(PlacementPolicy):
     (``reduced_width``) rank by smallest leftover; shards that cannot
     fit it right now follow, closest-to-fitting first.  Their admit
     refuses at once (no placement holds fewer than ``reduced_width``
-    fresh wires), but they are where the job queues if nothing admits.
+    fresh wires).
     """
 
     def rank(self, job, shards):
@@ -199,12 +187,11 @@ class FleetSubmitOutcome:
 
     #: ``"admitted"`` or ``"queued"``.
     status: str
-    #: Hosting shard (admitted), queueing shard, or ``None`` for the
-    #: fleet-level overflow queue.
+    #: Hosting shard when admitted; ``None`` when queued (the fleet
+    #: queue belongs to no shard).
     shard: Optional[str] = None
     admission: Optional[Admission] = None
-    #: Queued jobs admitted fleet-wide as a side effect of this event
-    #: (local drains, migrations and overflow admissions alike).
+    #: Queued jobs the admission let in on the same shard.
     backfilled: Tuple[str, ...] = ()
 
     @property
@@ -212,72 +199,10 @@ class FleetSubmitOutcome:
         return self.status == "admitted"
 
 
-@dataclass
-class FleetStats:
-    """Lifetime fleet-level routing counters.
-
-    These count *routing* decisions; each shard keeps its own
-    :class:`~repro.multiprog.queueing.QueueStats` (exposed under
-    ``fleet_stats()["shards"]``) for what happened inside it.  Note the
-    double-entry cases: a migration or wall-clock expiry withdraws the
-    entry from its shard via ``cancel()``, so shard-level ``cancelled``
-    includes fleet-initiated withdrawals.
-    """
-
-    submitted: int = 0
-    admitted_immediately: int = 0
-    #: Queued jobs admitted later by any route: a shard's own drain, a
-    #: cross-shard migration, or an overflow drain.
-    admitted_from_queue: int = 0
-    #: Jobs that left one shard's queue and admitted on another.
-    migrations: int = 0
-    queued: int = 0
-    overflow_queued: int = 0
-    overflow_admitted: int = 0
-    #: Overflow entries whose *logical* timeout lapsed (fleet events).
-    expired: int = 0
-    #: Entries withdrawn by a lapsed wall-clock ``deadline_s``.
-    deadline_expired: int = 0
-    rejected: int = 0
-    expired_names: List[str] = field(default_factory=list)
-    deadline_expired_names: List[str] = field(default_factory=list)
-
-    @property
-    def admitted(self) -> int:
-        return self.admitted_immediately + self.admitted_from_queue
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "admitted_immediately": self.admitted_immediately,
-            "admitted_from_queue": self.admitted_from_queue,
-            "migrations": self.migrations,
-            "queued": self.queued,
-            "overflow_queued": self.overflow_queued,
-            "overflow_admitted": self.overflow_admitted,
-            "expired": self.expired,
-            "deadline_expired": self.deadline_expired,
-            "rejected": self.rejected,
-            "expired_names": list(self.expired_names),
-            "deadline_expired_names": list(self.deadline_expired_names),
-        }
-
-
-@dataclass
-class _OverflowEntry:
-    """A job no shard could hold, waiting at the fleet level."""
-
-    job: QuantumJob
-    strategy: Optional[str]
-    priority: int
-    enqueued_event: int
-    #: Fleet-event deadline (``submit(timeout=...)``), or ``None``.
-    expires_event: Optional[int]
-
-    @property
-    def name(self) -> str:
-        return self.job.name
+def _drain_order(entry: QueueEntry) -> Tuple[bool, int, int]:
+    """Earliest deadline first; entries without one follow, oldest
+    first."""
+    return (entry.deadline is None, entry.deadline or 0, entry.seq)
 
 
 class FleetRouter:
@@ -287,18 +212,14 @@ class FleetRouter:
     (``submit``/``release``/``cancel``/``residents``/``pending``/
     ``admission``/``stats``/``snapshot``), so trace replay and the
     invariant harness drive either interchangeably; the fleet-only
-    surface (``fleet_stats``, ``shard_tables``, ``resident_shards``,
-    ``queued_shards``) adds the per-shard view.
+    surface (``fleet_stats``, ``shard_tables``, ``resident_shards``)
+    adds the per-shard view.
 
     ``shards`` entries may be plain ints (machine sizes), full
     :class:`ShardSpec`\\ s, or prebuilt :class:`MultiProgrammer`\\ s
-    (which must be empty and keep their own verifier).
-
-    ``check_invariants=True`` runs an
-    :class:`~repro.testing.invariants.OccupancyInvariantChecker` on
-    every shard plus the fleet's own routing-consistency check after
-    every routed event — the configuration the seeded property traces
-    use.
+    (which must be empty and keep their own verifier).  The router
+    admits on shards with :meth:`MultiProgrammer.admit` only, so no
+    shard ever holds a queue of its own.
     """
 
     def __init__(
@@ -308,8 +229,6 @@ class FleetRouter:
         backend: str = "bdd",
         verifier: Optional[BatchVerifier] = None,
         cache_path: Optional[str] = None,
-        clock: Optional[Callable[[], float]] = None,
-        check_invariants: bool = False,
     ):
         if not shards:
             raise CircuitError("a fleet needs at least one shard")
@@ -336,7 +255,6 @@ class FleetRouter:
                     backend=backend,
                     strategy=spec.strategy,
                     verifier=self.verifier,
-                    queue_policy=spec.queue_policy,
                     lending=spec.lending,
                     lease_packer=spec.lease_packer,
                 )
@@ -348,32 +266,15 @@ class FleetRouter:
             if isinstance(placement, PlacementPolicy)
             else make_placement(placement)
         )
-        #: Monotonic wall clock for ``deadline_s`` (injectable).
-        self._clock_fn = clock or time.monotonic
         #: Resident job name -> hosting shard name.
         self._resident_on: Dict[str, str] = {}
-        #: Shard-queued job name -> its shard, fleet arrival order.
-        self._queued_on: Dict[str, str] = {}
-        #: Jobs no shard could hold, fleet arrival order.
-        self._overflow: List[_OverflowEntry] = []
-        #: Queued/overflow job name -> absolute wall-clock expiry.
-        self._deadlines: Dict[str, float] = {}
-        self._stats = FleetStats()
+        #: The fleet queue, kept in drain order (:func:`_drain_order`).
+        self._queue: List[QueueEntry] = []
+        self._stats = QueueStats()
         #: Fleet logical clock: one tick per routed submit/release.
         self._events = 0
-        #: Names backfilled fleet-wide by the most recent event.
+        #: Names the most recent event admitted from the queue.
         self.last_backfilled: Tuple[str, ...] = ()
-        self._shard_checkers: List[object] = []
-        self.check_invariants = check_invariants
-        if check_invariants:
-            # Imported lazily: repro.testing imports repro.multiprog
-            # for its generators, so a module-level import would cycle.
-            from repro.testing.invariants import OccupancyInvariantChecker
-
-            self._shard_checkers = [
-                OccupancyInvariantChecker(shard)
-                for shard in self.shards.values()
-            ]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -405,26 +306,16 @@ class FleetRouter:
         return self._events
 
     def pending(self) -> Tuple[str, ...]:
-        """Queued names fleet-wide: shard queues (fleet arrival order)
-        then the overflow queue."""
-        return tuple(self._queued_on) + tuple(
-            entry.name for entry in self._overflow
-        )
+        """Queued names, in drain order (earliest deadline first)."""
+        return tuple(entry.name for entry in self._queue)
 
     @property
     def queue_length(self) -> int:
-        return len(self._queued_on) + len(self._overflow)
+        return len(self._queue)
 
     def resident_shards(self) -> Dict[str, str]:
         """Resident job name -> hosting shard name (a copy)."""
         return dict(self._resident_on)
-
-    def queued_shards(self) -> Dict[str, Optional[str]]:
-        """Queued job name -> shard name (``None`` = overflow queue)."""
-        table: Dict[str, Optional[str]] = dict(self._queued_on)
-        for entry in self._overflow:
-            table[entry.name] = None
-        return table
 
     def shard_of(self, name: str) -> str:
         """The shard hosting resident job ``name``."""
@@ -439,17 +330,20 @@ class FleetRouter:
         return self.shards[self.shard_of(name)].admission(name)
 
     def fleet_stats(self) -> Dict[str, object]:
-        """Fleet-level routing counters plus every shard's own stats."""
+        """The fleet queue's counters plus every shard's own stats.
+
+        Wait times count fleet events.  ``migrations`` is always 0:
+        queued jobs belong to no shard, so none ever moves.
+        """
         data = self._stats.as_dict()
+        data["migrations"] = 0
         data["placement"] = self.placement.name
         data["events"] = self._events
         data["machine_size"] = self.machine_size
         data["occupancy"] = self.occupancy
         data["free_qubits"] = self.free_qubits
         data["residents"] = len(self._resident_on)
-        data["pending"] = self.queue_length
-        data["overflow_pending"] = len(self._overflow)
-        data["deadlines_tracked"] = len(self._deadlines)
+        data["pending"] = len(self._queue)
         data["last_backfilled"] = list(self.last_backfilled)
         data["shards"] = {
             name: shard.stats() for name, shard in self.shards.items()
@@ -468,7 +362,6 @@ class FleetRouter:
                 "occupancy": shard.occupancy,
                 "free_qubits": shard.free_qubits,
                 "residents": list(shard.residents),
-                "pending": list(shard.pending()),
                 "occupancy_table": shard.occupancy_table(),
                 "lease_table": shard.lease_table(),
             }
@@ -484,9 +377,8 @@ class FleetRouter:
         for name, shard in self.shards.items():
             lines.append(f"-- {name} --")
             lines.append(shard.snapshot())
-        if self._overflow:
-            names = ", ".join(entry.name for entry in self._overflow)
-            lines.append(f"overflow: {names}")
+        if self._queue:
+            lines.append(f"queued: {', '.join(self.pending())}")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
@@ -499,37 +391,27 @@ class FleetRouter:
         strategy: Optional[str] = None,
         timeout: Optional[int] = None,
         priority: int = 0,
-        deadline_s: Optional[float] = None,
     ) -> FleetSubmitOutcome:
         """Admit ``job`` on the best shard, or queue it fleet-wide.
 
         The placement policy ranks the statically eligible shards
         (those whose ``machine_size`` covers the job's width floor);
-        the first that admits hosts the job.  If none admits now, the
-        job queues on the best-ranked shard that can hold it — its
-        ``timeout`` is in *that shard's* logical events, preserving
-        single-machine replay semantics — and every later event may
-        migrate it to whichever shard frees capacity first.  (Queueing
-        ticks that shard's clock, which can shift lease windows enough
-        for the job to fit; it is then admitted there instead.)  If no
-        shard can even queue it (every eligible shard is empty yet
-        still cannot host it — it needs lending, and lending needs
-        co-tenants), it waits in the fleet overflow queue, where
-        ``timeout`` counts *fleet* events instead.
+        the first that admits hosts the job, and the fleet queue then
+        drains against that shard.  If none admits, the job joins the
+        fleet queue, unless the whole fleet is idle: then every
+        eligible shard has just refused it empty, and no co-tenant will
+        ever lend.
 
-        ``deadline_s`` adds a wall-clock bound on queue wait: measured
-        with the injected monotonic clock from now, evaluated lazily at
-        the start of every routed event, ignored once admitted.
+        ``timeout`` counts fleet events: a queued job still waiting
+        that many events later expires.  ``priority`` is accepted for
+        surface parity with :meth:`MultiProgrammer.submit` and ignored;
+        the queue drains earliest deadline first.
         """
-        if deadline_s is not None and deadline_s <= 0:
-            raise CircuitError("deadline_s must be positive")
         if timeout is not None and timeout < 1:
             raise CircuitError("timeout must be at least one event")
         if job.name in self._resident_on:
             raise CircuitError(f"job {job.name!r} is already resident")
-        if job.name in self._queued_on or any(
-            entry.name == job.name for entry in self._overflow
-        ):
+        if self._queued(job.name) is not None:
             raise CircuitError(f"job {job.name!r} is already queued")
         self._event()
         self._stats.submitted += 1
@@ -548,104 +430,57 @@ class FleetRouter:
                 f"job {job.name!r} needs at least {job.reduced_width} "
                 f"free qubits but the widest shard has {widest}"
             )
-        order = self.placement.rank(job, eligible)
-        # First pass: immediate admission in placement order.
-        for shard_name in order:
+        for shard_name in self.placement.rank(job, eligible):
             try:
                 admission = self.shards[shard_name].admit(
                     job, strategy=strategy
                 )
             except CapacityError:
                 continue
-            self._note_admitted(job, shard_name, immediate=True)
-            backfilled = self._redistribute()
-            self._check()
+            self._stats.admitted_immediately += 1
+            self._note_admitted(job, shard_name)
+            self.last_backfilled = self._drain(shard_name)
             return FleetSubmitOutcome(
                 "admitted",
                 shard=shard_name,
                 admission=admission,
-                backfilled=backfilled,
+                backfilled=self.last_backfilled,
             )
-        # Second pass: queue on the best-ranked shard that will hold
-        # it.  An *empty* shard whose admit failed would reject instead
-        # (the single-machine rule: an empty machine that cannot host
-        # proves local impossibility), so those are skipped without
-        # charging them a submission.  The shard's submit() ticks its
-        # clock before retrying admit, so lease windows shift by one
-        # round and the job may fit after all: then it is an immediate
-        # admission on that shard, not a queue entry.
-        for shard_name in order:
-            shard = self.shards[shard_name]
-            if shard.occupancy == 0:
-                continue
-            try:
-                outcome = shard.submit(
-                    job, strategy=strategy, timeout=timeout, priority=priority
-                )
-            except CapacityError:
-                continue
-            if outcome.admitted:
-                self._note_admitted(job, shard_name, immediate=True)
-                backfilled = list(self._absorb_drained(shard_name))
-                backfilled.extend(self._redistribute())
-                self._check()
-                return FleetSubmitOutcome(
-                    "admitted",
-                    shard=shard_name,
-                    admission=outcome.admission,
-                    backfilled=tuple(backfilled),
-                )
-            self._queued_on[job.name] = shard_name
-            # The shard's submit ticked its own clock, which may have
-            # expired *other* entries queued there — re-sync the map.
-            self._sync_shard_queues()
-            self._stats.queued += 1
-            self._track_deadline(job.name, deadline_s)
-            self._check()
-            return FleetSubmitOutcome("queued", shard=shard_name)
-        # No shard can hold even a queue entry for it right now.  On a
-        # completely empty fleet that is a proof of impossibility (no
-        # co-tenant will ever lend); otherwise the job waits at the
-        # fleet level for lending conditions to change.
         if self.occupancy == 0:
             self._stats.rejected += 1
             raise CapacityError(
                 f"job {job.name!r} cannot be hosted by any empty shard "
                 f"and the fleet is idle — queueing could never help"
             )
-        self._overflow.append(
-            _OverflowEntry(
+        self._queue.append(
+            QueueEntry(
                 job=job,
                 strategy=strategy,
+                enqueued_at=self._events,
+                deadline=None if timeout is None else self._events + timeout,
+                # One submission per event, so the event orders arrivals.
+                seq=self._events,
                 priority=priority,
-                enqueued_event=self._events,
-                expires_event=(
-                    None if timeout is None else self._events + timeout
-                ),
             )
         )
-        self._queue_stats_overflow()
-        self._track_deadline(job.name, deadline_s)
-        self._check()
-        return FleetSubmitOutcome("queued", shard=None)
+        self._queue.sort(key=_drain_order)
+        self._stats.queued += 1
+        return FleetSubmitOutcome("queued")
 
     def release(self, name: str) -> Tuple[int, ...]:
         """Complete resident job ``name``; returns its shard's freed
         wires.
 
-        The hosting shard's own release runs first (clock tick, expiry,
-        local backfill), then the fleet pass: local drains on every
-        shard, cross-shard migration of still-queued jobs, and an
-        overflow drain.  Everything admitted along the way lands in
-        :attr:`last_backfilled` / ``fleet_stats()["last_backfilled"]``.
-        A name that is not resident raises before anything happens: a
-        failed release is not a fleet event.
+        The fleet queue then drains against the freed shard; the jobs
+        it admits land in :attr:`last_backfilled` /
+        ``fleet_stats()["last_backfilled"]``.  If the fleet is idle
+        afterwards, every job still queued has failed on every empty
+        shard and is rejected.  A name that is not resident raises
+        before anything happens: a failed release is not a fleet event.
         """
         shard_name = self._resident_on.get(name)
         if shard_name is None:
-            if name in self._queued_on or any(
-                entry.name == name for entry in self._overflow
-            ):
+            if self._queued(name) is not None:
                 raise CircuitError(
                     f"job {name!r} is queued, not resident — use "
                     f"cancel() to withdraw it"
@@ -654,39 +489,38 @@ class FleetRouter:
                 f"no resident job named {name!r} on any shard"
             )
         self._event()
-        shard = self.shards[shard_name]
-        freed = shard.release(name)
+        freed = self.shards[shard_name].release(name)
         del self._resident_on[name]
-        backfilled = list(self._absorb_drained(shard_name))
-        backfilled.extend(self._redistribute())
-        self.last_backfilled = tuple(backfilled)
-        self._check()
+        self.last_backfilled = self._drain(shard_name)
+        if self.occupancy == 0:
+            self._stats.rejected += len(self._queue)
+            self._queue.clear()
         return freed
 
     def cancel(self, name: str) -> QuantumJob:
-        """Withdraw a queued job from its shard queue or the overflow."""
-        shard_name = self._queued_on.get(name)
-        if shard_name is not None:
-            job = self.shards[shard_name].cancel(name)
-            del self._queued_on[name]
-            self._deadlines.pop(name, None)
-            return job
-        for entry in self._overflow:
-            if entry.name == name:
-                self._overflow.remove(entry)
-                self._deadlines.pop(name, None)
-                return entry.job
-        if name in self._resident_on:
-            raise CircuitError(
-                f"job {name!r} is resident on shard "
-                f"{self._resident_on[name]!r}, not queued — use "
-                f"release() to complete it"
-            )
-        raise CircuitError(f"no queued job named {name!r}")
+        """Withdraw a queued job from the fleet queue; returns it."""
+        entry = self._queued(name)
+        if entry is None:
+            if name in self._resident_on:
+                raise CircuitError(
+                    f"job {name!r} is resident on shard "
+                    f"{self._resident_on[name]!r}, not queued — use "
+                    f"release() to complete it"
+                )
+            raise CircuitError(f"no queued job named {name!r}")
+        self._queue.remove(entry)
+        self._stats.cancelled += 1
+        return entry.job
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    def _queued(self, name: str) -> Optional[QueueEntry]:
+        for entry in self._queue:
+            if entry.name == name:
+                return entry
+        return None
 
     def _eligible(self, job: QuantumJob) -> Dict[str, MultiProgrammer]:
         """Shards whose machine covers the job's static width floor."""
@@ -698,230 +532,58 @@ class FleetRouter:
         }
 
     def _event(self) -> None:
-        """One routed event: tick, reset provenance, expire deadlines."""
+        """One routed event: tick, then expire overdue queued jobs
+        before anything is admitted."""
         self._events += 1
         self.last_backfilled = ()
-        self._expire_overflow()
-        self._expire_deadlines()
+        for entry in [
+            entry
+            for entry in self._queue
+            if entry.deadline is not None and self._events >= entry.deadline
+        ]:
+            self._queue.remove(entry)
+            self._stats.expired += 1
+            self._stats.expired_names.append(entry.name)
+            self._stats.total_wait += self._events - entry.enqueued_at
 
-    def _track_deadline(
-        self, name: str, deadline_s: Optional[float]
-    ) -> None:
-        if deadline_s is not None:
-            self._deadlines[name] = self._clock_fn() + deadline_s
-
-    def _expire_overflow(self) -> None:
-        """Drop overflow entries whose fleet-event timeout lapsed."""
-        for entry in list(self._overflow):
-            if (
-                entry.expires_event is not None
-                and self._events >= entry.expires_event
-            ):
-                self._overflow.remove(entry)
-                self._deadlines.pop(entry.name, None)
-                self._stats.expired += 1
-                self._stats.expired_names.append(entry.name)
-
-    def _expire_deadlines(self) -> None:
-        """Withdraw queued entries whose wall-clock deadline passed."""
-        if not self._deadlines:
-            return
-        now = self._clock_fn()
-        for name, expiry in list(self._deadlines.items()):
-            if name in self._resident_on:
-                # Admitted since: the deadline bounded queue wait only.
-                del self._deadlines[name]
-                continue
-            queued_shard = self._queued_on.get(name)
-            in_overflow = any(e.name == name for e in self._overflow)
-            if queued_shard is None and not in_overflow:
-                # Expired logically or drained away; nothing to bound.
-                del self._deadlines[name]
-                continue
-            if now < expiry:
-                continue
-            if queued_shard is not None:
-                try:
-                    self.shards[queued_shard].cancel(name)
-                except CircuitError:
-                    # The shard dropped it on its own (logical expiry)
-                    # between syncs; the wall deadline is then moot.
-                    del self._queued_on[name]
-                    del self._deadlines[name]
-                    continue
-                del self._queued_on[name]
-            else:
-                self._overflow = [
-                    e for e in self._overflow if e.name != name
-                ]
-            del self._deadlines[name]
-            self._stats.deadline_expired += 1
-            self._stats.deadline_expired_names.append(name)
-
-    def _note_admitted(
-        self, job: QuantumJob, shard_name: str, immediate: bool
-    ) -> None:
+    def _note_admitted(self, job: QuantumJob, shard_name: str) -> None:
         self._resident_on[job.name] = shard_name
-        if immediate:
-            self._stats.admitted_immediately += 1
-        else:
-            self._stats.admitted_from_queue += 1
         self.placement.note_admitted(job, shard_name)
 
-    def _queue_stats_overflow(self) -> None:
-        self._stats.queued += 1
-        self._stats.overflow_queued += 1
+    def _drain(self, shard_name: str) -> Tuple[str, ...]:
+        """Admit queued jobs on ``shard_name``, the one shard whose
+        state just changed; returns their names.
 
-    def _absorb_drained(self, shard_name: str) -> Tuple[str, ...]:
-        """Record a shard's just-run drain results in the fleet maps."""
-        shard = self.shards[shard_name]
-        admitted = shard.last_backfilled
-        for name in admitted:
-            self._queued_on.pop(name, None)
-            self._note_admitted(
-                shard.admission(name).job, shard_name, immediate=False
-            )
-        self._sync_shard_queues()
-        return admitted
-
-    def _sync_shard_queues(self) -> None:
-        """Reconcile the fleet map with shard queues after their own
-        expiry/rejection passes dropped entries."""
-        pending = {
-            shard_name: set(shard.pending())
-            for shard_name, shard in self.shards.items()
-        }
-        for name, shard_name in list(self._queued_on.items()):
-            if name in self._resident_on:
-                del self._queued_on[name]
-            elif name not in pending[shard_name]:
-                del self._queued_on[name]
-                self._deadlines.pop(name, None)
-
-    def _redistribute(self) -> Tuple[str, ...]:
-        """Drain every queue tier to a fixpoint; returns admitted names.
-
-        Three passes per round — each shard's own policy drain, then
-        cross-shard migration of still-queued jobs, then the overflow
-        queue — repeated while any pass admits (an admission can offer
-        new lendable wires anywhere in the fleet).
+        Passes over the queue in drain order repeat until one admits
+        nothing, since an admission can offer new lendable wires.  An
+        entry whose admission fails for a reason other than capacity is
+        rejected rather than left to fail on every later drain.
         """
+        shard = self.shards[shard_name]
         admitted: List[str] = []
         progress = True
         while progress:
             progress = False
-            for shard_name, shard in self.shards.items():
-                drained = shard.drain()
-                if drained:
-                    progress = True
-                    admitted.extend(drained)
-                self._absorb_drained(shard_name)
-            for name in list(self._queued_on):
-                if self._migrate(name):
-                    progress = True
-                    admitted.append(name)
-            for entry in list(self._overflow):
-                if self._admit_overflow(entry):
-                    progress = True
-                    admitted.append(entry.name)
+            for entry in list(self._queue):
+                try:
+                    shard.admit(entry.job, strategy=entry.strategy)
+                except CapacityError:
+                    continue
+                except (CircuitError, VerificationError):
+                    self._queue.remove(entry)
+                    self._stats.rejected += 1
+                    continue
+                self._queue.remove(entry)
+                self._stats.admitted_from_queue += 1
+                self._stats.total_wait += self._events - entry.enqueued_at
+                self._note_admitted(entry.job, shard_name)
+                admitted.append(entry.name)
+                progress = True
         return tuple(admitted)
-
-    def _migrate(self, name: str) -> bool:
-        """Try to admit shard-queued job ``name`` on another shard."""
-        home = self._queued_on.get(name)
-        if home is None:
-            return False
-        try:
-            entry = self.shards[home].queue_entry(name)
-        except CircuitError:
-            self._sync_shard_queues()
-            return False
-        for target in self.placement.rank(entry.job, self._eligible(entry.job)):
-            if target == home:
-                continue
-            try:
-                self.shards[target].admit(entry.job, strategy=entry.strategy)
-            except CapacityError:
-                continue
-            # Admitted on the target: withdraw the stale queue entry.
-            self.shards[home].cancel(name)
-            del self._queued_on[name]
-            self._deadlines.pop(name, None)
-            self._note_admitted(entry.job, target, immediate=False)
-            self._stats.migrations += 1
-            return True
-        return False
-
-    def _admit_overflow(self, entry: _OverflowEntry) -> bool:
-        """Try to admit an overflow entry; drop it if provably stuck."""
-        for target in self.placement.rank(entry.job, self._eligible(entry.job)):
-            try:
-                self.shards[target].admit(
-                    entry.job, strategy=entry.strategy
-                )
-            except CapacityError:
-                continue
-            self._overflow.remove(entry)
-            self._deadlines.pop(entry.name, None)
-            self._note_admitted(entry.job, target, immediate=False)
-            self._stats.overflow_admitted += 1
-            return True
-        if self.occupancy == 0:
-            # The whole fleet is idle and it still fits nowhere: no
-            # future lending can help (mirrors the single-machine
-            # empty-drain rejection rule).
-            self._overflow.remove(entry)
-            self._deadlines.pop(entry.name, None)
-            self._stats.rejected += 1
-        return False
-
-    def _check(self) -> None:
-        if not self.check_invariants:
-            return
-        for checker in self._shard_checkers:
-            checker.check()
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
-        """The fleet's own silent-state contract, re-derived from the
-        shards: routing maps agree with shard reality, nothing lives
-        in two places."""
-        from repro.errors import InvariantViolation
-
-        seen: Dict[str, str] = {}
-        for shard_name, shard in self.shards.items():
-            for resident in shard.residents:
-                if resident in seen:
-                    raise InvariantViolation(
-                        f"job {resident!r} resident on both "
-                        f"{seen[resident]!r} and {shard_name!r}"
-                    )
-                seen[resident] = shard_name
-        if seen != self._resident_on:
-            raise InvariantViolation(
-                "fleet resident map out of sync with shard residents: "
-                f"{self._resident_on} != {seen}"
-            )
-        for name, shard_name in self._queued_on.items():
-            if name not in self.shards[shard_name].pending():
-                raise InvariantViolation(
-                    f"job {name!r} tracked as queued on {shard_name!r} "
-                    f"but absent from its queue"
-                )
-            if name in seen:
-                raise InvariantViolation(
-                    f"job {name!r} both queued and resident"
-                )
-        for entry in self._overflow:
-            if entry.name in seen or entry.name in self._queued_on:
-                raise InvariantViolation(
-                    f"overflow job {entry.name!r} also lives on a shard"
-                )
 
 
 __all__ = [
     "FleetRouter",
-    "FleetStats",
     "FleetSubmitOutcome",
     "PlacementPolicy",
     "ShardSpec",

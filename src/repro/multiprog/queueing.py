@@ -53,11 +53,12 @@ class QueueEntry:
     """One waiting job: the submission plus its queueing metadata.
 
     ``enqueued_at`` and ``deadline`` are *logical-clock* values (the
-    scheduler ticks once per submit/release event), so timeout behaviour
-    is deterministic and replayable — no wall-clock in the contract.
-    ``deadline is None`` means the entry never expires.  ``priority``
-    orders the ``priority`` policy's drain passes (higher first) and is
-    ignored by the other policies.
+    owning scheduler or fleet router ticks once per submit/release
+    event), so timeout behaviour is deterministic and replayable — no
+    wall-clock in the contract.  ``deadline is None`` means the entry
+    never expires.  ``priority`` orders the ``priority`` policy's drain
+    passes (higher first) and is ignored by the other policies and by
+    the fleet queue.
     """
 
     job: Any  # a repro.multiprog.scheduler.QuantumJob (typed loosely to
@@ -102,7 +103,8 @@ class SubmitOutcome:
 
 @dataclass
 class QueueStats:
-    """Lifetime counters of one scheduler's admission queue.
+    """Lifetime counters of one admission queue (a scheduler's or a
+    fleet router's).
 
     Wait times are measured in logical-clock events (one tick per
     submit/release), the same unit timeouts are expressed in.

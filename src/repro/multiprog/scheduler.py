@@ -1221,34 +1221,6 @@ class MultiProgrammer:
         self.last_backfilled = tuple(admitted_names)
         return tuple(admitted_names)
 
-    def drain(self) -> Tuple[str, ...]:
-        """Run queue-policy drain passes right now; returns admitted names.
-
-        Normally drains run automatically on every :meth:`release` (and
-        after an admission that frees lendable capacity), but a caller
-        that changes what this machine can observe *indirectly* — the
-        fleet router, after admitting a co-tenant via :meth:`admit` —
-        can trigger one explicitly.  Does not tick the logical clock:
-        a drain is part of the event that caused it, not an event of
-        its own.
-        """
-        if not self._queue:
-            self.last_backfilled = ()
-            return ()
-        return self._drain()
-
-    def queue_entry(self, name: str) -> QueueEntry:
-        """The live :class:`QueueEntry` for a queued job (by name).
-
-        Read-only introspection for callers that need the original
-        submission context — job, strategy, priority — e.g. the fleet
-        router deciding whether the entry would fit another shard.
-        """
-        for entry in self._queue:
-            if entry.name == name:
-                return entry
-        raise CircuitError(f"no queued job named {name!r}")
-
     def release(self, name: str) -> Tuple[int, ...]:
         """Complete a resident job; returns the machine wires freed.
 

@@ -26,7 +26,7 @@ randomized, *reproducible* testing a first-class citizen:
   and raises :class:`~repro.errors.InvariantViolation` with a machine
   snapshot; :class:`FleetInvariantChecker` runs it per shard of a
   :class:`~repro.multiprog.FleetRouter` and then cross-checks the
-  router's own maps against shard reality;
+  router's resident map and queue against shard reality;
 * :mod:`repro.testing.harness` — :func:`replay_trace`, which drives a
   :class:`~repro.multiprog.MultiProgrammer` (or a
   :class:`~repro.multiprog.FleetRouter` — the surfaces match) through

@@ -281,11 +281,11 @@ class FleetInvariantChecker:
     1. no job is resident on two shards, and the router's
        ``resident_shards()`` map matches the union of shard residents
        exactly (right jobs, right shards);
-    2. every entry of ``queued_shards()`` mapped to a shard really sits
-       in that shard's queue — and shard queues hold no job the router
-       has forgotten;
-    3. residents, shard queues and the overflow queue are pairwise
-       disjoint fleet-wide (a job lives in exactly one place);
+    2. no shard queues anything (``pending()`` is empty everywhere):
+       shards hold residents only, and every waiting job sits in the
+       fleet queue;
+    3. the fleet queue has no duplicates and shares no job with the
+       residents (a job lives in exactly one place);
     4. aggregate occupancy equals the sum over shards.
 
     Callable, like the per-machine checker, so :func:`replay_trace`
@@ -328,24 +328,18 @@ class FleetInvariantChecker:
                 f"resident map {recorded} disagrees with shard "
                 f"residents {derived}"
             )
-        queued = router.queued_shards()
-        for name, shard_name in queued.items():
+        for shard_name, shard in router.shards.items():
+            if shard.pending():
+                self._fail(
+                    f"shard {shard_name!r} queues {shard.pending()}; "
+                    f"only the fleet may queue"
+                )
+        queued = router.pending()
+        if len(set(queued)) != len(queued):
+            self._fail(f"fleet queue holds duplicates: {queued}")
+        for name in queued:
             if name in derived:
                 self._fail(f"job {name!r} both queued and resident")
-            if shard_name is not None and name not in router.shards[
-                shard_name
-            ].pending():
-                self._fail(
-                    f"job {name!r} recorded queued on {shard_name!r} "
-                    f"but absent from its queue"
-                )
-        for shard_name, shard in router.shards.items():
-            for name in shard.pending():
-                if queued.get(name) != shard_name:
-                    self._fail(
-                        f"shard {shard_name!r} queues {name!r} but the "
-                        f"router does not know it"
-                    )
         total = sum(shard.occupancy for shard in router.shards.values())
         if router.occupancy != total:
             self._fail(

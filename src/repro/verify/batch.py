@@ -248,8 +248,11 @@ class BatchVerifier:
         Per-circuit trackers, checkers (compiled BDDs, Tseitin tables)
         and cached verdicts are retained for the verifier's lifetime; a
         long-running service cycling through many *distinct* circuits
-        should call this periodically to bound memory.
+        should call this periodically to bound memory.  Pool workers
+        keep their own checkers, so this also reaps the process pool
+        (:meth:`close`); the next pooled batch starts fresh workers.
         """
+        self.close()
         self.cache.clear()
         self._tracked.clear()
         self._track_seconds.clear()

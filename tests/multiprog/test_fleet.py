@@ -1,13 +1,15 @@
-"""Fleet-tier routing: placement policies, migration, deadlines,
-overflow, and seeded property traces with the fleet invariant checker
-on.
+"""Fleet-tier routing: placement policies, the one fleet queue, and
+seeded property traces with the fleet invariant checker on.
 
-Deterministic classes pin the routing contract shard by shard; the
+Deterministic classes pin the routing contract shard by shard, with
+:class:`FleetInvariantChecker` run after every submit and release; the
 property classes replay seeded :func:`random_fleet_trace` sequences
 through a 2-shard router under every registered placement policy, with
-:class:`FleetInvariantChecker` re-deriving both the per-shard occupancy
-contract and the fleet bookkeeping after every event, and compare
-fleet throughput against a single-shard baseline on the same trace.
+the checker re-deriving both the per-shard occupancy contract and the
+fleet bookkeeping after every event, check that draining only the
+shard whose state changed admits what draining every shard would, and
+compare fleet throughput against a single-shard baseline on the same
+trace.
 """
 
 import os
@@ -66,10 +68,49 @@ def hungry_job(name):
     return QuantumJob(name, circuit, [BorrowRequest(4)])
 
 
-def make_router(sizes, placement="least-loaded", **options):
+class CheckedRouter(FleetRouter):
+    """A router that re-derives the fleet contract after every submit
+    and release, failed ones included."""
+
+    def __init__(self, *args, **options):
+        super().__init__(*args, **options)
+        self.checker = FleetInvariantChecker(self)
+
+    def submit(self, *args, **options):
+        try:
+            return super().submit(*args, **options)
+        finally:
+            self.checker.check()
+
+    def release(self, name):
+        try:
+            return super().release(name)
+        finally:
+            self.checker.check()
+
+
+class EveryShardDrainRouter(FleetRouter):
+    """The differential oracle: every event drains the queue against
+    every shard, to a fixpoint, instead of only the shard whose state
+    changed."""
+
+    def _drain(self, shard_name):
+        admitted = []
+        while True:
+            admitted_now = [
+                name
+                for shard in self.shards
+                for name in FleetRouter._drain(self, shard)
+            ]
+            if not admitted_now:
+                return tuple(admitted)
+            admitted.extend(admitted_now)
+
+
+def make_router(sizes, placement="least-loaded", checked=True, **options):
     options.setdefault("verifier", SHARED_VERIFIER)
-    options.setdefault("check_invariants", True)
-    return FleetRouter(list(sizes), placement=placement, **options)
+    router_class = CheckedRouter if checked else FleetRouter
+    return router_class(list(sizes), placement=placement, **options)
 
 
 def record_seed(seed, context, error):
@@ -187,75 +228,84 @@ class TestPlacementPolicies:
         assert router.fleet_stats()["rejected"] == 1
 
 
-class TestQueueingAndMigration:
-    def test_queues_on_best_shard_then_migrates(self):
+class TestFleetQueue:
+    def test_queued_job_admits_where_capacity_frees(self):
         router = make_router([4, 6])
         router.submit(busy_job("a", 4))
         router.submit(busy_job("b", 6))
         outcome = router.submit(busy_job("c", 4))
-        assert outcome.status == "queued" and outcome.shard == "shard0"
-        # b's release frees shard1; c was queued on shard0 but admits
-        # on shard1 the moment it frees capacity.
+        # The fleet queue belongs to no shard.
+        assert outcome.status == "queued" and outcome.shard is None
+        # b's release frees shard1, and the queue drains against it.
         router.release("b")
         assert router.resident_shards()["c"] == "shard1"
-        stats = router.fleet_stats()
-        assert stats["migrations"] == 1
-        assert stats["admitted_from_queue"] == 1
+        assert router.fleet_stats()["admitted_from_queue"] == 1
         assert router.last_backfilled == ("c",)
 
-    def test_local_backfill_preferred_over_migration(self):
+    def test_release_drains_the_freed_shard(self):
         router = make_router([4, 4])
         router.submit(busy_job("a", 4))
         router.submit(busy_job("b", 4))
         router.submit(busy_job("c", 4))  # queued
+        home = router.shard_of("a")
         router.release("a")
-        # c admits on its own shard's drain: a backfill, not a migration.
-        assert router.fleet_stats()["migrations"] == 0
+        assert router.resident_shards()["c"] == home
         assert router.fleet_stats()["admitted_from_queue"] == 1
-        assert "c" in router.residents
 
-    def test_shard_timeouts_stay_authoritative(self):
-        """A queued job's logical timeout counts its host shard's own
-        events, exactly as on a single machine."""
+    def test_timeouts_count_fleet_events(self):
+        """A queued job's timeout counts every routed event, and lapses
+        at the start of an event, before the event admits anything."""
         router = make_router([2, 2])
         router.submit(busy_job("a", 2))
         router.submit(busy_job("b", 2))
-        outcome = router.submit(busy_job("c", 2), timeout=1)
-        home = outcome.shard
-        # One more event on the host shard expires c.
-        victim = "a" if home == router.resident_shards()["a"] else "b"
-        router.release(victim)
-        assert "c" not in router.pending()
-        shard_stats = router.fleet_stats()["shards"][home]
-        assert shard_stats["expired"] == 1
+        router.submit(busy_job("c", 2), timeout=2)  # event 3
+        router.submit(busy_job("d", 2))  # event 4: c still waits
+        assert router.pending() == ("c", "d")
+        router.release("a")  # event 5: c expires, then d admits
+        assert router.pending() == ()
+        assert "d" in router.residents
+        stats = router.fleet_stats()
+        assert stats["expired"] == 1
+        assert all(s["expired"] == 0 for s in stats["shards"].values())
+
+    def test_earliest_deadline_drains_first(self):
+        router = make_router([2])
+        router.submit(busy_job("a", 2))
+        router.submit(busy_job("b", 2))  # no deadline
+        router.submit(busy_job("c", 2), timeout=5)
+        assert router.pending() == ("c", "b")
+        router.release("a")
+        assert router.residents == ("c",)
+        assert router.pending() == ("b",)
 
     def test_replay_trace_drives_the_router(self):
         trace = random_fleet_trace(7, num_jobs=12)
-        router = make_router([6, 6])
+        router = make_router([6, 6], checked=False)
         checker = FleetInvariantChecker(router)
         log = replay_trace(router, trace, checker)
         assert checker.checks == len(trace)
         assert log.stats["admitted"] == len(log.admitted)
 
 
-class TestOverflowQueue:
-    def test_unqueueable_job_waits_at_fleet_level(self):
+class TestUnhostableJobs:
+    """A job no empty shard can host (it needs a co-tenant to lend)
+    queues while the fleet is busy and is rejected once it idles."""
+
+    def test_unhostable_job_queues_while_fleet_busy(self):
         router = make_router([1, 4])
         router.submit(busy_job("w", 1))
         outcome = router.submit(hungry_job("g"))
         assert outcome.status == "queued" and outcome.shard is None
-        stats = router.fleet_stats()
-        assert stats["overflow_queued"] == 1
+        assert router.fleet_stats()["queued"] == 1
         assert router.pending() == ("g",)
-        assert router.queued_shards() == {"g": None}
 
-    def test_overflow_rejected_on_idle_fleet(self):
+    def test_unhostable_job_rejected_on_idle_fleet(self):
         router = make_router([1, 4])
         with pytest.raises(CapacityError, match="idle"):
             router.submit(hungry_job("g"))
         assert router.fleet_stats()["rejected"] == 1
 
-    def test_overflow_dropped_when_fleet_empties(self):
+    def test_unhostable_job_rejected_once_fleet_idles(self):
         router = make_router([1, 4])
         router.submit(busy_job("w", 1))
         router.submit(hungry_job("g"))
@@ -264,7 +314,7 @@ class TestOverflowQueue:
         assert stats["rejected"] == 1
         assert router.pending() == ()
 
-    def test_overflow_logical_timeout_counts_fleet_events(self):
+    def test_unhostable_job_times_out(self):
         router = make_router([1, 4])
         router.submit(busy_job("w", 1))
         router.submit(hungry_job("g"), timeout=2)
@@ -273,89 +323,6 @@ class TestOverflowQueue:
         router.submit(busy_job("y", 1))  # second event: g expires
         assert "g" not in router.pending()
         assert router.fleet_stats()["expired"] == 1
-
-    def test_overflow_drain_admits_when_capacity_appears(self):
-        """White-box: the overflow drain admits through the same
-        placement ranking as a fresh submission (the realistic trigger
-        — a future allocator or machine model where lending beats
-        empty-machine admission — is not constructible with today's
-        merging allocator, so the drain mechanics are pinned directly)."""
-        from repro.multiprog.fleet import _OverflowEntry
-
-        router = make_router([1, 4])
-        router.submit(busy_job("w", 1))
-        router._overflow.append(
-            _OverflowEntry(
-                job=busy_job("late", 3),
-                strategy=None,
-                priority=0,
-                enqueued_event=router.events,
-                expires_event=None,
-            )
-        )
-        router.release("w")  # any event drains the overflow queue
-        assert "late" in router.residents
-        stats = router.fleet_stats()
-        assert stats["overflow_admitted"] == 1
-        assert stats["admitted_from_queue"] == 1
-
-
-class TestWallClockDeadlines:
-    def make_clocked(self, sizes, **options):
-        now = [0.0]
-        router = make_router(sizes, clock=lambda: now[0], **options)
-        return router, now
-
-    def test_deadline_expires_queued_job(self):
-        router, now = self.make_clocked([4])
-        router.submit(busy_job("a", 4))
-        router.submit(busy_job("b", 3), deadline_s=5.0)
-        now[0] = 4.9
-        router.submit(busy_job("c", 1))  # evaluated lazily: still alive
-        assert "b" in router.pending()
-        now[0] = 5.0
-        router.submit(busy_job("d", 1))
-        assert "b" not in router.pending()
-        stats = router.fleet_stats()
-        assert stats["deadline_expired"] == 1
-        # The shard records the withdrawal as a cancellation.
-        assert stats["shards"]["shard0"]["cancelled"] == 1
-
-    def test_deadline_cleared_on_admission(self):
-        router, now = self.make_clocked([4])
-        router.submit(busy_job("a", 4))
-        router.submit(busy_job("b", 3), deadline_s=5.0)
-        router.release("a")  # b admitted before its deadline
-        now[0] = 100.0
-        router.submit(busy_job("c", 1))
-        assert "b" in router.residents
-        assert router.fleet_stats()["deadline_expired"] == 0
-        assert router.fleet_stats()["deadlines_tracked"] == 0
-
-    def test_deadline_on_overflow_entry(self):
-        router, now = self.make_clocked([1, 4])
-        router.submit(busy_job("w", 1))
-        router.submit(hungry_job("g"), deadline_s=2.0)
-        now[0] = 3.0
-        router.submit(busy_job("x", 1))
-        assert "g" not in router.pending()
-        assert router.fleet_stats()["deadline_expired"] == 1
-
-    def test_logical_clock_ignores_wall_time(self):
-        """The logical tier must replay identically whatever the wall
-        clock does — deadlines only ever *remove* queued entries."""
-        router, now = self.make_clocked([2, 2])
-        router.submit(busy_job("a", 2))
-        router.submit(busy_job("b", 2))
-        router.submit(busy_job("c", 2), timeout=3)
-        now[0] = 1e9  # no deadlines tracked: nothing may change
-        router.release("a")
-        assert "c" in router.residents
-
-    def test_bad_deadline_rejected(self):
-        router, _ = self.make_clocked([4])
-        with pytest.raises(CircuitError, match="deadline_s"):
-            router.submit(busy_job("a", 2), deadline_s=0.0)
 
 
 class TestFleetErrors:
@@ -370,7 +337,7 @@ class TestFleetErrors:
 
     def test_failed_release_is_not_a_fleet_event(self):
         """Releasing an unknown or queued name raises before the fleet
-        ticks: no event, so no expiry of a timed overflow entry."""
+        ticks: no event, so no expiry of a timed queued entry."""
         router = make_router([3, 8])
         router.submit(busy_job("res", 2))
         busy = mcx(list(range(7)), 7)  # wires 0..7 active throughout
@@ -411,13 +378,20 @@ class TestFleetErrors:
             router.submit(busy_job("c", 1))
 
     def test_checker_catches_planted_desync(self):
-        router = make_router([2, 2], check_invariants=False)
+        router = make_router([2, 2], checked=False)
         router.submit(busy_job("a", 2))
         checker = FleetInvariantChecker(router)
         checker.check()
         router._resident_on["a"] = "shard1"  # plant a routing lie
         with pytest.raises(InvariantViolation, match="resident map"):
             checker.check()
+
+    def test_checker_catches_a_shard_queue(self):
+        router = make_router([2], checked=False)
+        router.submit(busy_job("a", 2))
+        router.shards["shard0"].submit(busy_job("b", 2))  # bypasses the fleet
+        with pytest.raises(InvariantViolation, match="only the fleet may queue"):
+            FleetInvariantChecker(router).check()
 
 
 class TestIntrospection:
@@ -446,13 +420,13 @@ class TestIntrospection:
     def test_snapshot_mentions_every_tier(self):
         router = make_router([1, 4])
         router.submit(busy_job("w", 1))
-        router.submit(hungry_job("g"))  # shard1 empty: overflow
+        router.submit(hungry_job("g"))  # shard1 is empty yet refuses it
         router.submit(busy_job("q", 4))
         router.submit(busy_job("q2", 4))
         text = router.snapshot()
         assert "fleet: 2 shards" in text
         assert "shard0" in text and "shard1" in text
-        assert "overflow: g" in text
+        assert "queued: g, q2" in text
 
 
 class TestFleetProperties:
@@ -460,9 +434,7 @@ class TestFleetProperties:
 
     def run_seeded(self, seed, placement, sizes=(11, 11)):
         trace = random_fleet_trace(seed, num_jobs=20)
-        router = make_router(
-            list(sizes), placement=placement, check_invariants=False
-        )
+        router = make_router(list(sizes), placement=placement, checked=False)
         checker = FleetInvariantChecker(router)
         try:
             log = replay_trace(router, trace, checker)
@@ -484,16 +456,12 @@ class TestFleetProperties:
         stats = log.stats
         assert stats["admitted"] == len(log.admitted)
         # Routing conservation: everything submitted either was
-        # admitted, rejected, expired somewhere, or still waits.
-        shard_totals = stats["shards"].values()
-        expired_everywhere = stats["expired"] + sum(
-            s["expired"] for s in shard_totals
-        )
+        # admitted, rejected, expired, or still waits (no shard queues,
+        # so the fleet's counters are the whole story).
         assert (
             stats["admitted"]
             + stats["rejected"]
-            + stats["deadline_expired"]
-            + expired_everywhere
+            + stats["expired"]
             + stats["pending"]
             == stats["submitted"]
         ), f"seed {seed}: fleet counters leak jobs"
@@ -506,25 +474,46 @@ class TestFleetProperties:
         )
         assert checker.checks == len(trace)
 
-    def test_shard_admitting_during_queueing_submit_is_tracked(self):
-        """The queueing pass calls the shard's submit(), which ticks its
-        clock before retrying admit: a lease window shifted by one round
-        can then fit, and the fleet must record an admission rather
-        than a queue entry it would later forget."""
+    @staticmethod
+    def assert_drains_agree(trace, sizes, placement):
+        """Draining only the shard whose state changed admits the same
+        jobs on the same shards, after every event, as draining every
+        shard to a fixpoint."""
+
+        def states(router_class):
+            router = router_class(
+                list(sizes), placement=placement, verifier=SHARED_VERIFIER
+            )
+            seen = []
+            replay_trace(
+                router,
+                trace,
+                lambda: seen.append((router.resident_shards(), router.pending())),
+            )
+            return seen
+
+        assert states(FleetRouter) == states(EveryShardDrainRouter)
+
+    @pytest.mark.parametrize("sizes", [(11, 11), (7, 11, 15)])
+    @pytest.mark.parametrize("placement", available_placements())
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draining_the_changed_shard_suffices(self, seed, placement, sizes):
+        trace = random_fleet_trace(seed, num_jobs=50)
+        self.assert_drains_agree(trace, sizes, placement)
+
+    @pytest.mark.parametrize("seed", [1, 1009])
+    def test_draining_the_changed_shard_suffices_under_timeouts(self, seed):
+        """The 400-job shape the capacity-precheck replays use: every
+        job carries a timeout, and the queue never drains at the end."""
         trace = random_fleet_trace(
-            35,
-            num_jobs=117,
+            seed,
+            num_jobs=400,
             timeout_probability=1.0,
             max_timeout=48,
             release_probability=0.35,
             drain=False,
         )
-        router = make_router([11, 11], check_invariants=False)
-        checker = FleetInvariantChecker(router)
-        log = replay_trace(router, trace, checker)
-        assert checker.checks == len(trace)
-        assert "submit f116: admitted" in log.events
-        assert log.stats["admitted"] == len(log.admitted)
+        self.assert_drains_agree(trace, (11, 11), "least-loaded")
 
     @pytest.mark.parametrize(
         "placement", ["least-loaded", "best-fit-width", "family-affinity"]
@@ -535,9 +524,7 @@ class TestFleetProperties:
         must admit at least what one 11-qubit machine does alone —
         anything less means the router wasted a whole machine."""
         trace = random_fleet_trace(seed, num_jobs=20)
-        router = make_router(
-            [11, 11], placement=placement, check_invariants=False
-        )
+        router = make_router([11, 11], placement=placement, checked=False)
         fleet_log = replay_trace(router, trace)
         single = MultiProgrammer(11, verifier=SHARED_VERIFIER)
         single_log = replay_trace(single, trace)

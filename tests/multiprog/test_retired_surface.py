@@ -3,8 +3,11 @@ used is gone: whole-residency lending, the restore-check and model-memo
 knobs, the per-admission packer, the stream's lookahead/packer/capacity
 arguments, the ``FleetService`` burst buffer, the verifier's thread
 pool with its ``executor=`` and scheduler ``max_workers=`` knobs, and
-the clean-wire checker's own backend dispatch (``repro.verify.clean``).
-Each now fails loudly instead of being silently accepted."""
+the clean-wire checker's own backend dispatch (``repro.verify.clean``),
+and the fleet's per-shard queues with their wall-clock deadlines,
+injectable clock, built-in invariant check and the scheduler's
+``drain``/``queue_entry`` hooks they needed.  Each now fails loudly
+instead of being silently accepted."""
 
 import importlib
 import threading
@@ -35,6 +38,9 @@ def test_lending_modes_are_segmented_and_windowed():
         lambda: BatchVerifier(executor="thread"),
         lambda: MultiProgrammer(4, max_workers=2),
         lambda: FleetRouter([4], max_workers=2),
+        lambda: FleetRouter([4], clock=lambda: 0.0),
+        lambda: FleetRouter([4], check_invariants=True),
+        lambda: ShardSpec(4, queue_policy="fifo"),
     ],
     ids=[
         "restore_check",
@@ -44,6 +50,9 @@ def test_lending_modes_are_segmented_and_windowed():
         "executor",
         "max_workers",
         "fleet_max_workers",
+        "fleet_clock",
+        "fleet_check_invariants",
+        "shard_queue_policy",
     ],
 )
 def test_retired_constructor_options_raise(build):
@@ -64,6 +73,16 @@ def test_retired_call_options_raise():
         with pytest.raises(TypeError):
             mp.admit_stream("s", 1, **option)
     assert mp.residents == ()
+
+
+def test_fleet_deadlines_and_shard_queue_hooks_are_gone():
+    router = FleetRouter([4])
+    job = QuantumJob("j", Circuit(1).extend([x(0)]), [])
+    with pytest.raises(TypeError):
+        router.submit(job, deadline_s=1.0)
+    assert router.events == 0
+    assert not hasattr(MultiProgrammer, "drain")
+    assert not hasattr(MultiProgrammer, "queue_entry")
 
 
 def test_service_module_is_gone():

@@ -155,7 +155,6 @@ def alloc_record(
                     "shards": [11],
                     "placement": "least-loaded",
                     "admitted": single_admitted,
-                    "migrations": 0,
                     "wall_seconds": wall,
                 },
                 {
@@ -163,7 +162,6 @@ def alloc_record(
                     "shards": [22],
                     "placement": "least-loaded",
                     "admitted": single_admitted + 5,
-                    "migrations": 0,
                     "wall_seconds": wall,
                 },
                 {
@@ -171,7 +169,6 @@ def alloc_record(
                     "shards": [11, 11],
                     "placement": "least-loaded",
                     "admitted": fleet_admitted,
-                    "migrations": 3,
                     "wall_seconds": wall,
                 },
             ],

@@ -15,6 +15,13 @@ from repro.verify import (
 from tests.conftest import fig13_circuit
 
 
+def worker_checker_count(_):
+    """Run in a pool worker: how many checkers that worker keeps."""
+    from repro.verify import batch
+
+    return len(batch._WORKER_CHECKERS)
+
+
 def adder_program(n=14):
     return elaborate(adder_qbr_source(n))
 
@@ -215,3 +222,14 @@ class TestClear:
         verifier.clear()
         report = verifier.verify_circuit(fig13_circuit(), [2])
         assert report.cache_misses == 1 and report.cache_hits == 0
+
+    def test_clear_reaches_pool_workers(self):
+        programs = [elaborate(mcx_qbr_source(m)) for m in range(6, 16)]
+        with BatchVerifier(backend="bdd", max_workers=2) as verifier:
+            verifier.verify_circuits(
+                [(p.circuit, p.dirty_wires) for p in programs]
+            )
+            verifier.clear()
+            pool = verifier._process_pool()
+            counts = list(pool.map(worker_checker_count, range(8)))
+        assert counts == [0] * 8
