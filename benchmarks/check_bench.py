@@ -25,10 +25,12 @@ The gate fails (exit 1) on:
   (schema v2 ``fronts`` rows): the bitset kernel must stay at least
   50x over the old per-row brute enumeration, the incremental probe
   path must be strictly faster than fresh-instance solving (the
-  median per-pair ratio < 1.0), and the process pool must be at least
+  median per-pair ratio < 1.0), the process pool must be at least
   2x the in-process loop when the runner has >= 4 CPUs (recorded but
   not enforced on smaller runners — the row carries ``cpu_count`` so
-  the gate can tell);
+  the gate can tell), and the dependence sweep must decide every (6.2)
+  obligation of its adder (``swept`` equal to ``obligations``) with
+  the engine's verdicts;
 * the **lending invariants** — within the fresh record itself:
   segmented lending admitting fewer jobs than windowed under any
   policy, or failing to admit *strictly more* than windowed under at
@@ -256,6 +258,26 @@ def compare_verify(baseline: dict, fresh: dict) -> Comparator:
                 speedup,
                 ok,
                 detail,
+            )
+        )
+    sweep = fresh_fronts.get(("sweep_vs_engine",))
+    if sweep is not None:
+        comp.findings.append(
+            Finding(
+                "verify.fronts[sweep_vs_engine].swept",
+                sweep.get("obligations"),
+                sweep.get("swept"),
+                sweep.get("swept") == sweep.get("obligations"),
+                "the sweep must decide every (6.2) obligation",
+            )
+        )
+        comp.findings.append(
+            Finding(
+                "verify.fronts[sweep_vs_engine].verdicts_agree",
+                True,
+                sweep.get("verdicts_agree"),
+                sweep.get("verdicts_agree") is True,
+                "sweep and engine-alone verdicts must agree",
             )
         )
     fresh_cmp = _by(fresh.get("sequential_vs_batch"), "backend")

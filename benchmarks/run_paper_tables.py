@@ -10,9 +10,12 @@ and always writes two machine-readable perf records so successive PRs
 can track the trajectory:
 
 * ``BENCH_verify.json`` — per-backend solver seconds on a fixed
-  ≥12-dirty-qubit circuit, the sequential-loop vs. batch-engine
-  wall-time comparison, and the paper-scale ``elaborate`` row (the
-  ``.qbr`` front end on ``mcx.qbr`` m=750);
+  ≥12-dirty-qubit circuit, the solver-speed fronts (the dependence
+  sweep against the engine alone among them), the sequential-loop vs.
+  batch-engine wall-time comparison, and the paper-scale ``elaborate``
+  row (the ``.qbr`` front end on ``mcx.qbr`` m=750).  Every row but
+  ``sweep_vs_engine`` runs with the sweep off, so it measures the
+  engines it names;
 * ``BENCH_alloc.json`` — final width and wall time of every registered
   allocation strategy on the Figure 3.1 example and the 13-dirty-qubit
   adder, the lazy vs. eager verification comparison, a ≥8-job online
@@ -87,6 +90,9 @@ BENCH_ONLY = "--bench-only" in sys.argv
 #: dirty carry ancillas (the acceptance floor is >= 12).
 BENCH_ADDER_N = 14
 
+#: Adder of the ``sweep_vs_engine`` front: cdcl alone needs ~1 s there.
+SWEEP_ADDER_N = 25
+
 #: ``mcx.qbr`` parameter of the ``elaborate`` row: the paper's Fig 6.4
 #: size (11,968 gates).  Quick mode keeps it, so a quick record still
 #: compares against the committed one.
@@ -149,7 +155,8 @@ def _sweep(name, key, sources, backends) -> None:
                 continue
             start = time.perf_counter()
             report = verify_circuit(
-                program.circuit, program.dirty_wires, backend=backend
+                program.circuit, program.dirty_wires, backend=backend,
+                sweep=False,
             )
             elapsed = time.perf_counter() - start
             flag = "" if report.all_safe else "!UNSAFE"
@@ -199,10 +206,11 @@ _BACKEND_ADDER_CAP = {"brute": 10, "bitset": 10}
 
 
 def per_backend_solver_seconds() -> list:
-    """Solver seconds of every registered backend on its largest
-    tractable adder workload (``qubits`` recorded per row).  The ROBDD
-    rows also record ``bdd_nodes``, the compiled manager's node count,
-    which is deterministic and gated exactly."""
+    """Solver seconds of every registered backend, with the dependence
+    sweep off, on its largest tractable adder workload (``qubits``
+    recorded per row).  The ROBDD rows also record ``bdd_nodes``, the
+    manager's node count once every wire's formula is compiled, which
+    is deterministic and gated exactly."""
     rows = []
     for backend in available_backends():
         n = min(BENCH_ADDER_N, _BACKEND_ADDER_CAP.get(backend, BENCH_ADDER_N))
@@ -210,7 +218,8 @@ def per_backend_solver_seconds() -> list:
         start = time.perf_counter()
         try:
             report = verify_circuit(
-                program.circuit, program.dirty_wires, backend=backend
+                program.circuit, program.dirty_wires, backend=backend,
+                sweep=False,
             )
         except SolverError as error:
             rows.append({"backend": backend, "adder_n": n, "error": str(error)})
@@ -227,6 +236,8 @@ def per_backend_solver_seconds() -> list:
         }
         if backend in ("bdd", "bdd-reversed"):
             checker = make_checker(track_circuit(program.circuit), backend)
+            for qubit in range(program.circuit.num_qubits):
+                checker.root(qubit)
             row["bdd_nodes"] = checker.bdd.node_count
         rows.append(row)
         print(
@@ -239,17 +250,19 @@ def per_backend_solver_seconds() -> list:
 
 def sequential_vs_batch(program, backend: str) -> dict:
     """The headline comparison: per-qubit verify_circuit loop vs. one
-    default-constructed BatchVerifier call over the same dirty qubits,
-    both in this thread; the speedup is the shared tracking, checker
-    build and incremental solving."""
+    BatchVerifier call over the same dirty qubits, both in this thread
+    and with the dependence sweep off; the speedup is the shared
+    tracking, checker build and incremental solving."""
     start = time.perf_counter()
     sequential_verdicts = []
     for qubit in program.dirty_wires:
-        report = verify_circuit(program.circuit, [qubit], backend=backend)
+        report = verify_circuit(
+            program.circuit, [qubit], backend=backend, sweep=False
+        )
         sequential_verdicts.extend(report.verdicts)
     sequential_wall = time.perf_counter() - start
 
-    verifier = BatchVerifier(backend=backend)
+    verifier = BatchVerifier(backend=backend, sweep=False)
     start = time.perf_counter()
     batch_report = verifier.verify_circuit(
         program.circuit, program.dirty_wires
@@ -294,7 +307,7 @@ def front_bitset_vs_brute() -> dict:
 
     start = time.perf_counter()
     report = verify_circuit(
-        program.circuit, qubits, backend="bitset"
+        program.circuit, qubits, backend="bitset", sweep=False
     )
     new_wall = time.perf_counter() - start
 
@@ -364,7 +377,8 @@ def front_incremental_vs_fresh(program) -> dict:
 
 def front_process_vs_sequential() -> dict:
     """Front 3: the process pool vs. the in-process loop on a CPU-bound
-    multi-circuit batch.  Pure-Python solving holds the GIL, so only
+    multi-circuit batch, with the dependence sweep off so the engine
+    does the work.  Pure-Python solving holds the GIL, so only
     worker processes scale with cores — which is why the row records
     ``cpu_count`` and the gate only binds on machines with enough of
     them."""
@@ -385,7 +399,7 @@ def front_process_vs_sequential() -> dict:
 
     def run(max_workers: int) -> float:
         with BatchVerifier(
-            backend="cdcl", max_workers=max_workers, replay=False
+            backend="cdcl", max_workers=max_workers, replay=False, sweep=False
         ) as verifier:
             if max_workers > 1:
                 # Spin the pool up outside the timed region: the row
@@ -413,6 +427,40 @@ def front_process_vs_sequential() -> dict:
         f"  process_vs_sequential sequential={sequential_wall:>7.3f}s "
         f"process={process_wall:>7.3f}s speedup={row['speedup']}x "
         f"(cpus={row['cpu_count']})"
+    )
+    return row
+
+
+def front_sweep_vs_engine() -> dict:
+    """Front 4: the dependence sweep before the engine vs. the engine
+    alone, cdcl on the adder at :data:`SWEEP_ADDER_N`.  ``swept``
+    counts the (6.2) obligations the sweep decided; the gate wants
+    every one of them, and the same verdicts both ways."""
+    program = elaborate(adder_qbr_source(SWEEP_ADDER_N))
+    walls, reports = {}, {}
+    for sweep in (False, True):
+        start = time.perf_counter()
+        reports[sweep] = verify_circuit(
+            program.circuit, program.dirty_wires, backend="cdcl", sweep=sweep
+        )
+        walls[sweep] = time.perf_counter() - start
+    row = {
+        "front": "sweep_vs_engine",
+        "adder_n": SWEEP_ADDER_N,
+        "obligations": len(program.dirty_wires),
+        "swept": reports[True].swept,
+        "engine_wall_seconds": round(walls[False], 4),
+        "sweep_wall_seconds": round(walls[True], 4),
+        "sweep_seconds": round(reports[True].sweep_seconds, 4),
+        "speedup": round(walls[False] / walls[True], 1)
+        if walls[True] > 0 else None,
+        "verdicts_agree": [v.safe for v in reports[True].verdicts]
+        == [v.safe for v in reports[False].verdicts],
+    }
+    print(
+        f"  sweep_vs_engine    engine={walls[False]:>7.3f}s "
+        f"sweep={walls[True]:>7.3f}s swept={row['swept']}/"
+        f"{row['obligations']} speedup={row['speedup']}x"
     )
     return row
 
@@ -459,6 +507,7 @@ def bench_verify(path: str) -> None:
         front_bitset_vs_brute(),
         front_incremental_vs_fresh(program),
         front_process_vs_sequential(),
+        front_sweep_vs_engine(),
     ]
     print("sequential loop vs. batch engine:", flush=True)
     comparison = [

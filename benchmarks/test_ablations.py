@@ -6,6 +6,11 @@ A1  hash-consed x⊕x=0 simplification during formula tracking
 A3  BDD variable order: first-use order vs its reverse on both
     benchmark families, plus the classic interleaved-vs-separated witness where
     order changes the BDD size exponentially.
+A4  the dependence sweep (``repro.verify.sweep``) before the engine: on
+    or off, every verdict is the same, and on the paper's families the
+    sweep decides every (6.2) obligation.
+
+A1 and A3 measure the engines, so they run with the sweep off.
 """
 
 import pytest
@@ -29,6 +34,7 @@ class TestA1Simplification:
                 program.dirty_wires,
                 backend="cdcl",
                 simplify_xor=simplify,
+                sweep=False,
             )
 
         report = run_once(benchmark, verify)
@@ -65,7 +71,7 @@ class TestA3VariableOrder:
 
         def verify():
             return verify_circuit(
-                program.circuit, program.dirty_wires, backend=backend
+                program.circuit, program.dirty_wires, backend=backend, sweep=False
             )
 
         report = run_once(benchmark, verify)
@@ -96,3 +102,35 @@ class TestA3VariableOrder:
         benchmark.extra_info["interleaved_nodes"] = good
         benchmark.extra_info["separated_nodes"] = bad
         assert bad > 20 * good
+
+
+class TestA4Sweep:
+    @pytest.mark.parametrize(
+        "family,size,backend",
+        [
+            ("adder", 20, "cdcl"),
+            ("adder", 100, "bdd"),
+            ("mcx", 250, "cdcl"),
+            ("mcx", 250, "bdd"),
+        ],
+    )
+    def test_sweep_changes_no_verdict(self, benchmark, family, size, backend):
+        source = (
+            adder_qbr_source(size) if family == "adder" else mcx_qbr_source(size)
+        )
+        program = elaborate(source)
+
+        def verify(sweep):
+            return verify_circuit(
+                program.circuit, program.dirty_wires, backend=backend, sweep=sweep
+            )
+
+        off = verify(False)
+        on = run_once(benchmark, lambda: verify(True))
+        assert [(v.qubit, v.safe) for v in on.verdicts] == [
+            (v.qubit, v.safe) for v in off.verdicts
+        ]
+        assert on.all_safe
+        assert (on.swept, off.swept) == (len(program.dirty_wires), 0)
+        benchmark.extra_info["engine_only_seconds"] = round(off.total_seconds, 4)
+        benchmark.extra_info["sweep_seconds"] = round(on.sweep_seconds, 4)

@@ -19,16 +19,19 @@ Checkers, from most semantic to most scalable:
   ``brute``'s fast path under its cone-width threshold; ``bdd`` —
   ROBDDs over the order in which the circuit first touches its wires;
   ``bdd-reversed`` — the reverse of that order);
+* :mod:`repro.verify.sweep` — the dependence sweep, which proves (6.2)
+  on small cones by truth tables before any backend runs;
 * :mod:`repro.verify.batch` — :class:`BatchVerifier`, the throughput
   engine for both allocation contracts: dirty (``borrow``) wires owe
   (6.1) and (6.2), clean (``alloc``) wires (6.1) alone, through the
-  same checkers.  Verdicts are memoised by ``(circuit fingerprint,
-  qubit, backend, simplify_xor, clean)``; a circuit is tracked and its
-  checker built once, on its first memo miss that runs in this
-  process.  Checks run in the caller's thread (``max_workers=1``, the
-  default) or ship in per-circuit chunks to a ``ProcessPoolExecutor``
-  (``max_workers > 1``, the only path that uses a second core, since
-  every engine is pure Python);
+  same checkers, each dirty obligation through the sweep first
+  (``sweep=False`` turns it off).  Verdicts are memoised by
+  ``(circuit fingerprint, qubit, backend, simplify_xor, clean)``; a
+  circuit is tracked and its checker built once, on its first memo
+  miss that runs in this process.  Checks run in the caller's thread
+  (``max_workers=1``, the default) or ship in per-circuit chunks to a
+  ``ProcessPoolExecutor`` (``max_workers > 1``, the only path that
+  uses a second core, since every engine is pure Python);
 * :mod:`repro.verify.cache` — :class:`DiskVerdictCache`, the opt-in
   JSON persistence of that memo (``cache_path=`` on the verifier), so
   repeated service runs skip solver work across processes;

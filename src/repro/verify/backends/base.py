@@ -11,7 +11,9 @@ or, at scale, through :class:`repro.verify.batch.BatchVerifier`.
 
 The batch engine calls ``check_qubit`` in the caller's thread, or in a
 pool worker process on that process's own checker, so backends keep
-per-circuit state without locks.
+per-circuit state without locks.  It also calls ``check_qubit(q,
+clean=True)`` for a dirty wire whose (6.2) the dependence sweep
+(:mod:`repro.verify.sweep`) has already proved.
 """
 
 from __future__ import annotations

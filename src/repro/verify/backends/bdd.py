@@ -1,10 +1,12 @@
 """The ROBDD backend, with per-circuit formula sharing.
 
-All final formulas are compiled once into one manager (shared node
-cache) at construction; per-qubit checks are then cofactor/XOR/zero-test
-operations, each memoised inside the manager.  Canonicity makes the
-unsatisfiability tests O(1) once the compile is paid — which is why the
-batch engine's one-checker-per-circuit reuse matters most here.
+Each wire's final formula is compiled into one manager (shared node
+cache) on its first use, and kept; per-qubit checks are then
+cofactor/XOR/zero-test operations, each memoised inside the manager.
+Canonicity makes the unsatisfiability tests O(1) once the compile is
+paid — which is why the batch engine's one-checker-per-circuit reuse
+matters most here.  Compiling on first use means a check whose (6.2)
+the dependence sweep has decided compiles only its own wire.
 """
 
 from __future__ import annotations
@@ -62,18 +64,24 @@ class BddCheckerBackend(CheckerBackend):
             order.reverse()
         self.bdd = Bdd(order)
         self._expr_cache: Dict[int, int] = {}
+        #: Wire -> ROBDD of its final formula, for the wires compiled so far.
         self.compiled: Dict[int, int] = {}
-        for q in range(tracked.circuit.num_qubits):
-            self.compiled[q] = self.bdd.from_expr(
-                tracked.formulas[q], self._expr_cache
+
+    def root(self, qubit: int) -> int:
+        """The ROBDD of ``qubit``'s final formula, compiled on first use."""
+        node = self.compiled.get(qubit)
+        if node is None:
+            node = self.compiled[qubit] = self.bdd.from_expr(
+                self.tracked.formulas[qubit], self._expr_cache
             )
+        return node
 
     def check_qubit(self, qubit: int, clean: bool = False) -> BooleanCheckOutcome:
         start = time.perf_counter()
         name = self.tracked.names[qubit]
         bdd = self.bdd
         # Formula (6.1): b_q with q := 0 must be the 0 terminal.
-        zero_cofactor = bdd.restrict(self.compiled[qubit], name, False)
+        zero_cofactor = bdd.restrict(self.root(qubit), name, False)
         if not bdd.is_false(zero_cofactor):
             model = bdd.any_sat(zero_cofactor) or {}
             model[name] = False
@@ -91,7 +99,7 @@ class BddCheckerBackend(CheckerBackend):
         for other in others:
             if other == qubit:
                 continue
-            f = self.compiled[other]
+            f = self.root(other)
             derivative = bdd.apply_xor(
                 bdd.restrict(f, name, False), bdd.restrict(f, name, True)
             )

@@ -14,6 +14,10 @@ its clean (``alloc``) wires (6.1) alone.  For a batch of jobs it
   checker only when one of its obligations misses the memo and runs in
   this process, then shares both — Tseitin tables, compiled BDDs —
   across every later check on that circuit;
+* runs each dirty obligation through the dependence sweep
+  (:mod:`repro.verify.sweep`) before the engine: when the sweep proves
+  (6.2), the engine checks (6.1) alone (stage order: track → sweep →
+  engine);
 * runs the per-qubit checks in the caller's thread, or, with
   ``max_workers > 1``, ships them in per-circuit chunks to a process
   pool (every engine is pure Python and holds the GIL, so processes
@@ -28,6 +32,7 @@ caller opts out of replay.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -42,11 +47,19 @@ from repro.verify.report import (
     VerificationReport,
     outcome_to_verdict,
 )
+from repro.verify.sweep import decides_62
 from repro.verify.tracking import TrackedFormulas, track_circuit
 
 #: The verdict memo: (circuit fingerprint, qubit, backend, simplify_xor,
 #: clean) -> outcome.
 VerdictCache = Dict[CacheKey, BooleanCheckOutcome]
+
+#: One discharged obligation: its outcome, the sweep's seconds, and
+#: whether the sweep decided (6.2).
+Discharged = Tuple[BooleanCheckOutcome, float, bool]
+
+#: A call's memo misses: key -> (circuit, index of the job that owns it).
+_Pending = Dict[CacheKey, Tuple[Circuit, int]]
 
 #: Per-process checker cache for the process pool.  Workers
 #: receive (circuit, obligations) chunks and rebuild tracking + checker
@@ -56,13 +69,32 @@ VerdictCache = Dict[CacheKey, BooleanCheckOutcome]
 _WORKER_CHECKERS: Dict[Tuple[str, str, bool], CheckerBackend] = {}
 
 
+def _discharge(
+    checker: CheckerBackend, qubit: int, clean: bool, sweep: bool
+) -> Discharged:
+    """Decide one obligation on ``checker``, the sweep first.
+
+    When the sweep proves a dirty wire's (6.2), the engine checks (6.1)
+    alone (``check_qubit(qubit, clean=True)``); otherwise it decides
+    the obligation as it would without the sweep, so every
+    counterexample still comes from an engine.
+    """
+    if not sweep or clean:
+        return checker.check_qubit(qubit, clean=clean), 0.0, False
+    start = time.perf_counter()
+    swept = decides_62(checker.tracked, qubit)
+    sweep_seconds = time.perf_counter() - start
+    return checker.check_qubit(qubit, clean=swept), sweep_seconds, swept
+
+
 def _process_check(
     circuit: Circuit,
     obligations: Sequence[Tuple[int, bool]],
     backend: str,
     simplify_xor: bool,
+    sweep: bool,
     cache_path: Optional[str] = None,
-) -> Tuple[List[BooleanCheckOutcome], int]:
+) -> Tuple[List[Discharged], int]:
     """Top-level (picklable) worker: check a chunk of ``(qubit, clean)``
     obligations in this process.  Chunks are per-circuit so the tracking
     rebuild — and the incremental SAT backend's shared instance —
@@ -76,20 +108,21 @@ def _process_check(
     solves only the remainder, and flushes its fresh verdicts before
     returning (a read-merge-write under the cache's sidecar lock, so
     chunks racing their flushes union rather than clobber).  Returns
-    the outcomes in ``obligations`` order plus how many came from disk.
+    the discharged obligations in ``obligations`` order plus how many
+    came from disk.
     """
     fingerprint = circuit.fingerprint()
     cache = None
     if cache_path is not None:
         cache = DiskVerdictCache(cache_path, autosave=False)
     checker = None
-    outcomes: List[BooleanCheckOutcome] = []
+    results: List[Discharged] = []
     disk_hits = 0
     solved = False
     for qubit, clean in obligations:
         key = (fingerprint, qubit, backend, simplify_xor, clean)
         if cache is not None and key in cache:
-            outcomes.append(cache[key])
+            results.append((cache[key], 0.0, False))
             disk_hits += 1
             continue
         if checker is None:
@@ -99,14 +132,26 @@ def _process_check(
                 tracked = track_circuit(circuit, simplify_xor=simplify_xor)
                 checker = make_checker(tracked, backend)
                 _WORKER_CHECKERS[warm_key] = checker
-        outcome = checker.check_qubit(qubit, clean=clean)
-        outcomes.append(outcome)
+        result = _discharge(checker, qubit, clean, sweep)
+        results.append(result)
         if cache is not None:
-            cache[key] = outcome
+            cache[key] = result[0]
             solved = True
     if cache is not None and solved:
         cache.flush()
-    return outcomes, disk_hits
+    return results, disk_hits
+
+
+@dataclass
+class _Spent:
+    """The work one call did for one job: tracking and checker-build
+    seconds (in-process runs only), sweep seconds, and how many of its
+    obligations the sweep decided."""
+
+    track: float = 0.0
+    build: float = 0.0
+    sweep: float = 0.0
+    swept: int = 0
 
 
 @dataclass(frozen=True)
@@ -183,6 +228,12 @@ class BatchVerifier:
         Convenience for the disk cache: a path here constructs a
         :class:`~repro.verify.cache.DiskVerdictCache` over it (mutually
         exclusive with ``cache``).
+    sweep:
+        Run the dependence sweep (:mod:`repro.verify.sweep`) on every
+        dirty obligation before the engine.  It changes how a verdict
+        is reached, never the verdict, so it is not part of the memo
+        key; ``sweep=False`` runs the engine alone (the ablation that
+        engine comparisons need).
     """
 
     def __init__(
@@ -193,6 +244,7 @@ class BatchVerifier:
         replay: bool = True,
         cache: Optional[VerdictCache] = None,
         cache_path: Optional[str] = None,
+        sweep: bool = True,
     ):
         backend_class(backend)  # SolverError for an unregistered name
         if max_workers < 1:
@@ -206,6 +258,7 @@ class BatchVerifier:
         self.backend = backend
         self.max_workers = max_workers
         self.simplify_xor = simplify_xor
+        self.sweep = sweep
         self.replay = replay
         self.cache: VerdictCache = {} if cache is None else cache
         self.cache_hits = 0
@@ -217,8 +270,6 @@ class BatchVerifier:
         #: flush cycle could see them.
         self.worker_disk_hits = 0
         self._tracked: Dict[str, TrackedFormulas] = {}
-        self._track_seconds: Dict[str, float] = {}
-        self._build_seconds: Dict[Tuple[str, str], float] = {}
         self._checkers: Dict[Tuple[str, str], CheckerBackend] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -255,8 +306,6 @@ class BatchVerifier:
         self.close()
         self.cache.clear()
         self._tracked.clear()
-        self._track_seconds.clear()
-        self._build_seconds.clear()
         self._checkers.clear()
 
     def verify_circuit(
@@ -275,10 +324,14 @@ class BatchVerifier:
         Returns one :class:`VerificationReport` per job, in input order.
         Because work is shared and may overlap across jobs, per-job wall
         time is not well-defined: each report's ``total_seconds`` is the
-        elapsed time of the *whole* call (do not sum it over a batch);
-        per-qubit ``solve_seconds`` carries the attribution.  A report's
-        ``track_seconds`` and ``build_seconds`` stay 0 until one of its
-        circuit's obligations has run in this process.
+        elapsed time of the *whole* call (do not sum it over a batch).
+        Its stage columns count only the work this call did for that
+        job: the job whose memo miss first needs a circuit pays its
+        tracking and checker build, and a memo hit (a verdict cached
+        before, or computed for an earlier job of the batch) costs
+        nothing, although its verdict keeps the ``solve_seconds`` it
+        was decided in.  Tracking and build done in pool workers are
+        not reported.
         """
         started = time.perf_counter()
         plan: List[Tuple[VerificationJob, str, str, List[Tuple[int, bool]]]] = []
@@ -295,50 +348,54 @@ class BatchVerifier:
             backend = job.backend or self.backend
             plan.append((job, job.circuit.fingerprint(), backend, obligations))
 
-        # Deduplicate against the memo cache and within the batch.
-        pending: Dict[CacheKey, Circuit] = {}
-        hits: Dict[int, int] = {}
-        misses: Dict[int, int] = {}
+        # Deduplicate against the memo cache and within the batch; each
+        # pending obligation belongs to the job that missed it first.
+        pending: _Pending = {}
+        missed: List[List[bool]] = []
         for index, (job, fingerprint, backend, obligations) in enumerate(plan):
+            flags = []
             for qubit, clean in obligations:
                 key = (fingerprint, qubit, backend, self.simplify_xor, clean)
-                if key in self.cache or key in pending:
-                    hits[index] = hits.get(index, 0) + 1
-                else:
-                    pending[key] = job.circuit
-                    misses[index] = misses.get(index, 0) + 1
-        self._execute(pending)
+                miss = key not in self.cache and key not in pending
+                if miss:
+                    pending[key] = (job.circuit, index)
+                flags.append(miss)
+            missed.append(flags)
+        spent = self._execute(pending)
 
         # Assemble per-job reports (replay happens here, in this process).
         reports: List[VerificationReport] = []
         for index, (job, fingerprint, backend, obligations) in enumerate(plan):
-            verdicts = [
-                outcome_to_verdict(
-                    job.circuit,
-                    self.cache[
-                        (fingerprint, qubit, backend, self.simplify_xor, clean)
-                    ],
-                    self.replay,
+            verdicts = []
+            solver_seconds = 0.0
+            for (qubit, clean), miss in zip(obligations, missed[index]):
+                key = (fingerprint, qubit, backend, self.simplify_xor, clean)
+                outcome = self.cache[key]
+                verdicts.append(
+                    outcome_to_verdict(job.circuit, outcome, self.replay)
                 )
-                for qubit, clean in obligations
-            ]
+                if miss:
+                    solver_seconds += outcome.solve_seconds
+            stages = spent.get(index, _Spent())
+            hits = missed[index].count(False)
             reports.append(
                 VerificationReport(
                     backend=backend,
                     num_qubits=job.circuit.num_qubits,
                     num_gates=len(job.circuit.gates),
                     verdicts=verdicts,
-                    track_seconds=self._track_seconds.get(fingerprint, 0.0),
-                    build_seconds=self._build_seconds.get(
-                        (fingerprint, backend), 0.0
-                    ),
+                    track_seconds=stages.track,
+                    build_seconds=stages.build,
+                    sweep_seconds=stages.sweep,
+                    solver_seconds=solver_seconds,
                     total_seconds=time.perf_counter() - started,
-                    cache_hits=hits.get(index, 0),
-                    cache_misses=misses.get(index, 0),
+                    cache_hits=hits,
+                    cache_misses=len(obligations) - hits,
+                    swept=stages.swept,
                 )
             )
-        self.cache_hits += sum(hits.values())
-        self.cache_misses += sum(misses.values())
+        self.cache_hits += sum(flags.count(False) for flags in missed)
+        self.cache_misses += len(pending)
         return reports
 
     # ------------------------------------------------------------------ #
@@ -346,22 +403,20 @@ class BatchVerifier:
     # ------------------------------------------------------------------ #
 
     def _ensure_checker(
-        self, circuit: Circuit, fingerprint: str, backend: str
+        self, circuit: Circuit, fingerprint: str, backend: str, spent: _Spent
     ) -> CheckerBackend:
         tracked = self._tracked.get(fingerprint)
         if tracked is None:
             track_start = time.perf_counter()
             tracked = track_circuit(circuit, simplify_xor=self.simplify_xor)
-            self._track_seconds[fingerprint] = (
-                time.perf_counter() - track_start
-            )
+            spent.track += time.perf_counter() - track_start
             self._tracked[fingerprint] = tracked
         key = (fingerprint, backend)
         checker = self._checkers.get(key)
         if checker is None:
             build_start = time.perf_counter()
             checker = make_checker(tracked, backend)
-            self._build_seconds[key] = time.perf_counter() - build_start
+            spent.build += time.perf_counter() - build_start
             self._checkers[key] = checker
         return checker
 
@@ -370,7 +425,9 @@ class BatchVerifier:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
-    def _execute_process(self, pending: Dict[CacheKey, Circuit]) -> None:
+    def _execute_process(
+        self, pending: _Pending
+    ) -> Iterable[Tuple[CacheKey, Discharged]]:
         """Fan pending checks out over the process pool.
 
         Work ships as per-circuit chunks, not per-qubit tasks: each
@@ -380,7 +437,7 @@ class BatchVerifier:
         obligation list is split so every worker still gets work.
         """
         groups: Dict[Tuple[str, str, bool], Tuple[Circuit, List[CacheKey]]] = {}
-        for key, circuit in pending.items():
+        for key, (circuit, _) in pending.items():
             fingerprint, _, backend, simplify_xor, _ = key
             group = groups.setdefault(
                 (fingerprint, backend, simplify_xor), (circuit, [])
@@ -407,28 +464,46 @@ class BatchVerifier:
                             [(qubit, clean) for _, qubit, _, _, clean in chunk],
                             backend,
                             simplify_xor,
+                            self.sweep,
                             cache_path,
                         ),
                     )
                 )
         for chunk, future in futures:
-            outcomes, disk_hits = future.result()
+            results, disk_hits = future.result()
             self.worker_disk_hits += disk_hits
-            for key, outcome in zip(chunk, outcomes):
-                self.cache[key] = outcome
+            yield from zip(chunk, results)
 
-    def _execute(self, pending: Dict[CacheKey, Circuit]) -> None:
+    def _execute_here(
+        self, pending: _Pending, spent: Dict[int, _Spent]
+    ) -> Iterable[Tuple[CacheKey, Discharged]]:
+        """Discharge pending obligations in this process, charging each
+        circuit's tracking and checker build to the job that owns the
+        first obligation to need them."""
+        for key, (circuit, index) in pending.items():
+            fingerprint, qubit, backend, _, clean = key
+            checker = self._ensure_checker(
+                circuit, fingerprint, backend, spent[index]
+            )
+            yield key, _discharge(checker, qubit, clean, self.sweep)
+
+    def _execute(self, pending: _Pending) -> Dict[int, _Spent]:
+        """Discharge every pending obligation into the memo; returns the
+        work done, by owning job."""
+        spent: Dict[int, _Spent] = defaultdict(_Spent)
         if not pending:
-            return
+            return spent
+        if self.max_workers > 1 and len(pending) > 1:
+            results = self._execute_process(pending)
+        else:
+            results = self._execute_here(pending, spent)
         # A persistent cache flushes once per batch, not per verdict
         # (duck-typed so plain dicts keep working).
         deferred = getattr(self.cache, "deferred", None)
-        store = deferred() if deferred is not None else nullcontext()
-        with store:
-            if self.max_workers > 1 and len(pending) > 1:
-                self._execute_process(pending)
-                return
-            for key, circuit in pending.items():
-                fingerprint, qubit, backend, _, clean = key
-                checker = self._ensure_checker(circuit, fingerprint, backend)
-                self.cache[key] = checker.check_qubit(qubit, clean=clean)
+        with deferred() if deferred is not None else nullcontext():
+            for key, (outcome, sweep_seconds, swept) in results:
+                self.cache[key] = outcome
+                stages = spent[pending[key][1]]
+                stages.sweep += sweep_seconds
+                stages.swept += swept
+        return spent

@@ -27,6 +27,7 @@ def verify_circuit(
     backend: str = "cdcl",
     simplify_xor: bool = True,
     replay: bool = True,
+    sweep: bool = True,
 ) -> VerificationReport:
     """Verify safe uncomputation of each dirty qubit (Theorem 6.4).
 
@@ -45,9 +46,13 @@ def verify_circuit(
     replay:
         Re-execute every counterexample on the classical simulator and
         raise if it does not actually violate the claimed condition.
+    sweep:
+        Decide (6.2) with the dependence sweep before the engine where
+        it can (ablation A4 turns this off; engine comparisons need
+        ``sweep=False``).
     """
     verifier = BatchVerifier(
-        backend=backend, simplify_xor=simplify_xor, replay=replay
+        backend=backend, simplify_xor=simplify_xor, sweep=sweep, replay=replay
     )
     return verifier.verify_circuit(circuit, dirty_qubits)
 

@@ -63,11 +63,16 @@ class VerificationReport:
     ``total_seconds`` is the wall time of the verify *call* that
     produced the report — for a batched call, the whole batch (shared,
     possibly overlapping work makes per-job wall time ill-defined), so
-    it must not be summed across a batch.  ``track_seconds`` and
-    ``build_seconds`` are the one-off costs of this circuit's formula
-    tracking and of its backend checker (:func:`make_checker`: the ROBDD
-    compile for ``bdd``); ``solver_seconds`` is the per-qubit
-    attribution Figures 6.3/6.4 plot.
+    it must not be summed across a batch.  The stage columns count only
+    the work the call did for this job, in pipeline order:
+    ``track_seconds`` (formula tracking), ``build_seconds`` (the backend
+    checker, :func:`make_checker`), ``sweep_seconds`` (the dependence
+    sweep, :mod:`repro.verify.sweep`) and ``solver_seconds`` (the
+    engines: the sum of the fresh verdicts' ``solve_seconds``, the
+    quantity Figures 6.3/6.4 plot; ``bdd`` compiles each wire's ROBDD
+    here, on first use).  A memo hit costs none of them, so on a fresh
+    call they add up to at most ``total_seconds`` and on an all-hit
+    call each reads 0.
     """
 
     backend: str
@@ -76,20 +81,19 @@ class VerificationReport:
     verdicts: List[QubitVerdict] = field(default_factory=list)
     track_seconds: float = 0.0
     build_seconds: float = 0.0
+    sweep_seconds: float = 0.0
+    solver_seconds: float = 0.0
     total_seconds: float = 0.0
     #: Memoised verdicts reused / freshly computed by the batch engine
     #: (both stay 0 on the non-memoising single-shot path).
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Obligations whose (6.2) the sweep decided in this call.
+    swept: int = 0
 
     @property
     def all_safe(self) -> bool:
         return all(v.safe for v in self.verdicts)
-
-    @property
-    def solver_seconds(self) -> float:
-        """Aggregate backend time — the quantity Figures 6.3/6.4 plot."""
-        return sum(v.solve_seconds for v in self.verdicts)
 
     def verdict_for(self, name: str) -> QubitVerdict:
         for verdict in self.verdicts:
@@ -102,7 +106,8 @@ class VerificationReport:
             f"backend={self.backend} qubits={self.num_qubits} "
             f"gates={self.num_gates} "
             f"track={self.track_seconds:.3f}s build={self.build_seconds:.3f}s "
-            f"solver={self.solver_seconds:.3f}s total={self.total_seconds:.3f}s"
+            f"sweep={self.sweep_seconds:.3f}s solver={self.solver_seconds:.3f}s "
+            f"total={self.total_seconds:.3f}s"
         ]
         lines.extend(f"  {verdict}" for verdict in self.verdicts)
         return "\n".join(lines)

@@ -12,7 +12,7 @@ unsatisfiability is the job of the pluggable checkers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.boolfn.expr import Expr, ExprBuilder
@@ -29,6 +29,10 @@ class TrackedFormulas:
     names: Dict[int, str]
     input_vars: Dict[int, Expr]
     formulas: Dict[int, Expr]
+    #: Node uid -> bitmask of the input wires the node reaches (bit ``q``
+    #: for wire ``q``), over the DAG under the final formulas; filled by
+    #: :func:`repro.verify.sweep.wire_masks` on first use.
+    masks: Optional[Dict[int, int]] = field(default=None, repr=False)
 
     def formula_of(self, qubit: int) -> Expr:
         return self.formulas[qubit]

@@ -258,6 +258,10 @@ class TestReferenceApply:
         source = {"mcx": mcx_qbr_source, "adder": adder_qbr_source}[family]
         tracked = track_circuit(elaborate(source(size)).circuit)
         checker = make_checker(tracked, backend)
+        # The checker compiles a wire on first use; compile them all, in
+        # wire order (the final node count does not depend on the order).
+        for qubit in range(tracked.circuit.num_qubits):
+            checker.root(qubit)
         assert checker.bdd.node_count == nodes
         reference = ReferenceBdd(checker.bdd.order)
         cache = {}

@@ -28,6 +28,8 @@ def verify_record(
     cpu_count=8,
     bdd_nodes=128,
     elaborate_gates=11968,
+    swept=24,
+    sweep_agree=True,
 ):
     bdd_row = {"backend": "bdd", "wall_seconds": backend_wall, "all_safe": safe}
     if bdd_nodes is not None:
@@ -60,6 +62,12 @@ def verify_record(
                 "front": "process_vs_sequential",
                 "speedup": process_speedup,
                 "cpu_count": cpu_count,
+            },
+            {
+                "front": "sweep_vs_engine",
+                "obligations": 24,
+                "swept": swept,
+                "verdicts_agree": sweep_agree,
             },
         ]
     return record
@@ -392,6 +400,14 @@ class TestSolverSpeedFronts:
             if f.metric == "verify.fronts[process_vs_sequential].speedup"
         ]
         assert waived and "not enforced" in waived[0].detail
+
+    def test_sweep_missing_an_obligation_fails(self):
+        comp = compare_verify(verify_record(), verify_record(swept=23))
+        assert regressed(comp) == ["verify.fronts[sweep_vs_engine].swept"]
+
+    def test_sweep_verdict_disagreement_fails(self):
+        comp = compare_verify(verify_record(), verify_record(sweep_agree=False))
+        assert regressed(comp) == ["verify.fronts[sweep_vs_engine].verdicts_agree"]
 
     def test_vanished_front_fails(self):
         fresh = verify_record()

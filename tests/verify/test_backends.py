@@ -219,6 +219,8 @@ class TestBddVariableOrder:
         # exceed the default node budget; the first-use order interleaves
         # the two registers bit by bit.
         checker = make_checker(track_circuit(adder(32).circuit), "bdd")
+        for qubit in range(checker.tracked.circuit.num_qubits):
+            checker.root(qubit)
         assert checker.bdd.node_count < 10_000
 
 
