@@ -1224,65 +1224,6 @@ def _frontend_first_lease() -> dict:
     return row
 
 
-def _frontend_adaptive_rows() -> list:
-    """Adaptive vs fixed lookahead over the seeded streaming corpus.
-
-    Replays the lookahead sweep's corpus under ``fixed-0`` (commit at
-    first sight: narrowest latency, most premature commits),
-    ``fixed-8`` (the sweep's middle horizon) and the ``adaptive``
-    policy (fresh per circuit — the registry string builds one per
-    allocator).  The gate binds adaptive's total width to the best
-    fixed row and its disturbance count (rollbacks + revocations) to
-    fixed-0's.
-    """
-    count = 8 if QUICK else 20
-    corpus = [
-        random_reversible_circuit(
-            seed,
-            num_data=6,
-            num_ancillas=3,
-            segment_gates=4,
-            middle_gates=8,
-        )
-        for seed in range(STREAM_CORPUS_BASE, STREAM_CORPUS_BASE + count)
-    ]
-    rows = []
-    for label, lookahead in (
-        ("fixed-0", 0),
-        ("fixed-8", 8),
-        ("adaptive", "adaptive"),
-    ):
-        width = rollbacks = revocations = replans = 0
-        for circuit, ancillas in corpus:
-            allocator = StreamingAllocator(
-                circuit.num_qubits, ancillas, lookahead=lookahead
-            )
-            for gate in circuit.gates:
-                allocator.feed(gate)
-            plan = allocator.close()
-            width += plan.final_width
-            rollbacks += allocator.stats.rollbacks
-            revocations += allocator.stats.revocations
-            replans += allocator.stats.replans
-        rows.append(
-            {
-                "policy": label,
-                "circuits": count,
-                "total_width": width,
-                "rollbacks": rollbacks,
-                "revocations": revocations,
-                "disturbances": rollbacks + revocations,
-                "replans": replans,
-            }
-        )
-        print(
-            f"  frontend   policy={label:<9} total_width={width:<4} "
-            f"rollbacks={rollbacks:<3} revocations={revocations:<3} "
-            f"replans={replans}"
-        )
-    return rows
-
-
 def _streaming_frontend_section() -> dict:
     return {
         "workloads": [
@@ -1290,7 +1231,6 @@ def _streaming_frontend_section() -> dict:
             for label, source in _frontend_workloads()
         ],
         "first_lease": _frontend_first_lease(),
-        "adaptive": _frontend_adaptive_rows(),
     }
 
 

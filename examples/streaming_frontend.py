@@ -3,24 +3,22 @@
 The offline pipeline parses a whole program, elaborates it, and only
 then allocates.  The streaming front end overlaps all three: surface
 text (``iter_program``) and OpenQASM (``iter_qasm_gates``) yield gates
-as they are parsed, the ``StreamingAllocator`` consumes them under an
-*adaptive* lookahead policy that widens its horizon when the stream
-disturbs its plan, and ``MultiProgrammer.admit_stream`` admits a job
-on a *prefix* — the lease is granted before the tail of the program
-has even been read.
+as they are parsed, the ``StreamingAllocator`` consumes them behind a
+commit horizon of 8 gates, and ``MultiProgrammer.admit_stream`` admits
+a job on a *prefix* — the lease is granted before the tail of the
+program has even been read.
 
 The walk-through below shows
 
 * gates flowing out of the surface parser straight into the online
-  allocator, one pass, no intermediate program object,
-* the adaptive policy moving its horizon live, and
+  allocator, one pass, no intermediate program object, and
 * prefix admission: time-to-first-lease is one prefix, not one parse.
 
 Run:  python examples/streaming_frontend.py
 """
 
 from repro.alloc import StreamingAllocator
-from repro.circuits import Circuit, cnot, iter_qasm_gates, x
+from repro.circuits import Circuit, cnot, iter_qasm_gates
 from repro.lang.surface import iter_program
 from repro.lang.surface.sources import adder_qbr_source
 from repro.multiprog import MultiProgrammer, QuantumJob
@@ -36,7 +34,7 @@ def parse_while_allocate() -> None:
             # The register width is known as soon as the declarations
             # have streamed past — long before the last gate exists.
             allocator = StreamingAllocator(
-                stream.num_wires, [], lookahead="adaptive"
+                stream.num_wires, [], lookahead=8
             )
         allocator.feed(gate)
     program = stream.result()
@@ -46,22 +44,6 @@ def parse_while_allocate() -> None:
     print(f"allocator saw every gate mid-parse: "
           f"{allocator.stats.gates == count}")
     allocator.close()
-
-
-def adaptive_horizon_live() -> None:
-    print("\n=== the adaptive policy moves its horizon ===")
-    # Wire 3 is a dirty ancilla; x(0) bursts disturb any tentative
-    # placement on host 0, and the policy reacts by widening.
-    gates = [
-        cnot(1, 3), x(0), cnot(1, 3), x(0), x(0), cnot(1, 3), cnot(1, 3),
-    ]
-    allocator = StreamingAllocator(4, [3], lookahead="adaptive")
-    for i, gate in enumerate(gates):
-        allocator.feed(gate)
-        print(f"[gate {i}] {gate.name:>2} on {gate.qubits}  "
-              f"policy={allocator.policy.describe()}")
-    allocator.close()
-    print(f"stats: {allocator.stats.as_dict()}")
 
 
 def prefix_admission() -> None:
@@ -98,7 +80,6 @@ def prefix_admission() -> None:
 
 def main() -> None:
     parse_while_allocate()
-    adaptive_horizon_live()
     prefix_admission()
 
 

@@ -56,15 +56,8 @@ from repro.alloc.model import (
 )
 from repro.alloc.base import AllocationStrategy
 from repro.alloc.streaming import (
-    AdaptiveLookahead,
-    FixedLookahead,
-    LookaheadPolicy,
     StreamingAllocator,
     StreamingStats,
-    available_lookahead_policies,
-    lookahead_policy_class,
-    make_lookahead_policy,
-    register_lookahead,
     stream_allocate,
 )
 from repro.alloc.registry import (
@@ -81,15 +74,12 @@ from repro.alloc.lookahead import LookaheadStrategy
 from repro.alloc.verified import VerifiedStrategy
 
 __all__ = [
-    "AdaptiveLookahead",
     "AllocationStrategy",
     "BorrowPlan",
     "ConflictModel",
-    "FixedLookahead",
     "GreedyStrategy",
     "IncrementalConflictModel",
     "IntervalGraphStrategy",
-    "LookaheadPolicy",
     "LookaheadStrategy",
     "Placement",
     "SafetyCheck",
@@ -97,14 +87,10 @@ __all__ = [
     "StreamingStats",
     "VerifiedStrategy",
     "allocate",
-    "available_lookahead_policies",
     "available_strategies",
     "build_model",
-    "lookahead_policy_class",
-    "make_lookahead_policy",
     "make_strategy",
     "materialise",
-    "register_lookahead",
     "register_strategy",
     "stream_allocate",
     "strategy_class",

@@ -37,9 +37,8 @@ prefix's model.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.alloc.api import materialise
 from repro.alloc.model import (
@@ -51,7 +50,6 @@ from repro.circuits.borrowing import BorrowPlan
 from repro.circuits.circuit import Circuit
 from repro.circuits.intervals import SegmentCheck, WindowSet
 from repro.errors import CircuitError
-from repro.registry import make_registry
 
 
 @dataclass
@@ -84,139 +82,6 @@ class StreamingStats:
         }
 
 
-# ---------------------------------------------------------------------- #
-# Lookahead policies
-# ---------------------------------------------------------------------- #
-
-
-class LookaheadPolicy:
-    """Decides the commit horizon ``K`` for a :class:`StreamingAllocator`.
-
-    The allocator asks :meth:`horizon` before every commit sweep and
-    reports back through :meth:`observe` after every fed gate, so a
-    policy can move the horizon in response to how turbulent the stream
-    actually is.  Policies are registered under short names via
-    :data:`register_lookahead` (the same
-    :func:`repro.registry.make_registry` contract as the strategy and
-    backend registries).
-    """
-
-    def horizon(self) -> Optional[int]:
-        """Current horizon: ``None`` for ∞, else a gate count ≥ 0."""
-        raise NotImplementedError
-
-    def observe(self, disturbances: int) -> None:
-        """One gate was fed; ``disturbances`` is how many rollbacks and
-        revocations it caused.  Default: static policies ignore it."""
-
-    def describe(self) -> str:
-        """Horizon tag used in plan/strategy names."""
-        horizon = self.horizon()
-        return "inf" if horizon is None else str(horizon)
-
-
-_POLICIES = make_registry(
-    LookaheadPolicy, "lookahead policy", plural="lookahead policies"
-)
-register_lookahead = _POLICIES.register
-lookahead_policy_class = _POLICIES.get
-available_lookahead_policies = _POLICIES.available
-make_lookahead_policy = _POLICIES.make
-
-
-@register_lookahead("fixed")
-class FixedLookahead(LookaheadPolicy):
-    """Today's static horizon: a constant ``K`` (or ``None`` for ∞)."""
-
-    def __init__(self, horizon: Optional[int] = None):
-        if horizon == float("inf"):
-            horizon = None
-        if horizon is not None and (
-            not isinstance(horizon, int) or horizon < 0
-        ):
-            raise CircuitError(
-                f"lookahead must be None (∞) or a non-negative gate "
-                f"count, got {horizon!r}"
-            )
-        self._horizon = horizon
-
-    def horizon(self) -> Optional[int]:
-        return self._horizon
-
-
-@register_lookahead("adaptive")
-class AdaptiveLookahead(LookaheadPolicy):
-    """Move the horizon with the observed rollback/revocation rate.
-
-    The policy keeps the disturbance counts of the last ``window``
-    gates.  When their sum crosses ``threshold`` the horizon grows
-    multiplicatively (``K -> max(1, K * growth)``, capped at
-    ``ceiling``) — buffering longer is the only cure for premature
-    commits.  After a full window with no disturbance at all it shrinks
-    (``K -> K // growth``) toward 0, trading buffer latency back for
-    responsiveness once the tentative plan has proven stable.  The
-    history resets on every move so each further step requires fresh
-    evidence.
-    """
-
-    def __init__(
-        self,
-        initial: int = 8,
-        ceiling: int = 64,
-        window: int = 32,
-        threshold: int = 1,
-        growth: int = 2,
-    ):
-        if not isinstance(initial, int) or initial < 0:
-            raise CircuitError(
-                f"adaptive lookahead needs a non-negative initial "
-                f"horizon, got {initial!r}"
-            )
-        if growth < 2:
-            raise CircuitError(
-                f"adaptive lookahead growth factor must be >= 2, "
-                f"got {growth!r}"
-            )
-        self._horizon = min(initial, ceiling)
-        self._ceiling = ceiling
-        self._threshold = max(1, threshold)
-        self._growth = growth
-        self._history: Deque[int] = deque(maxlen=max(1, window))
-
-    def horizon(self) -> int:
-        return self._horizon
-
-    def describe(self) -> str:
-        return f"adaptive@{self._horizon}"
-
-    def observe(self, disturbances: int) -> None:
-        history = self._history
-        history.append(disturbances)
-        if sum(history) >= self._threshold:
-            self._horizon = min(
-                self._ceiling, max(1, self._horizon * self._growth)
-            )
-            history.clear()
-        elif len(history) == history.maxlen and self._horizon > 0:
-            self._horizon //= self._growth
-            history.clear()
-
-
-def _as_policy(
-    lookahead: Union[None, int, float, str, LookaheadPolicy],
-) -> LookaheadPolicy:
-    """Coerce the ``lookahead=`` argument into a policy instance.
-
-    Accepts the legacy forms (``None``/∞, a gate count) as a ``fixed``
-    policy, a registered policy name, or a ready instance.
-    """
-    if isinstance(lookahead, LookaheadPolicy):
-        return lookahead
-    if isinstance(lookahead, str):
-        return make_lookahead_policy(lookahead)
-    return FixedLookahead(lookahead)
-
-
 class StreamingAllocator:
     """Online first-fit borrow allocation over a gate stream.
 
@@ -230,12 +95,9 @@ class StreamingAllocator:
         The horizon ``K`` in gates.  An ancilla's placement stays
         tentative while ``head - last_touch < K`` and is committed
         (final) once the stream has moved ``K`` gates past its last
-        activity.  ``None`` means ∞: commit only at :meth:`close`,
-        which reproduces the offline greedy plan exactly.  ``0`` means
-        commit at first sight.  Also accepts a registered
-        :class:`LookaheadPolicy` name (``"fixed"``, ``"adaptive"``) or
-        a policy instance, in which case the horizon may move while
-        the stream runs.
+        activity.  ``None`` (or ``float("inf")``) means ∞: commit only
+        at :meth:`close`, which reproduces the offline greedy plan
+        exactly.  ``0`` means commit at first sight.
     segmented / segment_check:
         Lending-window refinement, as in
         :func:`~repro.alloc.model.build_model`.
@@ -247,12 +109,22 @@ class StreamingAllocator:
         self,
         num_qubits: int,
         ancillas: Sequence[int],
-        lookahead: Union[None, int, float, str, LookaheadPolicy] = None,
+        lookahead: Union[None, int, float] = None,
         segmented: bool = False,
         segment_check: Optional[SegmentCheck] = None,
         labels: Optional[Sequence[str]] = None,
     ):
-        self.policy = _as_policy(lookahead)
+        if lookahead == float("inf"):
+            lookahead = None
+        if lookahead is not None and (
+            not isinstance(lookahead, int) or lookahead < 0
+        ):
+            raise CircuitError(
+                f"lookahead must be None (∞) or a non-negative gate "
+                f"count, got {lookahead!r}"
+            )
+        #: The commit horizon ``K`` in gates; ``None`` for ∞.
+        self.lookahead: Optional[int] = lookahead
         self._ancilla_set = set(ancillas)
         self._engine = IncrementalConflictModel(
             num_qubits,
@@ -273,13 +145,9 @@ class StreamingAllocator:
     # ------------------------------------------------------------------ #
 
     @property
-    def lookahead(self) -> Optional[int]:
-        """The policy's current horizon (may move between gates)."""
-        return self.policy.horizon()
-
-    @property
     def name(self) -> str:
-        return f"streaming(lookahead={self.policy.describe()})"
+        horizon = "inf" if self.lookahead is None else self.lookahead
+        return f"streaming(lookahead={horizon})"
 
     @property
     def closed(self) -> bool:
@@ -358,7 +226,6 @@ class StreamingAllocator:
             raise CircuitError("cannot feed a closed stream")
         index = self._engine.append(gate)
         self.stats.gates += 1
-        disturbed = self.stats.rollbacks + self.stats.revocations
 
         touched = sorted(set(gate.qubits) & self._ancilla_set)
         changed = bool(touched)
@@ -377,9 +244,6 @@ class StreamingAllocator:
         changed |= self._commit_ready() > 0
         if changed:
             self._replan_tentative()
-        self.policy.observe(
-            self.stats.rollbacks + self.stats.revocations - disturbed
-        )
         return index
 
     def extend(self, gates) -> int:
@@ -530,7 +394,7 @@ class StreamingAllocator:
 def stream_allocate(
     circuit: Circuit,
     ancillas: Sequence[int],
-    lookahead: Union[None, int, float, str, LookaheadPolicy] = None,
+    lookahead: Union[None, int, float] = None,
     segmented: bool = False,
     segment_check: Optional[SegmentCheck] = None,
 ) -> BorrowPlan:

@@ -75,7 +75,7 @@ Module tour
 
 :mod:`repro.multiprog.fleet`
     The fleet tier: a :class:`FleetRouter` owns N
-    :class:`MultiProgrammer` shards (heterogeneous sizes and knobs via
+    :class:`MultiProgrammer` shards (heterogeneous sizes via
     :class:`ShardSpec`, one shared verifier as the cross-shard memo
     tier) behind one ``submit()``/``release()`` front door.  A
     registered :class:`PlacementPolicy` (``least-loaded`` /

@@ -5,9 +5,8 @@ result — multi-programming raises utilisation — compounds at the next
 level up: a *fleet* of machines behind one front door, where placement
 (which shard hosts which job) matters as much as packing within a
 shard.  :class:`FleetRouter` owns N shards (heterogeneous
-``machine_size``, per-shard ``strategy``/``lending``/``lease_packer``
-knobs via :class:`ShardSpec`) and routes every ``submit()`` through a
-pluggable :class:`PlacementPolicy`.
+``machine_size``, each named by a :class:`ShardSpec` or prebuilt) and
+routes every ``submit()`` through a pluggable :class:`PlacementPolicy`.
 
 Shards hold residents only.  A job no shard admits on arrival waits in
 the fleet's one queue, and every event that changes a shard — an
@@ -59,20 +58,16 @@ from repro.verify.batch import BatchVerifier
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Constructor knobs for one shard of a fleet.
+    """Size and name of one shard of a fleet.
 
     A plain ``int`` in ``FleetRouter(shards=[...])`` is shorthand for
-    ``ShardSpec(machine_size=that_int)``; a full spec tunes one shard's
-    packing behaviour independently of its neighbours (e.g. one
-    ``segmented``-lending shard for palindrome-heavy families next to
-    ``windowed``-lending ones).
+    ``ShardSpec(machine_size=that_int)``.  A shard that needs other
+    scheduler settings is passed prebuilt, as a
+    :class:`MultiProgrammer` sharing the fleet's verifier.
     """
 
     machine_size: int
     name: Optional[str] = None
-    strategy: str = "greedy"
-    lending: str = "windowed"
-    lease_packer: str = "first-fit"
 
 
 class PlacementPolicy(ABC):
@@ -251,12 +246,7 @@ class FleetRouter:
                 )
                 name = spec.name or f"shard{index}"
                 shard = MultiProgrammer(
-                    spec.machine_size,
-                    backend=backend,
-                    strategy=spec.strategy,
-                    verifier=self.verifier,
-                    lending=spec.lending,
-                    lease_packer=spec.lease_packer,
+                    spec.machine_size, backend=backend, verifier=self.verifier
                 )
             if name in self.shards:
                 raise CircuitError(f"duplicate shard name {name!r}")

@@ -21,8 +21,8 @@ queue policies:
 
 All three are deterministic (ties break to the smallest wire index), so
 seeded traces replay identically under any fixed packer.  The policy is
-selectable per scheduler (``MultiProgrammer(lease_packer=...)``) and
-per fleet shard (``ShardSpec(lease_packer=...)``).
+selectable per scheduler (``MultiProgrammer(lease_packer=...)``); a
+fleet shard that needs another packer is passed to the fleet prebuilt.
 """
 
 from __future__ import annotations

@@ -98,6 +98,12 @@ from repro.verify.batch import BatchVerifier
 #: window sets, ``windowed`` leases whole-period windows.
 LENDING_MODES = ("segmented", "windowed")
 
+#: Commit horizon, in gates, of a stream admission's allocator.  Stream
+#: admissions keep an identity layout, so the horizon only decides which
+#: prefix ancillas stay off the lease list; 8 ties every wider horizon
+#: on the committed streaming rows at a fraction of ∞'s per-gate cost.
+STREAM_LOOKAHEAD = 8
+
 
 @dataclass(frozen=True)
 class BorrowRequest:
@@ -635,10 +641,10 @@ class MultiProgrammer:
         repeated service runs free across processes.
     queue_policy:
         Admission-queue drain policy — a registered name
-        (:func:`repro.multiprog.queueing.available_policies`: ``fifo``
-        or ``backfill``) or a :class:`QueuePolicy` instance.  Governs
-        :meth:`submit` / the backfill passes; plain :meth:`admit` never
-        touches the queue.
+        (:func:`repro.multiprog.queueing.available_policies`: ``fifo``,
+        ``backfill``, ``sjf`` or ``priority``) or a :class:`QueuePolicy`
+        instance.  Governs :meth:`submit` / the backfill passes; plain
+        :meth:`admit` never touches the queue.
     lending:
         ``"windowed"`` (default) — a lent wire carries any number of
         window-disjoint :class:`Lease`\\ s covering each guest's whole
@@ -756,7 +762,8 @@ class MultiProgrammer:
         self.stream_lease_revocations = 0
         self.stream_job_revocations = 0
         #: Job name -> its :class:`StreamAdmission` handle, kept for
-        #: the per-job throughput counters in :meth:`stats`.
+        #: the per-job throughput counters in :meth:`stats` until
+        #: :meth:`release` or :meth:`cancel` ends the job.
         self._streams: Dict[str, "StreamAdmission"] = {}
 
     # ------------------------------------------------------------------ #
@@ -1009,9 +1016,9 @@ class MultiProgrammer:
         section measures.
 
         The handle's internal :class:`~repro.alloc.StreamingAllocator`
-        runs the ``adaptive`` lookahead policy.  ``prefix`` gates count
-        into the admission's safety verdicts and leases; an empty
-        prefix admits on width alone.  Raises
+        commits behind a fixed horizon of :data:`STREAM_LOOKAHEAD` gates.
+        ``prefix`` gates count into the admission's safety verdicts and
+        leases; an empty prefix admits on width alone.  Raises
         :class:`~repro.errors.CapacityError` when the machine cannot
         host the width right now (nothing is queued — use
         :meth:`submit` with the finished circuit for queueing
@@ -1033,7 +1040,7 @@ class MultiProgrammer:
         allocator = StreamingAllocator(
             num_qubits,
             job.request_wires,
-            lookahead="adaptive",
+            lookahead=STREAM_LOOKAHEAD,
             segmented=self.lending == "segmented",
             segment_check=self.segment_check,
         )
@@ -1154,6 +1161,9 @@ class MultiProgrammer:
             if entry.name == name:
                 self._queue.remove(entry)
                 self._queue_stats.cancelled += 1
+                stream = self._streams.get(name)
+                if stream is not None and stream.closed:
+                    del self._streams[name]
                 return entry.job
         if name in self._residents:
             raise CircuitError(
@@ -1249,8 +1259,11 @@ class MultiProgrammer:
         self.last_backfilled = ()
         freed = self._evict(admission)
         stream = self._streams.get(name)
-        if stream is not None and stream.admission is admission:
+        if stream is not None and (
+            stream.closed or stream.admission is admission
+        ):
             stream._detach()
+            del self._streams[name]
         # Windows this job leased return to the owners' pools
         # automatically: the owners' _idle_owner entries persist and
         # the retired leases no longer block anyone.

@@ -15,7 +15,8 @@ circuits and hand-built adversarial streams:
 * **Revision accounting** — tentative placements displaced inside the
   horizon count as rollbacks; committed placements broken by a
   post-horizon reactivation are revoked to unplaced (never left
-  unsound) and counted.
+  unsound) and counted.  The bench corpus pins the exact totals at
+  ``K=0`` and ``K=8`` (the horizon ``admit_stream`` runs).
 """
 
 import pytest
@@ -33,6 +34,8 @@ from repro.testing import random_reversible_circuit
 
 SEEDS = range(100, 112)
 LOOKAHEADS = (0, 2, 8, None)
+#: The 20-circuit corpus of the ``streaming`` bench section.
+BENCH_SEEDS = range(100, 120)
 
 
 def corpus_case(seed, spoiled=()):
@@ -224,10 +227,36 @@ class TestRevisionAccounting:
 
     def test_lookahead_zero_commits_at_first_sight(self):
         allocator = StreamingAllocator(4, [3], lookahead=0)
+        assert allocator.name == "streaming(lookahead=0)"
         allocator.feed(cnot(1, 3))
         assert allocator.committed() == {3: 0}
         assert allocator.tentative() == {}
         assert allocator.stats.commits == 1
+
+    @pytest.mark.parametrize(
+        "lookahead, totals",
+        [
+            # width, rollbacks, revocations, replans
+            (0, (128, 0, 8, 440)),
+            (8, (120, 8, 0, 466)),
+        ],
+    )
+    def test_bench_corpus_totals(self, lookahead, totals):
+        """Commit at first sight revokes; a horizon of 8 rolls back
+        instead, and reaches the offline width (120)."""
+        width = rollbacks = revocations = replans = 0
+        for seed in BENCH_SEEDS:
+            circuit, ancillas = corpus_case(seed)
+            allocator = StreamingAllocator(
+                circuit.num_qubits, ancillas, lookahead=lookahead
+            )
+            allocator.extend(circuit.gates)
+            width += allocator.close().final_width
+            stats = allocator.stats.as_dict()
+            rollbacks += stats["rollbacks"]
+            revocations += stats["revocations"]
+            replans += stats["replans"]
+        assert (width, rollbacks, revocations, replans) == totals
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_stats_gate_count_and_commit_totals(self, seed):

@@ -3,12 +3,16 @@
 Where ``test_borrowck.py`` pins the error corpus, this file pins what a
 *valid* block elaborates to — the C; D; reverse(C); D double-conjugation
 of the paper's Figure 1.3 — and cross-checks the checker's soundness:
-every block the checker proves must also pass the Section 6 solver.
+every block the checker proves must also pass the Section 6 solver, and
+the dependence sweep must decide (6.2) for every wire it proves.
 """
 
 import pytest
 
 from repro.lang.surface import elaborate, job_from_qbr, verify_qbr
+from repro.verify import track_circuit
+from repro.verify.sweep import decides_62
+from tests.lang.test_borrowck import DIFFERENTIAL_CORPUS
 
 FIG13_CCCNOT = """\
 borrow@ q1; borrow@ q2; borrow@ q3; alloc q4;
@@ -101,23 +105,36 @@ def test_lend_windows_record_gate_extents():
     assert program.lend_windows == {"w": [(0, 2)]}
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        FIG13_CCCNOT,
-        # Two independent blocks in sequence, each proving its own wire.
-        "borrow@ x; alloc t1; alloc t2;\n"
-        "borrow b { within { CNOT[x, b]; } apply { CNOT[b, t1]; } }\n"
-        "borrow c { within { CNOT[x, c]; } apply { CNOT[c, t2]; } }",
-        # Width-2 borrowed register: each wire offset-reads independently
-        # (register indexing is 1-based, artifact §10.3).
-        "borrow@ x; alloc t[2];\n"
-        "borrow b[2] {\n"
-        "  within { CNOT[x, b[1]]; CNOT[x, b[2]]; }\n"
-        "  apply  { CNOT[b[1], t[1]]; CNOT[b[2], t[2]]; }\n"
-        "}",
-    ],
-)
+#: Programs whose every block the checker proves.
+PROVEN_BLOCKS = [
+    FIG13_CCCNOT,
+    # Two independent blocks in sequence, each proving its own wire.
+    "borrow@ x; alloc t1; alloc t2;\n"
+    "borrow b { within { CNOT[x, b]; } apply { CNOT[b, t1]; } }\n"
+    "borrow c { within { CNOT[x, c]; } apply { CNOT[c, t2]; } }",
+    # Width-2 borrowed register: each wire offset-reads independently
+    # (register indexing is 1-based, artifact §10.3).
+    "borrow@ x; alloc t[2];\n"
+    "borrow b[2] {\n"
+    "  within { CNOT[x, b[1]]; CNOT[x, b[2]]; }\n"
+    "  apply  { CNOT[b[1], t[1]]; CNOT[b[2], t[2]]; }\n"
+    "}",
+]
+
+
+def fig13_blocks(count):
+    """Figure 1.3's CCCNOT as ``count`` scoped blocks in sequence, each
+    borrowing its own wire and writing its own target."""
+    lines = [f"borrow@ q1; borrow@ q2; borrow@ q3; alloc t[{count}];"]
+    lines.extend(
+        f"borrow a{i} {{ within {{ CCNOT[q1, q2, a{i}]; }} "
+        f"apply {{ CCNOT[a{i}, q3, t[{i}]]; }} }}"
+        for i in range(1, count + 1)
+    )
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("source", PROVEN_BLOCKS)
 def test_checker_proven_blocks_are_solver_safe(source):
     # Soundness cross-check: anything the static checker certifies must
     # also be certified by the Section 6 verifier.
@@ -127,6 +144,22 @@ def test_checker_proven_blocks_are_solver_safe(source):
     verdicts = {v.qubit: v.safe for v in report.verdicts}
     for wire in program.proven_wires:
         assert verdicts[wire] is True
+
+
+@pytest.mark.parametrize("simplify_xor", [True, False])
+def test_proven_wires_are_swept_safe(simplify_xor):
+    # proven_wires ⊆ swept-safe: for every wire the checker proves, the
+    # dependence sweep decides (6.2) without an engine, with or without
+    # Figure 6.1's x ⊕ x = 0 rule.
+    corpus = PROVEN_BLOCKS + DIFFERENTIAL_CORPUS + [fig13_blocks(64)]
+    checked = 0
+    for source in corpus:
+        program = elaborate(source, strict=False)
+        tracked = track_circuit(program.circuit, simplify_xor=simplify_xor)
+        for wire in program.proven_wires:
+            assert decides_62(tracked, wire), (source, wire)
+            checked += 1
+    assert checked == 76
 
 
 def test_trust_checker_skips_proven_wires():

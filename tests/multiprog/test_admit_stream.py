@@ -100,6 +100,22 @@ class TestPrefixAdmission:
         assert "guest" not in mp.residents and "guest" not in mp.pending()
         OccupancyInvariantChecker(mp).check()
 
+    def test_release_drops_the_stream_handle(self):
+        """A released stream job keeps no handle: its allocator leaves
+        ``stats()``'s per-job counters, whether it was released closed
+        or still open, while the lifetime counters stay."""
+        mp = MultiProgrammer(9)
+        mp.admit(lender())
+        for cycle in range(20):
+            handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
+            if cycle % 2:
+                handle.close()
+            assert list(mp.stats()["streaming"]["jobs"]) == ["guest"]
+            mp.release("guest")
+            assert mp.stats()["streaming"]["jobs"] == {}
+        assert mp.stats()["streaming"]["admissions"] == 20
+        assert mp.residents == ("lender",)
+
     def test_non_classical_gate_rejected_when_borrowing(self):
         mp = MultiProgrammer(9)
         mp.admit(lender())
@@ -188,6 +204,19 @@ class TestRefinementLadder:
         assert "guest" in mp.last_backfilled
         assert "guest" in mp.residents
         OccupancyInvariantChecker(mp).check()
+        mp.release("guest")  # the resubmitted job drops the handle too
+        assert mp.stats()["streaming"]["jobs"] == {}
+
+    def test_cancelled_resubmission_drops_the_handle(self):
+        mp = MultiProgrammer(6)
+        mp.admit(lender(width=4))
+        handle = mp.admit_stream("guest", 2, [1], prefix=SAFE_PREFIX)
+        mp.admit(late_guest())
+        handle.extend([x(0), x(0), cnot(0, 1)])
+        assert handle.close() is None
+        assert "guest" in mp.pending()
+        mp.cancel("guest")
+        assert mp.stats()["streaming"]["jobs"] == {}
 
     def test_close_revokes_a_lease_the_tail_broke(self):
         mp = MultiProgrammer(9)

@@ -156,14 +156,17 @@ class TestPlacementRegistry:
 
 class TestFleetConstruction:
     def test_int_spec_and_prebuilt_shards(self):
-        prebuilt = MultiProgrammer(5, verifier=SHARED_VERIFIER)
+        prebuilt = MultiProgrammer(
+            5, verifier=SHARED_VERIFIER, lending="segmented"
+        )
         router = FleetRouter(
-            [3, ShardSpec(4, name="tuned", lending="segmented"), prebuilt],
+            [3, ShardSpec(4, name="named"), prebuilt],
             verifier=SHARED_VERIFIER,
         )
-        assert list(router.shards) == ["shard0", "tuned", "shard2"]
-        assert router.shards["tuned"].lending == "segmented"
+        assert list(router.shards) == ["shard0", "named", "shard2"]
         assert router.shards["shard2"] is prebuilt
+        assert prebuilt.lending == "segmented"
+        assert prebuilt.verifier is router.shards["named"].verifier
         assert router.machine_size == 12
         assert router.free_qubits == 12
 

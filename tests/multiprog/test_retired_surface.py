@@ -4,16 +4,20 @@ knobs, the per-admission packer, the stream's lookahead/packer/capacity
 arguments, the ``FleetService`` burst buffer, the verifier's thread
 pool with its ``executor=`` and scheduler ``max_workers=`` knobs, and
 the clean-wire checker's own backend dispatch (``repro.verify.clean``),
-and the fleet's per-shard queues with their wall-clock deadlines,
+the fleet's per-shard queues with their wall-clock deadlines,
 injectable clock, built-in invariant check and the scheduler's
-``drain``/``queue_entry`` hooks they needed.  Each now fails loudly
-instead of being silently accepted."""
+``drain``/``queue_entry`` hooks they needed, the per-shard strategy,
+lending and packer fields of ``ShardSpec``, and the streaming
+allocator's lookahead-policy registry with its ``adaptive`` policy.
+Each now fails loudly instead of being silently accepted."""
 
 import importlib
 import threading
 
 import pytest
 
+import repro.alloc
+from repro.alloc import StreamingAllocator
 from repro.circuits import Circuit, cnot, x
 from repro.errors import CircuitError
 from repro.multiprog import FleetRouter, MultiProgrammer, QuantumJob, ShardSpec
@@ -41,6 +45,7 @@ def test_lending_modes_are_segmented_and_windowed():
         lambda: FleetRouter([4], clock=lambda: 0.0),
         lambda: FleetRouter([4], check_invariants=True),
         lambda: ShardSpec(4, queue_policy="fifo"),
+        lambda: ShardSpec(4, lending="segmented"),
     ],
     ids=[
         "restore_check",
@@ -53,6 +58,7 @@ def test_lending_modes_are_segmented_and_windowed():
         "fleet_clock",
         "fleet_check_invariants",
         "shard_queue_policy",
+        "shard_lending",
     ],
 )
 def test_retired_constructor_options_raise(build):
@@ -83,6 +89,22 @@ def test_fleet_deadlines_and_shard_queue_hooks_are_gone():
     assert router.events == 0
     assert not hasattr(MultiProgrammer, "drain")
     assert not hasattr(MultiProgrammer, "queue_entry")
+
+
+def test_lookahead_policies_are_gone():
+    for name in (
+        "LookaheadPolicy",
+        "FixedLookahead",
+        "AdaptiveLookahead",
+        "register_lookahead",
+        "make_lookahead_policy",
+        "lookahead_policy_class",
+        "available_lookahead_policies",
+    ):
+        assert not hasattr(repro.alloc, name), name
+        assert not hasattr(repro.alloc.streaming, name), name
+    with pytest.raises(CircuitError, match="lookahead"):
+        StreamingAllocator(4, [3], lookahead="adaptive")
 
 
 def test_service_module_is_gone():

@@ -6,7 +6,7 @@ none can linger registered but unbenchmarked (the verification
 backends have the same check in ``tests/verify/test_backends.py``).
 Lease packers are exempt: no committed row replays a trace per packer
 yet, so none of them can be judged for deletion until one does
-(ROADMAP item 4).
+(ROADMAP item 6, under "Keep").
 """
 
 import json

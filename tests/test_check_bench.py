@@ -98,9 +98,6 @@ def alloc_record(
     lease_granted=True,
     first_lease_wall=0.002,
     staged_parse_wall=0.2,
-    adaptive_width=120,
-    adaptive_disturbances=8,
-    fixed0_disturbances=8,
     restore=True,
     restore_solver_wall=1.0,
     restore_solver_admitted=40,
@@ -128,19 +125,6 @@ def alloc_record(
                 "time_to_first_lease_seconds": first_lease_wall,
                 "lease_granted": lease_granted,
             },
-            "adaptive": [
-                {
-                    "policy": "fixed-0",
-                    "total_width": 128,
-                    "disturbances": fixed0_disturbances,
-                },
-                {"policy": "fixed-8", "total_width": 120, "disturbances": 8},
-                {
-                    "policy": "adaptive",
-                    "total_width": adaptive_width,
-                    "disturbances": adaptive_disturbances,
-                },
-            ],
         }
     if restore:
         record["restore_check"] = {
@@ -647,9 +631,8 @@ class TestStreamingGates:
 
 
 class TestStreamingFrontendGates:
-    """The ``streaming_frontend`` floors: overlap must stay free, the
-    prefix admission must beat a full staged parse, and adaptive
-    lookahead must hold its width/disturbance wins."""
+    """The ``streaming_frontend`` floors: overlap must stay free and the
+    prefix admission must beat a full staged parse."""
 
     def test_identical_frontend_records_pass(self):
         comp = compare_alloc(alloc_record(), alloc_record())
@@ -695,22 +678,6 @@ class TestStreamingFrontendGates:
             in regressed(comp)
         )
 
-    def test_adaptive_wider_than_best_fixed_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(adaptive_width=124))
-        assert (
-            "alloc.streaming_frontend.adaptive.width_vs_fixed-8"
-            in regressed(comp)
-        )
-
-    def test_adaptive_more_disturbed_than_fixed0_fails(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(adaptive_disturbances=9)
-        )
-        assert (
-            "alloc.streaming_frontend.adaptive.disturbances_vs_fixed-0"
-            in regressed(comp)
-        )
-
     def test_vanished_frontend_rows_fail(self):
         fresh = alloc_record()
         del fresh["streaming_frontend"]
@@ -718,7 +685,6 @@ class TestStreamingFrontendGates:
         metrics = regressed(comp)
         assert "alloc.streaming_frontend.workloads[adder32]" in metrics
         assert "alloc.streaming_frontend.first_lease" in metrics
-        assert "alloc.streaming_frontend.adaptive[adaptive]" in metrics
 
     def test_frontend_absent_everywhere_is_fine(self):
         comp = compare_alloc(
@@ -743,14 +709,6 @@ class TestStreamingFrontendGates:
         assert (
             first["time_to_first_lease_seconds"]
             < first["staged_parse_wall_seconds"]
-        )
-        rows = {row["policy"]: row for row in frontend["adaptive"]}
-        adaptive = rows["adaptive"]
-        for policy, row in rows.items():
-            if policy.startswith("fixed"):
-                assert adaptive["total_width"] <= row["total_width"], policy
-        assert (
-            adaptive["disturbances"] <= rows["fixed-0"]["disturbances"]
         )
 
 
