@@ -19,8 +19,10 @@ The gate fails (exit 1) on:
 * a **vanished row** — a backend/strategy/policy present in the
   baseline but missing from the fresh record (silent coverage loss);
 * the **front-end record** — the paper-scale ``elaborate`` row must
-  stay present, within the wall tolerance, and emit exactly the
-  baseline's ``gates`` count (skipped when the baseline has no row);
+  stay present, keep its elaboration (``wall_seconds``) and formula
+  tracking (``track_seconds``) times within the wall tolerance, and
+  emit exactly the baseline's ``gates`` count (skipped when the
+  baseline has no row);
 * the **solver-speed floors** — within the fresh verify record itself
   (schema v2 ``fronts`` rows): the bitset kernel must stay at least
   50x over the old per-row brute enumeration, the incremental probe
@@ -303,11 +305,12 @@ def compare_verify(baseline: dict, fresh: dict) -> Comparator:
     if base_elaborate is not None:
         fresh_elaborate = fresh.get("elaborate")
         if comp.present("verify.elaborate", fresh_elaborate):
-            comp.wall(
-                "verify.elaborate.wall_seconds",
-                base_elaborate.get("wall_seconds"),
-                fresh_elaborate.get("wall_seconds"),
-            )
+            for metric in ("wall_seconds", "track_seconds"):
+                comp.wall(
+                    f"verify.elaborate.{metric}",
+                    base_elaborate.get(metric),
+                    fresh_elaborate.get(metric),
+                )
             gates = fresh_elaborate.get("gates")
             comp.findings.append(
                 Finding(

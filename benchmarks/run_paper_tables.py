@@ -467,9 +467,10 @@ def front_sweep_vs_engine() -> dict:
 
 def elaborate_row() -> dict:
     """Front-end wall time at paper scale: parse, borrow-check and
-    elaborate ``mcx.qbr`` at :data:`BENCH_ELABORATE_M`, the median of 5
-    runs.  The emitted ``gates`` count is deterministic and gated
-    exactly."""
+    elaborate ``mcx.qbr`` at :data:`BENCH_ELABORATE_M`
+    (``wall_seconds``), then track the Section 6.1 formulas of the
+    elaborated circuit (``track_seconds``), each the median of 5 runs.
+    The emitted ``gates`` count is deterministic and gated exactly."""
     repeats = 5
     source = mcx_qbr_source(BENCH_ELABORATE_M)
     walls = []
@@ -477,15 +478,21 @@ def elaborate_row() -> dict:
         start = time.perf_counter()
         program = elaborate(source)
         walls.append(time.perf_counter() - start)
+    tracks = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        track_circuit(program.circuit)
+        tracks.append(time.perf_counter() - start)
     row = {
         "program": f"mcx.qbr m={BENCH_ELABORATE_M}",
         "repeats": repeats,
         "wall_seconds": round(_median(walls), 4),
+        "track_seconds": round(_median(tracks), 4),
         "gates": len(program.circuit.gates),
     }
     print(
         f"  elaborate {row['program']} median={row['wall_seconds']:.3f}s "
-        f"gates={row['gates']}",
+        f"track={row['track_seconds']:.3f}s gates={row['gates']}",
         flush=True,
     )
     return row

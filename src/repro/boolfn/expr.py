@@ -19,6 +19,7 @@ Design notes
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import BooleanError
@@ -28,6 +29,9 @@ VAR = "var"
 AND = "and"
 XOR = "xor"
 OR = "or"
+
+#: Sort key of every connective's children: interning order.
+_UID = attrgetter("uid")
 
 
 class Expr:
@@ -116,7 +120,7 @@ class ExprBuilder:
         name: Optional[str],
         value: Optional[bool],
     ) -> Expr:
-        key = (kind, tuple(c.uid for c in children), name, value)
+        key = (kind, tuple([c.uid for c in children]), name, value)
         node = self._intern.get(key)
         if node is None:
             node = Expr(kind, children, name, value, self._uid, self)
@@ -156,52 +160,55 @@ class ExprBuilder:
     def and_(self, args: Sequence[Expr]) -> Expr:
         """Conjunction with flattening, constant folding and idempotence."""
         self._check(args)
+        true, false = self.true, self.false
         flat: List[Expr] = []
         seen: Set[int] = set()
         for arg in _flatten(args, AND):
-            if arg.is_false:
-                return self.false
-            if arg.is_true or arg.uid in seen:
+            if arg is false:
+                return false
+            if arg is true or arg.uid in seen:
                 continue
             seen.add(arg.uid)
             flat.append(arg)
-        # x AND (x XOR 1) = 0
+        # x AND (x XOR 1) = 0.  xor_ puts the constant last, so
+        # children[-1] is the only place a XOR node can hold it.
         for arg in flat:
-            if arg.kind == XOR and self.true in arg.children:
-                stripped = self.xor_([c for c in arg.children if c is not self.true])
+            if arg.kind == XOR and arg.children[-1] is true:
+                stripped = self.xor_(arg.children[:-1])
                 if stripped.uid in seen:
-                    return self.false
+                    return false
         if not flat:
-            return self.true
+            return true
         if len(flat) == 1:
             return flat[0]
-        flat.sort(key=lambda n: n.uid)
+        flat.sort(key=_UID)
         return self._make(AND, tuple(flat), None, None)
 
     def xor_(self, args: Sequence[Expr]) -> Expr:
         """Exclusive-or with flattening, constant folding and (optionally)
         the paper's pair cancellation ``x ⊕ x = 0``."""
         self._check(args)
+        true = self.true
         parity = False
         flat: List[Expr] = []
         for arg in _flatten(args, XOR):
             if arg.kind == CONST:
-                parity ^= bool(arg.value)
+                parity ^= arg is true
                 continue
             flat.append(arg)
         if self.simplify_xor:
-            counts: Dict[int, int] = {}
-            order: List[Expr] = []
+            # Keep each node that occurs an odd number of times; the
+            # sort below fixes the order.
+            odd: Dict[int, Expr] = {}
             for arg in flat:
-                if arg.uid not in counts:
-                    order.append(arg)
-                counts[arg.uid] = counts.get(arg.uid, 0) + 1
-            flat = [arg for arg in order if counts[arg.uid] % 2 == 1]
+                if odd.pop(arg.uid, None) is None:
+                    odd[arg.uid] = arg
+            flat = list(odd.values())
         if not flat:
             return self.const(parity)
-        flat.sort(key=lambda n: n.uid)
+        flat.sort(key=_UID)
         if parity:
-            flat.append(self.true)
+            flat.append(true)
         if len(flat) == 1:
             return flat[0]
         return self._make(XOR, tuple(flat), None, None)
@@ -222,7 +229,7 @@ class ExprBuilder:
             return self.false
         if len(flat) == 1:
             return flat[0]
-        flat.sort(key=lambda n: n.uid)
+        flat.sort(key=_UID)
         return self._make(OR, tuple(flat), None, None)
 
     def not_(self, arg: Expr) -> Expr:

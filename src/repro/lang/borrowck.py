@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ParseError
 from repro.lang.diagnostics import (
@@ -113,14 +113,20 @@ def _is_offset(state: object) -> bool:
     return isinstance(state, tuple)
 
 
-@dataclass(frozen=True)
-class GateOperand:
+class GateOperand(NamedTuple):
     """One resolved gate operand the elaborator hands to the checker."""
 
     reg: str  #: register name as written
     wire: int  #: concrete circuit wire
     span: Span  #: source extent of the operand
-    text: str  #: display form, e.g. ``q`` or ``q[2]``
+    subscript: Optional[int] = None  #: 1-based index; None for bare ``q``
+
+    @property
+    def text(self) -> str:
+        """Display form, e.g. ``q`` or ``q[2]``; only diagnostics read it."""
+        if self.subscript is None:
+            return self.reg
+        return f"{self.reg}[{self.subscript}]"
 
 
 @dataclass
@@ -527,6 +533,9 @@ class BorrowChecker:
                 seen_wires[op.wire] = op
         if not ok:
             return False
+        if not self.frames:
+            # Every rule below loops over the open borrow blocks only.
+            return True
 
         controls, target = tuple(operands[:-1]), operands[-1]
 
@@ -763,14 +772,26 @@ def check_qbr(
 ) -> DiagnosticReport:
     """Borrow-check ``.qbr`` text or a ``.qbr`` file from disk.
 
-    Accepts the same flexible source forms as
-    :func:`repro.lang.surface.elaborate.verify_qbr`: a path (or a string
-    ending in ``.qbr``) is read from disk, anything else is treated as
-    program text.
+    Accepts the same source forms as
+    :func:`repro.lang.surface.elaborate.verify_qbr`; :func:`qbr_path`
+    tells a file name from program text.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and source.strip().endswith(".qbr")
-    ):
-        path = Path(source)
+    path = qbr_path(source)
+    if path is not None:
         return check_program(path.read_text(), filename or str(path))
     return check_program(source, filename or "<qbr>")
+
+
+def qbr_path(source: Union[str, Path]) -> Optional[Path]:
+    """The file ``source`` names, or None when it is program text.
+
+    A :class:`~pathlib.Path` always names a file.  A string does only
+    when it ends in ``.qbr`` and holds no newline and no ``;``, so text
+    that merely mentions a file (``borrow a; X[a]; // from adder.qbr``)
+    is parsed, never opened.
+    """
+    if isinstance(source, Path):
+        return source
+    if "\n" in source or ";" in source or not source.strip().endswith(".qbr"):
+        return None
+    return Path(source)

@@ -4,10 +4,11 @@ Evaluates ``let`` bindings and loop variables, allocates register wires
 in declaration order, drives the static borrow checker
 (:mod:`repro.lang.borrowck`) over every statement, and produces an
 :class:`ElaboratedProgram`.  Expressions compile into ``env -> int``
-closures.  A gate statement compiles into a plan (its operand indices
-compiled) on its first execution, and every later loop iteration only
-runs the plan's closures; nothing is cached across elaborations.  The
-result holds:
+closures.  A gate statement compiles into a plan on its first
+execution: its IR gate name (``CNOT`` is ``CX``, arity checked once),
+its span and its compiled operand indices.  Every later loop iteration
+only runs the plan's closures and builds ``Gate(plan.name, wires)``;
+nothing is cached across elaborations.  The result holds:
 
 * the flat classical :class:`~repro.circuits.Circuit`;
 * ``dirty_wires`` — qubits declared with ``borrow`` (verified) or by a
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate, gate_from_name
 from repro.errors import ParseError
-from repro.lang.borrowck import BorrowChecker, GateOperand
+from repro.lang.borrowck import BorrowChecker, GateOperand, qbr_path
 from repro.lang.diagnostics import DiagnosticReport, Span
 from repro.lang.surface.parser import (
     BinOp,
@@ -122,13 +123,16 @@ class _OperandPlan(NamedTuple):
 
 @dataclass(frozen=True)
 class _GatePlan:
-    """A gate statement's static part, built on its first execution.
+    """A gate statement's static part, built on its first execution:
+    the IR gate name (``CNOT`` becomes ``CX``, arity checked), the
+    statement's span and its compiled operands.
 
     Plans are keyed by ``id(stmt)``; holding ``stmt`` keeps that id from
     being reused by another statement while the elaboration runs.
     """
 
     stmt: GateStmt
+    name: str
     span: Span
     operands: Tuple[_OperandPlan, ...]
 
@@ -297,7 +301,8 @@ class _Elaborator:
             )
             for ref in stmt.operands
         )
-        return _GatePlan(stmt, span, operands)
+        name = gate_from_name(stmt.gate, range(len(operands))).name
+        return _GatePlan(stmt, name, span, operands)
 
     def run_gate(self, stmt: GateStmt) -> None:
         """Elaborate one gate application through the borrow checker.
@@ -324,9 +329,7 @@ class _Elaborator:
                         span.line,
                         span.column,
                     )
-                operands.append(
-                    GateOperand(name, register.wires[0], span, name)
-                )
+                operands.append(GateOperand(name, register.wires[0], span))
                 continue
             if register.scalar:
                 raise ParseError(
@@ -342,13 +345,10 @@ class _Elaborator:
                     span.line,
                     span.column,
                 )
-            operands.append(
-                GateOperand(name, wires[value - 1], span, f"{name}[{value}]")
-            )
+            operands.append(GateOperand(name, wires[value - 1], span, value))
         ops = tuple(operands)
         if self.checker.gate(ops, plan.span):
-            gate = gate_from_name(plan.stmt.gate, [op.wire for op in ops])
-            self.gates.append(gate)
+            self.gates.append(Gate(plan.name, tuple([op.wire for op in ops])))
             self.gate_meta.append((ops, plan.span))
 
     def run_for(self, stmt: ForStmt) -> None:
@@ -591,10 +591,9 @@ def _as_program(
     """Resolve text / path / elaborated-program into a program."""
     if isinstance(source, ElaboratedProgram):
         return source
-    if isinstance(source, Path) or (
-        isinstance(source, str) and source.strip().endswith(".qbr")
-    ):
-        return elaborate_file(source)
+    path = qbr_path(source)
+    if path is not None:
+        return elaborate_file(path)
     return elaborate(source)
 
 

@@ -10,12 +10,20 @@ keywords ``lend``, ``within`` and ``apply`` for the scoped
 ``borrow ... { within {...} apply {...} }`` and ``lend x {...}``
 constructs checked by :mod:`repro.lang.borrowck` (see
 ``docs/language.md``).
+
+One compiled pattern (``_TOKEN``) matches every token, blank run and
+comment, so each costs one regex match and one pass through
+``_scan``'s loop.  Only ``\\n`` starts a new line; a token's column is
+its offset from the start of its line, plus one.  ``_scan`` is a
+generator over ``finditer``: it lexes only as far as its consumer has
+pulled, so a bad character deep in the source raises only when the
+parser reaches it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import Iterator, List, NamedTuple
 
 from repro.errors import ParseError
 
@@ -48,9 +56,33 @@ PUNCTUATION = {
     "*": "STAR",
 }
 
+#: Token kind of every spelling that is not an ``ID``.
+_KINDS = {**{word: word.upper() for word in KEYWORDS}, **PUNCTUATION}
 
-@dataclass(frozen=True)
-class Token:
+# Alternatives are tried in order.  ``\d`` is exactly str.isdecimal (the
+# digits int() reads, so '²' is no number) and ``\w`` is exactly
+# str.isalnum or '_'.  An identifier must start with str.isalpha or '_';
+# ``[^\W\d]`` also admits the ~1,100 numerals that are neither decimal
+# nor alphabetic ('²', '½', 'Ⅻ'), so _scan rejects those by hand.
+# ``borrow@`` precedes ID, which would take ``borrow`` and leave ``@``.
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE>\n[ \t\r]*)
+    | (?P<SPACE>[ \t\r]+)
+    | (?P<PUNCT>[=;,\[\]{}()+*-])
+    | (?P<BORROW_SKIP>borrow@)
+    | (?P<ID>[^\W\d]\w*)
+    | (?P<NUMBER>\d+)
+    | (?P<COMMENT>//[^\n]*)
+    | (?P<BLOCK>/\*.*?\*/)
+    | (?P<UNTERMINATED>/\*)
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class Token(NamedTuple):
     """One lexeme with its 1-based source position."""
 
     kind: str  # KEYWORD name, "ID", "NUMBER", punctuation kind, or "EOF"
@@ -69,63 +101,34 @@ def tokenize(source: str) -> List[Token]:
 
 def _scan(source: str) -> Iterator[Token]:
     line = 1
-    column = 1
-    i = 0
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if i < length and source[i] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            i += 1
-
-    while i < length:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the first character of `line`
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        if group == "SPACE" or group == "COMMENT":
             continue
-        if source.startswith("//", i):
-            while i < length and source[i] != "\n":
-                advance(1)
+        start = match.start()
+        if group == "NEWLINE":
+            line += 1
+            line_start = start + 1
             continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, column
-            advance(2)
-            while i < length and not source.startswith("*/", i):
-                advance(1)
-            if i >= length:
-                raise ParseError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        # isdecimal, not isdigit: it accepts exactly the digits int()
-        # reads, so a superscript like '²' stays an unexpected character.
-        if ch.isdecimal():
-            start_line, start_col = line, column
-            begin = i
-            while i < length and source[i].isdecimal():
-                advance(1)
-            yield Token("NUMBER", source[begin:i], start_line, start_col)
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, column
-            begin = i
-            while i < length and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[begin:i]
-            if text == "borrow" and i < length and source[i] == "@":
-                advance(1)
-                yield Token("BORROW_SKIP", "borrow@", start_line, start_col)
-                continue
-            kind = text.upper() if text in KEYWORDS else "ID"
-            yield Token(kind, text, start_line, start_col)
-            continue
-        if ch in PUNCTUATION:
-            yield Token(PUNCTUATION[ch], ch, line, column)
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    yield Token("EOF", "", line, column)
+        text = match.group()
+        column = start - line_start + 1
+        if group == "PUNCT":
+            yield Token(_KINDS[text], text, line, column)
+        elif group == "ID":
+            if text[0] != "_" and not text[0].isalpha():
+                raise ParseError(
+                    f"unexpected character {text[0]!r}", line, column
+                )
+            yield Token(_KINDS.get(text, "ID"), text, line, column)
+        elif group == "NUMBER" or group == "BORROW_SKIP":
+            yield Token(group, text, line, column)
+        elif group == "BLOCK":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif group == "UNTERMINATED":
+            raise ParseError("unterminated block comment", line, column)
+        else:
+            raise ParseError(f"unexpected character {text!r}", line, column)
+    yield Token("EOF", "", line, len(source) - line_start + 1)

@@ -28,7 +28,7 @@ matched by spelling here, exactly as ANTLR's literal tokens would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.lang.surface.lexer import Token, _scan
@@ -197,47 +197,40 @@ class Program:
 # ---------------------------------------------------------------------- #
 
 
-class _TokenStream:
-    """Index the token stream while lexing only as far as the parser
-    has looked.
+class _Parser:
+    """Recursive descent over a lazily lexed token stream.
 
-    :class:`_Parser` reads tokens exclusively through ``tokens[pos]``
-    with a bounded lookahead, so backing that access with the lazy
-    :func:`~repro.lang.surface.lexer._scan` generator is all streaming
-    needs: source past the current statement is not even lexed yet.
-    The scan ends with an ``EOF`` token the parser never advances past,
-    so the generator is never over-drawn.
+    The parser holds a single lookahead token, pulled from the
+    :func:`~repro.lang.surface.lexer._scan` generator only when a rule
+    first looks at it.  Consuming a statement's last token pulls
+    nothing, so when :func:`iter_statements` yields a statement the
+    source after it has not been lexed yet.  The ``EOF`` token is never
+    consumed, so the generator is never over-drawn.
     """
 
     def __init__(self, source: str):
-        self._scan = _scan(source)
-        self._buffer: List[Token] = []
-
-    def __getitem__(self, index: int) -> Token:
-        while len(self._buffer) <= index:
-            self._buffer.append(next(self._scan))
-        return self._buffer[index]
-
-
-class _Parser:
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        self._tokens = _scan(source)
+        self._next: Optional[Token] = None  # the lookahead, once pulled
         self.nesting = 0  # open parentheses around the current factor
 
     # Token plumbing ---------------------------------------------------- #
 
+    def _pull(self) -> Token:
+        token = self._next = next(self._tokens)
+        return token
+
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self._next or self._pull()
 
     def advance(self) -> Token:
-        token = self.tokens[self.pos]
+        token = self._next or self._pull()
         if token.kind != "EOF":
-            self.pos += 1
+            self._next = None
         return token
 
     def expect(self, kind: str, what: str = "") -> Token:
-        token = self.peek()
+        """Consume a token of ``kind`` (never ``EOF``) or raise."""
+        token = self._next or self._pull()
         if token.kind != kind:
             wanted = what or kind
             raise ParseError(
@@ -245,18 +238,10 @@ class _Parser:
                 token.line,
                 token.column,
             )
-        return self.advance()
+        self._next = None
+        return token
 
     # Grammar ------------------------------------------------------------ #
-
-    def program(self) -> Program:
-        statements: List[StmtNode] = []
-        while self.peek().kind != "EOF":
-            statements.append(self.statement())
-        if not statements:
-            token = self.peek()
-            raise ParseError("empty program", token.line, token.column)
-        return Program(tuple(statements))
 
     def statement(self) -> StmtNode:
         token = self.peek()
@@ -451,7 +436,7 @@ def iter_statements(source: str) -> Iterator[StmtNode]:
     :func:`parse`, including ``empty program`` when the source holds no
     statement at all.
     """
-    parser = _Parser(_TokenStream(source))
+    parser = _Parser(source)
     produced = False
     while parser.peek().kind != "EOF":
         yield parser.statement()

@@ -8,6 +8,13 @@ applied through hash-consing.  :func:`formula_61` and :func:`formula_62`
 then build the two Theorem 6.4 obligations; deciding their
 unsatisfiability is the job of the pluggable checkers in
 :mod:`repro.verify.backends`.
+
+The scan is the hot loop of a verification request: it unpacks each
+gate's qubits once into controls and target, and the per-gate cost is
+one :meth:`~repro.boolfn.expr.ExprBuilder.and_` and one
+:meth:`~repro.boolfn.expr.ExprBuilder.xor_` (a NOT for a bare X).
+Which nodes those intern, and in what order, is pinned by
+``tests/verify/test_tracking_interning.py``.
 """
 
 from __future__ import annotations
@@ -56,18 +63,19 @@ def track_circuit(
 
     input_vars = {q: builder.var(names[q]) for q in range(circuit.num_qubits)}
     formulas = dict(input_vars)
+    and_, xor_, not_ = builder.and_, builder.xor_, builder.not_
     for gate in circuit.gates:
         if not gate.is_classical:
             raise VerificationError(
                 f"gate {gate} is not classical; the Section 6 reduction "
                 f"applies to X / multi-controlled-NOT circuits only"
             )
-        target = gate.target
-        if gate.controls:
-            controls = builder.and_([formulas[c] for c in gate.controls])
-            formulas[target] = builder.xor_([formulas[target], controls])
+        *controls, target = gate.qubits
+        if controls:
+            product = and_([formulas[c] for c in controls])
+            formulas[target] = xor_([formulas[target], product])
         else:
-            formulas[target] = builder.not_(formulas[target])
+            formulas[target] = not_(formulas[target])
     return TrackedFormulas(builder, circuit, names, input_vars, formulas)
 
 

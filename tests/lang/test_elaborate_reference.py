@@ -164,7 +164,8 @@ class ReferenceElaborator:
         operands = []
         for ref in stmt.operands:
             wire, text = self.resolve(ref)
-            operands.append(GateOperand(ref.name, wire, _ref_span(ref), text))
+            subscript = None if ref.index is None else self.eval(ref.index)
+            operands.append(GateOperand(ref.name, wire, _ref_span(ref), subscript))
         column = stmt.column or 1
         span = Span(stmt.line, column, max(1, (stmt.end_column or column) - column))
         self.checker.gate(tuple(operands), span)

@@ -45,7 +45,11 @@ def verify_record(
         ],
     }
     if elaborate_gates is not None:
-        record["elaborate"] = {"wall_seconds": 0.2, "gates": elaborate_gates}
+        record["elaborate"] = {
+            "wall_seconds": 0.2,
+            "track_seconds": 0.15,
+            "gates": elaborate_gates,
+        }
     if fronts:
         record["schema"] = "bench-verify/v2"
         record["fronts"] = [
@@ -336,6 +340,36 @@ class TestCompareVerify:
         fresh["elaborate"]["wall_seconds"] = 0.3
         comp = compare_verify(verify_record(), fresh)
         assert regressed(comp) == ["verify.elaborate.wall_seconds"]
+
+    def test_elaborate_track_is_gated(self):
+        fresh = verify_record()
+        fresh["elaborate"]["track_seconds"] = 0.2
+        comp = compare_verify(verify_record(), fresh)
+        assert regressed(comp) == ["verify.elaborate.track_seconds"]
+
+    def test_elaborate_track_within_tolerance_passes(self):
+        fresh = verify_record()
+        fresh["elaborate"]["track_seconds"] = 0.18
+        comp = compare_verify(verify_record(), fresh)
+        assert not comp.regressions
+        assert "verify.elaborate.track_seconds" in {f.metric for f in comp.findings}
+
+    def test_elaborate_track_under_noise_floor_is_skipped(self):
+        baseline = verify_record()
+        baseline["elaborate"]["track_seconds"] = 0.01
+        fresh = verify_record()
+        fresh["elaborate"]["track_seconds"] = 0.04
+        comp = compare_verify(baseline, fresh)
+        assert not comp.regressions
+
+    def test_baseline_without_track_seconds_is_not_gated(self):
+        baseline = verify_record()
+        del baseline["elaborate"]["track_seconds"]
+        fresh = verify_record()
+        fresh["elaborate"]["track_seconds"] = 10.0
+        comp = compare_verify(baseline, fresh)
+        assert not comp.regressions
+        assert "verify.elaborate.track_seconds" not in {f.metric for f in comp.findings}
 
 
 class TestSolverSpeedFronts:
