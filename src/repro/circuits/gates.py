@@ -57,6 +57,12 @@ class Gate:
     matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        # `is_classical` goes by the name, so a classical name must
+        # mean the named permutation and not some other matrix.
+        if self.matrix is not None and self.name in CLASSICAL_NAMES:
+            raise CircuitError(
+                f"gate {self.name} is classical and takes no explicit matrix"
+            )
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(
                 f"gate {self.name} has duplicate qubits {self.qubits}"

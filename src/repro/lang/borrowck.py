@@ -61,7 +61,8 @@ Entry points
 return every diagnostic as a :class:`~repro.lang.diagnostics.DiagnosticReport`;
 :func:`repro.lang.surface.elaborate.elaborate` runs the same checker in
 *strict* mode, raising :class:`~repro.lang.diagnostics.BorrowCheckError`
-at the first violation.
+at the first violation.  :func:`qbr_path` tells a file name from program
+text and :func:`read_qbr` reads a file, for every ``.qbr`` reader.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ BORROWED = "borrowed"
 RELEASED = "released"
 #: A scoped borrow block ended; the qubit went back to its owner.
 CONSUMED = "consumed"
+#: States in which a gate may not name the register (BQ001/BQ003/BQ005).
+_UNUSABLE = frozenset({RELEASED, CONSUMED, LENT})
 
 # Wire taint states (per open borrow block) --------------------------------- #
 #
@@ -114,7 +117,8 @@ def _is_offset(state: object) -> bool:
 
 
 class GateOperand(NamedTuple):
-    """One resolved gate operand the elaborator hands to the checker."""
+    """One resolved gate operand, as diagnostics and apply-phase records
+    hold it."""
 
     reg: str  #: register name as written
     wire: int  #: concrete circuit wire
@@ -127,6 +131,16 @@ class GateOperand(NamedTuple):
         if self.subscript is None:
             return self.reg
         return f"{self.reg}[{self.subscript}]"
+
+
+def _operands(
+    regs: Sequence[str],
+    wires: Sequence[int],
+    spans: Sequence[Span],
+    subscripts: Sequence[Optional[int]],
+) -> Tuple[GateOperand, ...]:
+    """One gate's operand records, in operand order."""
+    return tuple(map(GateOperand, regs, wires, spans, subscripts))
 
 
 @dataclass
@@ -437,137 +451,87 @@ class BorrowChecker:
 
     def gate(
         self,
-        operands: Sequence[GateOperand],
+        regs: Sequence[str],
+        spans: Sequence[Span],
+        wires: Sequence[int],
+        subscripts: Sequence[Optional[int]],
         span: Span,
         mirrored_from: Optional[int] = None,
     ) -> bool:
         """Check one gate; False means the elaborator must skip emission.
 
+        A gate arrives as its statement's static part (each operand's
+        register name and source span, and the statement's ``span``)
+        plus this execution's ``wires`` and ``subscripts`` (the 1-based
+        index of each operand, None for a bare register).  The rules run
+        on names and wires; :class:`GateOperand` records are built only
+        for a diagnostic that quotes an operand, or for a gate that an
+        open block's apply phase checks and records.
+
         ``mirrored_from`` marks a gate re-emitted by a borrow block's
         mirror phases (``reverse(C); D``) and carries the block's line
         number for the note.
         """
-        mirror_note = (
-            f"in the mirrored copy emitted by the borrow block on line "
-            f"{mirrored_from}"
-            if mirrored_from is not None
-            else None
-        )
-
         # Ownership of every operand's register.  Mirrored gates are
         # compiler-generated restore machinery: their operands were
         # checked at first emission, and a nested block legitimately
         # replays gates of registers it has since consumed.
-        for op in operands if mirrored_from is None else ():
-            record = self.registers.get(op.reg)
-            if record is None:
-                continue  # unknown registers fail resolution earlier
-            if record.state == RELEASED:
-                self.emit(
-                    "BQ001",
-                    f"register '{op.reg}' used after release",
-                    op.span,
-                    label=f"'{op.reg}' is no longer live here",
-                    notes=tuple(
-                        n
-                        for n in (
-                            f"'{op.reg}' was released on line "
-                            f"{record.event_line}",
-                            mirror_note,
-                        )
-                        if n
-                    ),
-                    hints=("move this use before the release, or drop "
-                           "the release",),
-                )
-            elif record.state == CONSUMED:
-                self.emit(
-                    "BQ003",
-                    f"scoped borrow '{op.reg}' used after its block ended",
-                    op.span,
-                    label="the borrow was already returned",
-                    notes=tuple(
-                        n
-                        for n in (
-                            f"the borrow block for '{op.reg}' opened on "
-                            f"line {record.decl_line}",
-                            mirror_note,
-                        )
-                        if n
-                    ),
-                    hints=("move this gate inside the borrow block",),
-                )
-            elif record.state == LENT:
-                self.emit(
-                    "BQ005",
-                    f"register '{op.reg}' is lent out and cannot be "
-                    f"used here",
-                    op.span,
-                    label="owner access during a lend",
-                    notes=(f"'{op.reg}' was lent on line "
-                           f"{record.event_line}",),
-                    hints=("move this gate outside the lend block",),
-                )
+        if mirrored_from is None:
+            registers = self.registers
+            for index, reg in enumerate(regs):
+                record = registers.get(reg)
+                # Unknown registers fail resolution earlier.
+                if record is not None and record.state in _UNUSABLE:
+                    self._misuse(
+                        record,
+                        GateOperand(
+                            reg, wires[index], spans[index], subscripts[index]
+                        ),
+                    )
 
         # Aliased operands (the Guppy copy_qubit class): a multi-qubit
         # gate needs distinct wires.
-        seen_wires: Dict[int, GateOperand] = {}
-        ok = True
-        for op in operands:
-            if op.wire in seen_wires:
-                first = seen_wires[op.wire]
-                self.emit(
-                    "BQ007",
-                    f"gate operands '{first.text}' and '{op.text}' alias "
-                    f"the same wire",
-                    op.span,
-                    label="same wire as an earlier operand",
-                    notes=("a controlled gate needs pairwise-distinct "
-                           "wires; a qubit cannot be used twice in one "
-                           "gate",),
-                    hints=("route one of the operands to a different "
-                           "wire",),
-                )
-                ok = False
-            else:
-                seen_wires[op.wire] = op
-        if not ok:
+        if len(set(wires)) < len(wires):
+            self._aliased(_operands(regs, wires, spans, subscripts))
             return False
-        if not self.frames:
+        frames = self.frames
+        if not frames:
             # Every rule below loops over the open borrow blocks only.
             return True
 
-        controls, target = tuple(operands[:-1]), operands[-1]
-
+        controls, target = wires[:-1], wires[-1]
         # Apply-phase rules, per open block currently in its apply phase
         # (a block's own mirror emission is exempt: it re-plays gates the
         # phase rules already admitted).
-        erred = False
-        for frame in self.frames:
-            if not frame.in_apply or frame.in_mirror:
-                continue
-            if self._check_apply_gate(
-                frame, controls, target, span, mirror_note
-            ):
-                erred = True
-
-        # BQ012 (warning): a gate whose controls are all phase-invariant
-        # for its *innermost* apply phase fires identically in both
-        # copies of that block and cancels itself out.  Outer frames
-        # don't enter into it: the innermost mirror is what duplicates
-        # the gate, so the innermost frame decides whether the copies
-        # differ.
-        apply_frames = [
-            f for f in self.frames if f.in_apply and not f.in_mirror
-        ]
-        if apply_frames and mirrored_from is None and not erred:
-            innermost = apply_frames[-1]
-            varying = any(
-                op.wire in innermost.frozen
-                or innermost.taint.get(op.wire, _CLEAN) != _CLEAN
-                for op in controls
+        apply_frames = [f for f in frames if f.in_apply and not f.in_mirror]
+        if apply_frames:
+            operands = _operands(regs, wires, spans, subscripts)
+            control_ops, target_op = operands[:-1], operands[-1]
+            mirror_note = (
+                f"in the mirrored copy emitted by the borrow block on line "
+                f"{mirrored_from}"
+                if mirrored_from is not None
+                else None
             )
-            if not varying:
+            erred = False
+            for frame in apply_frames:
+                if self._check_apply_gate(
+                    frame, control_ops, target_op, mirror_note
+                ):
+                    erred = True
+
+            # BQ012 (warning): a gate whose controls are all
+            # phase-invariant for its *innermost* apply phase fires
+            # identically in both copies of that block and cancels
+            # itself out.  Outer frames don't enter into it: the
+            # innermost mirror is what duplicates the gate, so the
+            # innermost frame decides whether the copies differ.
+            innermost = apply_frames[-1]
+            if mirrored_from is None and not erred and not any(
+                wire in innermost.frozen
+                or innermost.taint.get(wire, _CLEAN) != _CLEAN
+                for wire in controls
+            ):
                 self.emit(
                     "BQ012",
                     "apply-section gate cancels with its mirror copy and "
@@ -582,41 +546,93 @@ class BorrowChecker:
                            "move it out of the borrow block",),
                     severity="warning",
                 )
+            for frame in apply_frames:
+                frame.records.append((control_ops, target_op))
+                frame.writes.add(target)
 
         # Taint propagation, per open block (any phase).
-        control_wires = [op.wire for op in controls]
-        for frame in self.frames:
-            states = [frame.taint.get(w, _CLEAN) for w in control_wires]
-            product = _product_state(states)
+        for frame in frames:
+            taint = frame.taint
+            product = _product_state([taint.get(w, _CLEAN) for w in controls])
             if product != _CLEAN:
-                new = _xor_state(
-                    frame.taint.get(target.wire, _CLEAN), product
-                )
+                new = _xor_state(taint.get(target, _CLEAN), product)
                 if new == _CLEAN:
-                    frame.taint.pop(target.wire, None)
+                    taint.pop(target, None)
                 else:
-                    frame.taint[target.wire] = new
+                    taint[target] = new
             if not frame.in_apply:
-                frame.touched.update(op.wire for op in operands)
-            elif not frame.in_mirror:
-                frame.records.append((controls, target))
-                frame.writes.add(target.wire)
+                frame.touched.update(wires)
         return True
+
+    def _misuse(self, record: _RegRecord, op: GateOperand) -> None:
+        """BQ001/BQ003/BQ005: a gate names a register it may not use."""
+        if record.state == RELEASED:
+            self.emit(
+                "BQ001",
+                f"register '{op.reg}' used after release",
+                op.span,
+                label=f"'{op.reg}' is no longer live here",
+                notes=(f"'{op.reg}' was released on line "
+                       f"{record.event_line}",),
+                hints=("move this use before the release, or drop "
+                       "the release",),
+            )
+        elif record.state == CONSUMED:
+            self.emit(
+                "BQ003",
+                f"scoped borrow '{op.reg}' used after its block ended",
+                op.span,
+                label="the borrow was already returned",
+                notes=(f"the borrow block for '{op.reg}' opened on "
+                       f"line {record.decl_line}",),
+                hints=("move this gate inside the borrow block",),
+            )
+        else:
+            self.emit(
+                "BQ005",
+                f"register '{op.reg}' is lent out and cannot be "
+                f"used here",
+                op.span,
+                label="owner access during a lend",
+                notes=(f"'{op.reg}' was lent on line "
+                       f"{record.event_line}",),
+                hints=("move this gate outside the lend block",),
+            )
+
+    def _aliased(self, operands: Tuple[GateOperand, ...]) -> None:
+        """BQ007 for every operand that repeats an earlier one's wire."""
+        seen_wires: Dict[int, GateOperand] = {}
+        for op in operands:
+            first = seen_wires.get(op.wire)
+            if first is None:
+                seen_wires[op.wire] = op
+                continue
+            self.emit(
+                "BQ007",
+                f"gate operands '{first.text}' and '{op.text}' alias "
+                f"the same wire",
+                op.span,
+                label="same wire as an earlier operand",
+                notes=("a controlled gate needs pairwise-distinct "
+                       "wires; a qubit cannot be used twice in one "
+                       "gate",),
+                hints=("route one of the operands to a different "
+                       "wire",),
+            )
 
     def _check_apply_gate(
         self,
         frame: _Frame,
         controls: Tuple[GateOperand, ...],
         target: GateOperand,
-        span: Span,
         mirror_note: Optional[str],
     ) -> bool:
         """BQ004/BQ010 rules for one gate inside ``frame``'s apply phase.
 
         Returns True when the gate violated a rule (so the caller skips
-        the BQ012 no-effect warning for it).
+        the BQ012 no-effect warning for it).  Diagnostics anchor on
+        operand spans.
         """
-        del span  # diagnostics anchor on operand spans
         if target.wire in frame.frozen:
             what = (
                 f"the borrowed wire '{target.text}'"
@@ -755,16 +771,19 @@ def check_program(source: str, filename: str = "<qbr>") -> DiagnosticReport:
     except BorrowCheckError:  # pragma: no cover - collect mode never raises
         pass
     except ParseError as err:
-        line = getattr(err, "line", 0) or 1
-        column = getattr(err, "column", 0) or 1
-        report.add(
-            Diagnostic(
-                code="PARSE",
-                message=str(err),
-                span=Span(line, column),
-            )
-        )
+        _add_parse_error(report, err)
     return report
+
+
+def _add_parse_error(report: DiagnosticReport, err: ParseError) -> None:
+    """Record a failure that stopped the program being read as ``PARSE``."""
+    report.add(
+        Diagnostic(
+            code="PARSE",
+            message=str(err),
+            span=Span(err.line or 1, err.column or 1),
+        )
+    )
 
 
 def check_qbr(
@@ -774,12 +793,21 @@ def check_qbr(
 
     Accepts the same source forms as
     :func:`repro.lang.surface.elaborate.verify_qbr`; :func:`qbr_path`
-    tells a file name from program text.
+    tells a file name from program text.  A file that is not UTF-8
+    gives a report with one ``PARSE`` diagnostic at the bad byte.
     """
     path = qbr_path(source)
-    if path is not None:
-        return check_program(path.read_text(), filename or str(path))
-    return check_program(source, filename or "<qbr>")
+    if path is None:
+        return check_program(source, filename or "<qbr>")
+    filename = filename or str(path)
+    try:
+        text = read_qbr(path)
+    except ParseError as err:
+        lossy = path.read_bytes().decode("utf-8", errors="replace")
+        report = DiagnosticReport(source=lossy, filename=filename)
+        _add_parse_error(report, err)
+        return report
+    return check_program(text, filename)
 
 
 def qbr_path(source: Union[str, Path]) -> Optional[Path]:
@@ -795,3 +823,28 @@ def qbr_path(source: Union[str, Path]) -> Optional[Path]:
     if "\n" in source or ";" in source or not source.strip().endswith(".qbr"):
         return None
     return Path(source)
+
+
+def read_qbr(path: Union[str, Path]) -> str:
+    """The text of a ``.qbr`` file: UTF-8, with ``\\r\\n`` and ``\\r``
+    read as ``\\n``.
+
+    A byte that is not UTF-8 raises :class:`ParseError` at its line and
+    column (counted in characters, as the lexer counts them), so a bad
+    file fails like bad text does.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        before = _newlines(data[: err.start].decode("utf-8"))
+        raise ParseError(
+            f"byte 0x{data[err.start]:02X} is not UTF-8",
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+        ) from None
+
+
+def _newlines(text: str) -> str:
+    """``text`` with every line break as ``\\n`` (universal newlines)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")

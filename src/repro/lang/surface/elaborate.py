@@ -6,9 +6,13 @@ in declaration order, drives the static borrow checker
 :class:`ElaboratedProgram`.  Expressions compile into ``env -> int``
 closures.  A gate statement compiles into a plan on its first
 execution: its IR gate name (``CNOT`` is ``CX``, arity checked once),
-its span and its compiled operand indices.  Every later loop iteration
-only runs the plan's closures and builds ``Gate(plan.name, wires)``;
-nothing is cached across elaborations.  The result holds:
+its span, its compiled operand indices and its operands' register
+names and spans.  Every later loop iteration only runs the plan's
+closures, hands the checker the plan's names and spans with this
+iteration's wires and subscripts, and builds ``Gate(plan.name,
+wires)``; nothing is cached across elaborations.  Wires come only
+from register declarations, so the gates join the circuit without a
+second range check.  The result holds:
 
 * the flat classical :class:`~repro.circuits.Circuit`;
 * ``dirty_wires`` — qubits declared with ``borrow`` (verified) or by a
@@ -35,12 +39,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate, gate_from_name
 from repro.errors import ParseError
-from repro.lang.borrowck import BorrowChecker, GateOperand, qbr_path
+from repro.lang.borrowck import BorrowChecker, qbr_path, read_qbr
 from repro.lang.diagnostics import DiagnosticReport, Span
 from repro.lang.surface.parser import (
     BinOp,
@@ -66,6 +70,10 @@ from repro.verify.report import VerificationReport
 _Evaluator = Callable[[Dict[str, int]], int]
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+#: An emitted gate's plan, wires and subscripts (None for a bare
+#: register), kept for the borrow-block mirror replay.
+_GateMeta = Tuple["_GatePlan", Tuple[int, ...], List[Optional[int]]]
 
 
 def _compile(node: ExprNode) -> _Evaluator:
@@ -113,19 +121,13 @@ def _compile(node: ExprNode) -> _Evaluator:
     raise ParseError(f"unknown expression node {node!r}")
 
 
-class _OperandPlan(NamedTuple):
-    """One register reference of a gate statement, index compiled."""
-
-    name: str
-    span: Span
-    index: Optional[_Evaluator]  # None for a bare register name
-
-
 @dataclass(frozen=True)
 class _GatePlan:
     """A gate statement's static part, built on its first execution:
     the IR gate name (``CNOT`` becomes ``CX``, arity checked), the
-    statement's span and its compiled operands.
+    statement's span and, per operand, the register name, source span
+    and compiled index (None for a bare register name).  The names and
+    spans are what the borrow checker takes with each run's wires.
 
     Plans are keyed by ``id(stmt)``; holding ``stmt`` keeps that id from
     being reused by another statement while the elaboration runs.
@@ -134,7 +136,9 @@ class _GatePlan:
     stmt: GateStmt
     name: str
     span: Span
-    operands: Tuple[_OperandPlan, ...]
+    regs: Tuple[str, ...]
+    spans: Tuple[Span, ...]
+    indices: Tuple[Optional[_Evaluator], ...]
 
 
 @dataclass
@@ -194,9 +198,10 @@ class _Elaborator:
         self.registers: Dict[str, _Register] = {}
         self.wire_labels: List[str] = []
         self.gates: List[Gate] = []
-        # Parallel to `gates`: the checker operands and span of each
-        # emitted gate, so borrow-block mirrors can replay them.
-        self.gate_meta: List[Tuple[Tuple[GateOperand, ...], Span]] = []
+        # Parallel to `gates`: the plan, wires and subscripts of each
+        # emitted gate, so borrow-block mirrors can replay them through
+        # the checker.
+        self.gate_meta: List[_GateMeta] = []
         self.proven: List[int] = []
         self.lend_windows: Dict[str, List[Tuple[int, int]]] = {}
         self._plans: Dict[int, _GatePlan] = {}  # by id(stmt)
@@ -238,6 +243,9 @@ class _Elaborator:
                     ref.line,
                     ref.column,
                 )
+        # The only place wires are allocated: each gets a label below,
+        # so every wire a gate names is below the circuit's width and
+        # `_finish` need not range-check the gates again.
         first = len(self.wire_labels)
         wires = list(range(first, first + size))
         if not self.checker.declare(ref.name, wires, kind, self._ref_span(ref)):
@@ -293,16 +301,18 @@ class _Elaborator:
         span = Span(
             stmt.line, column, max(1, (stmt.end_column or column) - column)
         )
-        operands = tuple(
-            _OperandPlan(
-                ref.name,
-                self._ref_span(ref),
-                None if ref.index is None else _compile(ref.index),
-            )
-            for ref in stmt.operands
+        refs = stmt.operands
+        return _GatePlan(
+            stmt,
+            gate_from_name(stmt.gate, range(len(refs))).name,
+            span,
+            tuple(ref.name for ref in refs),
+            tuple(self._ref_span(ref) for ref in refs),
+            tuple(
+                None if ref.index is None else _compile(ref.index)
+                for ref in refs
+            ),
         )
-        name = gate_from_name(stmt.gate, range(len(operands))).name
-        return _GatePlan(stmt, name, span, operands)
 
     def run_gate(self, stmt: GateStmt) -> None:
         """Elaborate one gate application through the borrow checker.
@@ -315,8 +325,9 @@ class _Elaborator:
         if plan is None:
             plan = self._plans[id(stmt)] = self._plan_gate(stmt)
         registers = self.registers
-        operands = []
-        for name, span, index in plan.operands:
+        wires = []
+        subscripts = []
+        for name, span, index in zip(plan.regs, plan.spans, plan.indices):
             register = registers.get(name)
             if register is None:
                 raise ParseError(
@@ -329,7 +340,8 @@ class _Elaborator:
                         span.line,
                         span.column,
                     )
-                operands.append(GateOperand(name, register.wires[0], span))
+                wires.append(register.wires[0])
+                subscripts.append(None)
                 continue
             if register.scalar:
                 raise ParseError(
@@ -338,18 +350,19 @@ class _Elaborator:
                     span.column,
                 )
             value = index(self.env)
-            wires = register.wires
-            if not 1 <= value <= len(wires):
+            register_wires = register.wires
+            if not 1 <= value <= len(register_wires):
                 raise ParseError(
-                    f"{name}[{value}] out of range 1..{len(wires)}",
+                    f"{name}[{value}] out of range 1..{len(register_wires)}",
                     span.line,
                     span.column,
                 )
-            operands.append(GateOperand(name, wires[value - 1], span, value))
-        ops = tuple(operands)
-        if self.checker.gate(ops, plan.span):
-            self.gates.append(Gate(plan.name, tuple([op.wire for op in ops])))
-            self.gate_meta.append((ops, plan.span))
+            wires.append(register_wires[value - 1])
+            subscripts.append(value)
+        wires = tuple(wires)
+        if self.checker.gate(plan.regs, plan.spans, wires, subscripts, plan.span):
+            self.gates.append(Gate(plan.name, wires))
+            self.gate_meta.append((plan, wires, subscripts))
 
     def run_for(self, stmt: ForStmt) -> None:
         """Unroll a ``for`` loop (inclusive bounds, either direction)."""
@@ -412,11 +425,17 @@ class _Elaborator:
     def _replay(self, indices, block_line: int) -> None:
         """Re-emit already-emitted gates for a borrow block's mirror."""
         for idx in indices:
-            gate = self.gates[idx]
-            ops, span = self.gate_meta[idx]
-            self.checker.gate(ops, span, mirrored_from=block_line)
-            self.gates.append(gate)
-            self.gate_meta.append((ops, span))
+            meta = plan, wires, subscripts = self.gate_meta[idx]
+            self.checker.gate(
+                plan.regs,
+                plan.spans,
+                wires,
+                subscripts,
+                plan.span,
+                mirrored_from=block_line,
+            )
+            self.gates.append(self.gates[idx])
+            self.gate_meta.append(meta)
 
     def run_lend_block(self, stmt: LendBlock) -> None:
         """Elaborate ``lend x { ... }`` and record its gate-index window."""
@@ -438,8 +457,8 @@ class _Elaborator:
 def _finish(ela: _Elaborator, report: DiagnosticReport) -> ElaboratedProgram:
     """Assemble the :class:`ElaboratedProgram` once every statement ran."""
     circuit = Circuit(len(ela.wire_labels), labels=ela.wire_labels)
-    for gate in ela.gates:
-        circuit.append(gate)
+    # In range by allocation (`_declare_register`): no second check.
+    circuit.gates.extend(ela.gates)
     result = ElaboratedProgram(
         circuit=circuit,
         registers=ela.registers,
@@ -581,8 +600,10 @@ def elaborate(
 
 
 def elaborate_file(path: Union[str, Path]) -> ElaboratedProgram:
-    """Elaborate a ``.qbr`` file from disk."""
-    return elaborate(Path(path).read_text())
+    """Elaborate a ``.qbr`` file from disk (read by
+    :func:`~repro.lang.borrowck.read_qbr`, so a byte that is not UTF-8
+    raises :class:`ParseError`)."""
+    return elaborate(read_qbr(path))
 
 
 def _as_program(

@@ -149,3 +149,13 @@ class TestUnitaryGate:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(CircuitError):
             unitary_gate(np.eye(2), [0, 1])
+
+    @pytest.mark.parametrize(
+        "name, wires", [("X", 1), ("CX", 2), ("CCX", 3), ("MCX", 4)]
+    )
+    def test_classical_name_takes_no_matrix(self, name, wires):
+        # Classification goes by name: a Z named X would be verified as
+        # an X, and fingerprint like one.
+        matrix = np.diag([1.0] * (2**wires - 1) + [-1.0])
+        with pytest.raises(CircuitError, match="takes no explicit matrix"):
+            unitary_gate(matrix, range(wires), name=name)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SemanticsError
+from repro.errors import CircuitError, SemanticsError
 from repro.lang import (
     Seq,
     Skip,
@@ -150,3 +150,9 @@ class TestToCircuit:
         s = unitary_matrix(mat, "SQ", "a")
         circuit = to_circuit(s, ["a"])
         assert np.allclose(circuit.gates[0].local_matrix(), mat)
+
+    def test_classical_name_with_a_matrix_is_refused(self):
+        # A Z lowered under the name X would verify as an X.
+        z = np.diag([1.0, -1.0])
+        with pytest.raises(CircuitError, match="takes no explicit matrix"):
+            to_circuit(unitary_matrix(z, "X", "q"), ["q"])

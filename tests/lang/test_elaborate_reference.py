@@ -168,7 +168,8 @@ class ReferenceElaborator:
             operands.append(GateOperand(ref.name, wire, _ref_span(ref), subscript))
         column = stmt.column or 1
         span = Span(stmt.line, column, max(1, (stmt.end_column or column) - column))
-        self.checker.gate(tuple(operands), span)
+        regs, wires, spans, subscripts = zip(*operands)
+        self.checker.gate(regs, spans, wires, subscripts, span)
         self.gates.append(gate_from_name(stmt.gate, [op.wire for op in operands]))
 
 

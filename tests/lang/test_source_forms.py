@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.lang.borrowck import check_qbr, qbr_path
+from repro.errors import ParseError
+from repro.lang.borrowck import check_qbr, qbr_path, read_qbr
 from repro.lang.surface import job_from_qbr, verify_qbr
+from repro.lang.surface.elaborate import elaborate_file
 
 #: A program whose text ends in ``.qbr``: it must be parsed, not opened.
 MENTIONS_A_FILE = "borrow a; X[a]; X[a]; // copied from adder.qbr"
@@ -75,3 +77,50 @@ class TestCheckQbr:
     def test_text_ending_in_qbr_is_parsed(self):
         report = check_qbr("borrow q; release q; X[q]; // see prog.qbr")
         assert report.codes() == ["BQ001"]
+
+
+class TestFileEncoding:
+    """A ``.qbr`` file is UTF-8.  A byte that is not fails as a
+    :class:`ParseError` (a ``PARSE`` diagnostic from ``check_qbr``) at
+    its line and column, never as ``UnicodeDecodeError``."""
+
+    #: A Latin-1 ``é`` (0xE9) in a comment: line 2, seventh character.
+    LATIN1 = b"borrow a;\n// caf\xe9\nX[a];\nX[a];\n"
+
+    @pytest.fixture
+    def latin1_file(self, tmp_path) -> Path:
+        path = tmp_path / "latin1.qbr"
+        path.write_bytes(self.LATIN1)
+        return path
+
+    def test_check_qbr_reports_the_byte(self, latin1_file):
+        for source in (latin1_file, str(latin1_file)):
+            report = check_qbr(source)
+            assert report.codes() == ["PARSE"]
+            (diagnostic,) = report
+            assert (diagnostic.span.line, diagnostic.span.column) == (2, 7)
+            assert "byte 0xE9 is not UTF-8" in diagnostic.message
+            assert f"--> {latin1_file}:2:7" in report.render()
+
+    @pytest.mark.parametrize(
+        "read",
+        [verify_qbr, elaborate_file, lambda path: job_from_qbr("j", path)],
+        ids=["verify_qbr", "elaborate_file", "job_from_qbr"],
+    )
+    def test_readers_raise_parse_error(self, latin1_file, read):
+        with pytest.raises(ParseError) as excinfo:
+            read(latin1_file)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 7)
+
+    def test_column_counts_characters(self, tmp_path):
+        path = tmp_path / "wide.qbr"
+        path.write_bytes("borrow a; // ½ ".encode() + b"\xff")
+        with pytest.raises(ParseError) as excinfo:
+            read_qbr(path)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 16)
+
+    def test_line_breaks_read_as_newlines(self, tmp_path):
+        path = tmp_path / "crlf.qbr"
+        path.write_bytes(b"borrow a;\r\nX[a];\rX[a];\n")
+        assert read_qbr(path) == "borrow a;\nX[a];\nX[a];\n"
+        assert len(elaborate_file(path).circuit.gates) == 2
