@@ -27,12 +27,9 @@ The gate fails (exit 1) on:
   (schema v2 ``fronts`` rows): the bitset kernel must stay at least
   50x over the old per-row brute enumeration, the incremental probe
   path must be strictly faster than fresh-instance solving (the
-  median per-pair ratio < 1.0), the process pool must be at least
-  2x the in-process loop when the runner has >= 4 CPUs (recorded but
-  not enforced on smaller runners — the row carries ``cpu_count`` so
-  the gate can tell), and the dependence sweep must decide every (6.2)
-  obligation of its adder (``swept`` equal to ``obligations``) with
-  the engine's verdicts;
+  median per-pair ratio < 1.0), and the dependence sweep must decide
+  every (6.2) obligation of its adder (``swept`` equal to
+  ``obligations``) with the engine's verdicts;
 * the **lending invariants** — within the fresh record itself:
   segmented lending admitting fewer jobs than windowed under any
   policy, or failing to admit *strictly more* than windowed under at
@@ -236,28 +233,6 @@ def compare_verify(baseline: dict, fresh: dict) -> Comparator:
                 ratio,
                 isinstance(ratio, (int, float)) and ratio < 1.0,
                 "incremental probing must beat fresh-instance solving",
-            )
-        )
-    process = fresh_fronts.get(("process_vs_sequential",))
-    if process is not None:
-        cpus = process.get("cpu_count") or 0
-        speedup = process.get("speedup")
-        if cpus >= 4:
-            ok = isinstance(speedup, (int, float)) and speedup >= 2.0
-            detail = "process pool must be >= 2x sequential with >= 4 cores"
-        else:
-            ok = True
-            detail = (
-                f"not enforced: {cpus} cpu(s) on this runner "
-                "(needs >= 4 for multi-core scaling)"
-            )
-        comp.findings.append(
-            Finding(
-                "verify.fronts[process_vs_sequential].speedup",
-                ">= 2.0 (with >= 4 cpus)",
-                speedup,
-                ok,
-                detail,
             )
         )
     sweep = fresh_fronts.get(("sweep_vs_engine",))

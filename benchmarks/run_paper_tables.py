@@ -375,64 +375,8 @@ def front_incremental_vs_fresh(program) -> dict:
     return row
 
 
-def front_process_vs_sequential() -> dict:
-    """Front 3: the process pool vs. the in-process loop on a CPU-bound
-    multi-circuit batch, with the dependence sweep off so the engine
-    does the work.  Pure-Python solving holds the GIL, so only
-    worker processes scale with cores — which is why the row records
-    ``cpu_count`` and the gate only binds on machines with enough of
-    them."""
-    import os
-
-    from repro.verify import BatchVerifier, VerificationJob
-
-    ns = (13, 14, 15, 16) if QUICK else (15, 16, 17, 18)
-    workers = 4
-    jobs = []
-    for n in ns:
-        program = elaborate(adder_qbr_source(n))
-        jobs.append(
-            VerificationJob(
-                program.circuit, tuple(sorted(program.dirty_wires))
-            )
-        )
-
-    def run(max_workers: int) -> float:
-        with BatchVerifier(
-            backend="cdcl", max_workers=max_workers, replay=False, sweep=False
-        ) as verifier:
-            if max_workers > 1:
-                # Spin the pool up outside the timed region: the row
-                # measures steady-state batch throughput, not fork cost.
-                verifier._process_pool()
-            start = time.perf_counter()
-            reports = verifier.verify_circuits(jobs)
-            wall = time.perf_counter() - start
-        assert all(report.all_safe for report in reports)
-        return wall
-
-    sequential_wall = run(1)
-    process_wall = run(workers)
-    row = {
-        "front": "process_vs_sequential",
-        "adder_ns": list(ns),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "sequential_wall_seconds": round(sequential_wall, 4),
-        "process_wall_seconds": round(process_wall, 4),
-        "speedup": round(sequential_wall / process_wall, 2)
-        if process_wall > 0 else None,
-    }
-    print(
-        f"  process_vs_sequential sequential={sequential_wall:>7.3f}s "
-        f"process={process_wall:>7.3f}s speedup={row['speedup']}x "
-        f"(cpus={row['cpu_count']})"
-    )
-    return row
-
-
 def front_sweep_vs_engine() -> dict:
-    """Front 4: the dependence sweep before the engine vs. the engine
+    """Front 3: the dependence sweep before the engine vs. the engine
     alone, cdcl on the adder at :data:`SWEEP_ADDER_N`.  ``swept``
     counts the (6.2) obligations the sweep decided; the gate wants
     every one of them, and the same verdicts both ways."""
@@ -513,7 +457,6 @@ def bench_verify(path: str) -> None:
     fronts = [
         front_bitset_vs_brute(),
         front_incremental_vs_fresh(program),
-        front_process_vs_sequential(),
         front_sweep_vs_engine(),
     ]
     print("sequential loop vs. batch engine:", flush=True)

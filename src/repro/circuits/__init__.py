@@ -43,7 +43,6 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.classical import (
     apply_to_bits,
     is_classical_circuit,
-    permutation_of,
     truth_table,
 )
 from repro.circuits.intervals import (
@@ -104,7 +103,6 @@ __all__ = [
     "touch_indices",
     "is_classical_circuit",
     "mcx",
-    "permutation_of",
     "phase",
     "run_on_basis_state",
     "run_statevector",

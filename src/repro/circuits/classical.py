@@ -75,9 +75,3 @@ def truth_table(circuit: Circuit) -> np.ndarray:
         target_bit = 1 << (n - 1 - gate.target)
         states = np.where(mask, states ^ target_bit, states)
     return states
-
-
-def permutation_of(circuit: Circuit) -> np.ndarray:
-    """Alias of :func:`truth_table`, named for the permutation-matrix view:
-    the circuit's unitary satisfies ``U |x> = |f(x)>``."""
-    return truth_table(circuit)

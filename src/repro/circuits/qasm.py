@@ -217,14 +217,21 @@ def from_qasm(text: str) -> Circuit:
 
 
 def _eval_param(text: str, line_number: int) -> float:
-    """Evaluate a parameter expression: floats, pi, + - * /."""
-    allowed = re.compile(r"^[0-9eE().+\-*/ ]|pi$")
+    """Evaluate a parameter expression: floats, pi, + - * /.
+
+    ``**`` is refused before evaluation, since a tower such as
+    ``9**9**9`` would compute an integer of hundreds of millions of
+    digits, and so is any result that is not finite.
+    """
     cleaned = text.replace("pi", repr(math.pi))
-    if not re.fullmatch(r"[0-9eE().+\-*/ ]*", cleaned):
+    if "**" in cleaned or not re.fullmatch(r"[0-9eE().+\-*/ ]*", cleaned):
         raise CircuitError(f"line {line_number}: bad parameter {text!r}")
     try:
-        return float(eval(cleaned, {"__builtins__": {}}, {}))
+        value = float(eval(cleaned, {"__builtins__": {}}, {}))
     except Exception:
         raise CircuitError(
             f"line {line_number}: cannot evaluate parameter {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise CircuitError(f"line {line_number}: parameter {text!r} is not finite")
+    return value

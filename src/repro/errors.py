@@ -61,10 +61,6 @@ class SemanticsError(ReproError):
     """
 
 
-class StuckProgramError(SemanticsError):
-    """Raised when a ``borrow`` statement has no idle qubit to instantiate."""
-
-
 class BooleanError(ReproError):
     """Raised for malformed Boolean expressions or CNF clauses."""
 

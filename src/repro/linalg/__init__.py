@@ -44,7 +44,6 @@ from repro.linalg.states import (
 from repro.linalg.random import (
     random_density,
     random_ket,
-    random_product_density,
     random_unitary,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "purity",
     "random_density",
     "random_ket",
-    "random_product_density",
     "random_unitary",
     "reduced_state",
     "reorder_qubits",

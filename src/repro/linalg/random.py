@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.kron import kron_all
-
 
 def random_unitary(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Return a Haar-ish random unitary via QR of a Ginibre matrix."""
@@ -35,10 +33,3 @@ def random_density(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = ginibre @ ginibre.conj().T
     return rho / rho.trace()
-
-
-def random_product_density(
-    num_qubits: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Return a tensor product of independent one-qubit densities."""
-    return kron_all(random_density(1, rng) for _ in range(num_qubits))

@@ -223,13 +223,10 @@ class FleetRouter:
         placement: Union[str, PlacementPolicy] = "least-loaded",
         backend: str = "bdd",
         verifier: Optional[BatchVerifier] = None,
-        cache_path: Optional[str] = None,
     ):
         if not shards:
             raise CircuitError("a fleet needs at least one shard")
-        self.verifier = verifier or BatchVerifier(
-            backend=backend, cache_path=cache_path
-        )
+        self.verifier = verifier or BatchVerifier(backend=backend)
         self.shards: Dict[str, MultiProgrammer] = {}
         for index, item in enumerate(shards):
             if isinstance(item, MultiProgrammer):

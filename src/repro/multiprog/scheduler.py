@@ -632,13 +632,7 @@ class MultiProgrammer:
         Optional shared :class:`BatchVerifier`; by default the
         scheduler owns one for its lifetime, so ancilla verdicts are
         memoised by circuit fingerprint and re-submitting a job costs
-        no solver runs after the first admission.  The default checks
-        in the caller's thread; pass ``BatchVerifier(max_workers=N)``
-        for a pool of worker processes.
-    cache_path:
-        Opt-in disk persistence for those verdicts
-        (:class:`~repro.verify.cache.DiskVerdictCache`), making
-        repeated service runs free across processes.
+        no solver runs after the first admission.
     queue_policy:
         Admission-queue drain policy — a registered name
         (:func:`repro.multiprog.queueing.available_policies`: ``fifo``,
@@ -677,7 +671,6 @@ class MultiProgrammer:
         backend: str = "bdd",
         strategy: str = "greedy",
         verifier: Optional[BatchVerifier] = None,
-        cache_path: Optional[str] = None,
         queue_policy: Union[str, QueuePolicy] = "fifo",
         lending: str = "windowed",
         lease_packer: Union[str, LeasePacker] = "first-fit",
@@ -703,9 +696,7 @@ class MultiProgrammer:
             if isinstance(queue_policy, QueuePolicy)
             else make_policy(queue_policy)
         )
-        self.verifier = verifier or BatchVerifier(
-            backend=backend, cache_path=cache_path
-        )
+        self.verifier = verifier or BatchVerifier(backend=backend)
         #: The segment certifier handed to every model build (None
         #: outside segmented lending, which never segments).  Shared
         #: with the invariant checker, which must re-derive lease

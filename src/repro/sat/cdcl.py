@@ -747,8 +747,3 @@ class CdclSolver:
             if self._assign[var] == 0:
                 return var
         return None
-
-
-def solve_cnf(cnf: Cnf, max_conflicts: Optional[int] = None) -> SatResult:
-    """Convenience wrapper: build a solver for ``cnf`` and run it."""
-    return CdclSolver(cnf, max_conflicts=max_conflicts).solve()

@@ -26,15 +26,9 @@ Checkers, from most semantic to most scalable:
   (6.1) and (6.2), clean (``alloc``) wires (6.1) alone, through the
   same checkers, each dirty obligation through the sweep first
   (``sweep=False`` turns it off).  Verdicts are memoised by
-  ``(circuit fingerprint, qubit, backend, simplify_xor, clean)``; a
-  circuit is tracked and its checker built once, on its first memo
-  miss that runs in this process.  Checks run in the caller's thread
-  (``max_workers=1``, the default) or ship in per-circuit chunks to a
-  ``ProcessPoolExecutor`` (``max_workers > 1``, the only path that
-  uses a second core, since every engine is pure Python);
-* :mod:`repro.verify.cache` — :class:`DiskVerdictCache`, the opt-in
-  JSON persistence of that memo (``cache_path=`` on the verifier), so
-  repeated service runs skip solver work across processes;
+  ``(circuit fingerprint, qubit, backend, clean)``; a circuit is
+  tracked and its checker built once, on its first memo miss.  Checks
+  run in the caller's thread;
 * :mod:`repro.verify.report` — per-qubit verdicts and reports with
   simulator-replayed counterexamples;
 * :mod:`repro.verify.pipeline` — :func:`verify_circuit` and
@@ -69,7 +63,6 @@ from repro.verify.backends import (
     register_backend,
 )
 from repro.verify.batch import BatchVerifier, VerificationJob
-from repro.verify.cache import DiskVerdictCache
 from repro.verify.booltrace import formula_trace
 from repro.verify.demonstrate import (
     ViolationDemo,
@@ -96,7 +89,6 @@ __all__ = [
     "BorrowVerdict",
     "CheckerBackend",
     "Counterexample",
-    "DiskVerdictCache",
     "ProgramSafetyReport",
     "QubitVerdict",
     "TrackedFormulas",

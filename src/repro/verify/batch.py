@@ -8,20 +8,18 @@ a job's dirty (``borrow``) wires owe Theorem 6.4's (6.1) and (6.2),
 its clean (``alloc``) wires (6.1) alone.  For a batch of jobs it
 
 * memoises verdicts keyed by ``(circuit fingerprint, qubit, backend,
-  simplify_xor, clean)`` so repeated borrows of the same ancilla — the
+  clean)`` so repeated borrows of the same ancilla — the
   scheduler-time hot path — are cache hits, not solver runs;
 * tracks a circuit (:func:`track_circuit`) and builds its backend
-  checker only when one of its obligations misses the memo and runs in
-  this process, then shares both — Tseitin tables, compiled BDDs —
-  across every later check on that circuit;
+  checker only when one of its obligations misses the memo, then
+  shares both — Tseitin tables, compiled BDDs — across every later
+  check on that circuit;
 * runs each dirty obligation through the dependence sweep
   (:mod:`repro.verify.sweep`) before the engine: when the sweep proves
   (6.2), the engine checks (6.1) alone (stage order: track → sweep →
-  engine);
-* runs the per-qubit checks in the caller's thread, or, with
-  ``max_workers > 1``, ships them in per-circuit chunks to a process
-  pool (every engine is pure Python and holds the GIL, so processes
-  are the only way to use a second core).
+  engine).
+
+Every check runs in the caller's thread.
 
 The memo cache holds raw :class:`BooleanCheckOutcome` records; verdict
 construction (and counterexample replay) happens per request, so a
@@ -33,8 +31,6 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +38,6 @@ from repro.circuits.circuit import Circuit
 from repro.errors import VerificationError
 from repro.verify.backends import CheckerBackend, backend_class, make_checker
 from repro.verify.backends.base import BooleanCheckOutcome
-from repro.verify.cache import CacheKey, DiskVerdictCache
 from repro.verify.report import (
     VerificationReport,
     outcome_to_verdict,
@@ -50,103 +45,18 @@ from repro.verify.report import (
 from repro.verify.sweep import decides_62
 from repro.verify.tracking import TrackedFormulas, track_circuit
 
-#: The verdict memo: (circuit fingerprint, qubit, backend, simplify_xor,
-#: clean) -> outcome.
-VerdictCache = Dict[CacheKey, BooleanCheckOutcome]
-
-#: One discharged obligation: its outcome, the sweep's seconds, and
-#: whether the sweep decided (6.2).
-Discharged = Tuple[BooleanCheckOutcome, float, bool]
+#: The verdict memo's key: (circuit fingerprint, qubit, backend, clean).
+CacheKey = Tuple[str, int, str, bool]
 
 #: A call's memo misses: key -> (circuit, index of the job that owns it).
 _Pending = Dict[CacheKey, Tuple[Circuit, int]]
-
-#: Per-process checker cache for the process pool.  Workers
-#: receive (circuit, obligations) chunks and rebuild tracking + checker
-#: once per (circuit, backend, simplify_xor); later jobs on the same circuit
-#: — including the incremental SAT backend's long-lived solver — reuse
-#: the warm instance for the lifetime of the worker process.
-_WORKER_CHECKERS: Dict[Tuple[str, str, bool], CheckerBackend] = {}
-
-
-def _discharge(
-    checker: CheckerBackend, qubit: int, clean: bool, sweep: bool
-) -> Discharged:
-    """Decide one obligation on ``checker``, the sweep first.
-
-    When the sweep proves a dirty wire's (6.2), the engine checks (6.1)
-    alone (``check_qubit(qubit, clean=True)``); otherwise it decides
-    the obligation as it would without the sweep, so every
-    counterexample still comes from an engine.
-    """
-    if not sweep or clean:
-        return checker.check_qubit(qubit, clean=clean), 0.0, False
-    start = time.perf_counter()
-    swept = decides_62(checker.tracked, qubit)
-    sweep_seconds = time.perf_counter() - start
-    return checker.check_qubit(qubit, clean=swept), sweep_seconds, swept
-
-
-def _process_check(
-    circuit: Circuit,
-    obligations: Sequence[Tuple[int, bool]],
-    backend: str,
-    simplify_xor: bool,
-    sweep: bool,
-    cache_path: Optional[str] = None,
-) -> Tuple[List[Discharged], int]:
-    """Top-level (picklable) worker: check a chunk of ``(qubit, clean)``
-    obligations in this process.  Chunks are per-circuit so the tracking
-    rebuild — and the incremental SAT backend's shared instance —
-    amortise over every obligation in the chunk.
-
-    When the parent verifier's memo is a
-    :class:`~repro.verify.cache.DiskVerdictCache`, ``cache_path``
-    points at its file and the worker joins the share *mid-batch*: it
-    re-reads the file at chunk start (picking up verdicts other
-    workers — of this verifier or any concurrent one — flushed since),
-    solves only the remainder, and flushes its fresh verdicts before
-    returning (a read-merge-write under the cache's sidecar lock, so
-    chunks racing their flushes union rather than clobber).  Returns
-    the discharged obligations in ``obligations`` order plus how many
-    came from disk.
-    """
-    fingerprint = circuit.fingerprint()
-    cache = None
-    if cache_path is not None:
-        cache = DiskVerdictCache(cache_path, autosave=False)
-    checker = None
-    results: List[Discharged] = []
-    disk_hits = 0
-    solved = False
-    for qubit, clean in obligations:
-        key = (fingerprint, qubit, backend, simplify_xor, clean)
-        if cache is not None and key in cache:
-            results.append((cache[key], 0.0, False))
-            disk_hits += 1
-            continue
-        if checker is None:
-            warm_key = (fingerprint, backend, simplify_xor)
-            checker = _WORKER_CHECKERS.get(warm_key)
-            if checker is None:
-                tracked = track_circuit(circuit, simplify_xor=simplify_xor)
-                checker = make_checker(tracked, backend)
-                _WORKER_CHECKERS[warm_key] = checker
-        result = _discharge(checker, qubit, clean, sweep)
-        results.append(result)
-        if cache is not None:
-            cache[key] = result[0]
-            solved = True
-    if cache is not None and solved:
-        cache.flush()
-    return results, disk_hits
 
 
 @dataclass
 class _Spent:
     """The work one call did for one job: tracking and checker-build
-    seconds (in-process runs only), sweep seconds, and how many of its
-    obligations the sweep decided."""
+    seconds, sweep seconds, and how many of its obligations the sweep
+    decided."""
 
     track: float = 0.0
     build: float = 0.0
@@ -196,38 +106,13 @@ class BatchVerifier:
         Default backend name for jobs that do not pin their own; an
         unregistered name raises :class:`~repro.errors.SolverError`
         here rather than at the first verification.
-    max_workers:
-        ``1`` (the default) checks every obligation in the caller's
-        thread.  A larger count fans batches of more than one pending
-        check out over a persistent
-        :class:`~concurrent.futures.ProcessPoolExecutor` of that many
-        workers for multi-core solving: each worker process rebuilds
-        tracking and its own checker per circuit (cached for the
-        worker's lifetime) and results merge back into this verifier's
-        memo and any shared :class:`~repro.verify.cache.DiskVerdictCache`.
-        With a disk cache the workers also share it *mid-batch*: each
-        chunk re-reads the file before solving (skipping verdicts any
-        other worker or verifier already flushed — counted in
-        :attr:`worker_disk_hits`) and flushes its own fresh verdicts
-        under the cache's writer lock before returning, so concurrent
-        verifiers on one ``cache_path`` converge while their batches
-        are still in flight, not only at flush boundaries.
-        Call :meth:`close` (or use the verifier as a context manager)
-        to reap the pool.
     simplify_xor:
-        Apply the Figure 6.1 ``x ⊕ x = 0`` rule while tracking.
+        Apply the Figure 6.1 ``x ⊕ x = 0`` rule while tracking.  It is
+        fixed for the verifier's lifetime, so it is not part of the
+        memo key.
     replay:
         Re-execute counterexamples on the classical simulator and raise
         if they do not actually violate the claimed condition.
-    cache:
-        Optional externally shared verdict cache (a mutable mapping);
-        by default each verifier owns a private one.  Pass a
-        :class:`repro.verify.cache.DiskVerdictCache` to persist
-        verdicts across processes.
-    cache_path:
-        Convenience for the disk cache: a path here constructs a
-        :class:`~repro.verify.cache.DiskVerdictCache` over it (mutually
-        exclusive with ``cache``).
     sweep:
         Run the dependence sweep (:mod:`repro.verify.sweep`) on every
         dirty obligation before the engine.  It changes how a verdict
@@ -239,59 +124,24 @@ class BatchVerifier:
     def __init__(
         self,
         backend: str = "cdcl",
-        max_workers: int = 1,
         simplify_xor: bool = True,
         replay: bool = True,
-        cache: Optional[VerdictCache] = None,
-        cache_path: Optional[str] = None,
         sweep: bool = True,
     ):
         backend_class(backend)  # SolverError for an unregistered name
-        if max_workers < 1:
-            raise VerificationError("max_workers must be at least 1")
-        if cache is not None and cache_path is not None:
-            raise VerificationError(
-                "pass either cache or cache_path, not both"
-            )
-        if cache_path is not None:
-            cache = DiskVerdictCache(cache_path)
         self.backend = backend
-        self.max_workers = max_workers
         self.simplify_xor = simplify_xor
         self.sweep = sweep
         self.replay = replay
-        self.cache: VerdictCache = {} if cache is None else cache
+        self.cache: Dict[CacheKey, BooleanCheckOutcome] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Verdicts process-pool workers pulled from a shared
-        #: :class:`~repro.verify.cache.DiskVerdictCache` *mid-batch* —
-        #: solver runs another worker (possibly of another verifier)
-        #: had already paid for before this verifier's own memo or
-        #: flush cycle could see them.
-        self.worker_disk_hits = 0
         self._tracked: Dict[str, TrackedFormulas] = {}
         self._checkers: Dict[Tuple[str, str], CheckerBackend] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Shut down the process pool, if one was ever started.
-
-        Idempotent; the verifier remains usable afterwards (a later
-        pooled batch lazily starts a fresh pool).
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "BatchVerifier":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def clear(self) -> None:
         """Drop memoised verdicts and per-circuit structures.
@@ -299,11 +149,8 @@ class BatchVerifier:
         Per-circuit trackers, checkers (compiled BDDs, Tseitin tables)
         and cached verdicts are retained for the verifier's lifetime; a
         long-running service cycling through many *distinct* circuits
-        should call this periodically to bound memory.  Pool workers
-        keep their own checkers, so this also reaps the process pool
-        (:meth:`close`); the next pooled batch starts fresh workers.
+        should call this periodically to bound memory.
         """
-        self.close()
         self.cache.clear()
         self._tracked.clear()
         self._checkers.clear()
@@ -330,8 +177,7 @@ class BatchVerifier:
         tracking and checker build, and a memo hit (a verdict cached
         before, or computed for an earlier job of the batch) costs
         nothing, although its verdict keeps the ``solve_seconds`` it
-        was decided in.  Tracking and build done in pool workers are
-        not reported.
+        was decided in.
         """
         started = time.perf_counter()
         plan: List[Tuple[VerificationJob, str, str, List[Tuple[int, bool]]]] = []
@@ -355,7 +201,7 @@ class BatchVerifier:
         for index, (job, fingerprint, backend, obligations) in enumerate(plan):
             flags = []
             for qubit, clean in obligations:
-                key = (fingerprint, qubit, backend, self.simplify_xor, clean)
+                key = (fingerprint, qubit, backend, clean)
                 miss = key not in self.cache and key not in pending
                 if miss:
                     pending[key] = (job.circuit, index)
@@ -363,13 +209,13 @@ class BatchVerifier:
             missed.append(flags)
         spent = self._execute(pending)
 
-        # Assemble per-job reports (replay happens here, in this process).
+        # Assemble per-job reports (replay happens here).
         reports: List[VerificationReport] = []
         for index, (job, fingerprint, backend, obligations) in enumerate(plan):
             verdicts = []
             solver_seconds = 0.0
             for (qubit, clean), miss in zip(obligations, missed[index]):
-                key = (fingerprint, qubit, backend, self.simplify_xor, clean)
+                key = (fingerprint, qubit, backend, clean)
                 outcome = self.cache[key]
                 verdicts.append(
                     outcome_to_verdict(job.circuit, outcome, self.replay)
@@ -420,90 +266,27 @@ class BatchVerifier:
             self._checkers[key] = checker
         return checker
 
-    def _process_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def _execute_process(
-        self, pending: _Pending
-    ) -> Iterable[Tuple[CacheKey, Discharged]]:
-        """Fan pending checks out over the process pool.
-
-        Work ships as per-circuit chunks, not per-qubit tasks: each
-        chunk pays one tracking rebuild in its worker and then runs all
-        its obligations against the worker's warm checker.  When the
-        batch holds fewer circuits than workers, each circuit's
-        obligation list is split so every worker still gets work.
-        """
-        groups: Dict[Tuple[str, str, bool], Tuple[Circuit, List[CacheKey]]] = {}
-        for key, (circuit, _) in pending.items():
-            fingerprint, _, backend, simplify_xor, _ = key
-            group = groups.setdefault(
-                (fingerprint, backend, simplify_xor), (circuit, [])
-            )
-            group[1].append(key)
-        # Oversubscribe chunks 2x so heterogeneous circuits load-balance
-        # (the largest circuit otherwise pins the makespan); tracking
-        # rebuilds cost milliseconds, so extra chunks are cheap.
-        chunks_per_group = max(1, -(-2 * self.max_workers // len(groups)))
-        pool = self._process_pool()
-        futures = []
-        cache_path = getattr(self.cache, "path", None)
-        for (_, backend, simplify_xor), (circuit, items) in groups.items():
-            splits = min(chunks_per_group, len(items))
-            size = -(-len(items) // splits)
-            for offset in range(0, len(items), size):
-                chunk = items[offset : offset + size]
-                futures.append(
-                    (
-                        chunk,
-                        pool.submit(
-                            _process_check,
-                            circuit,
-                            [(qubit, clean) for _, qubit, _, _, clean in chunk],
-                            backend,
-                            simplify_xor,
-                            self.sweep,
-                            cache_path,
-                        ),
-                    )
-                )
-        for chunk, future in futures:
-            results, disk_hits = future.result()
-            self.worker_disk_hits += disk_hits
-            yield from zip(chunk, results)
-
-    def _execute_here(
-        self, pending: _Pending, spent: Dict[int, _Spent]
-    ) -> Iterable[Tuple[CacheKey, Discharged]]:
-        """Discharge pending obligations in this process, charging each
-        circuit's tracking and checker build to the job that owns the
-        first obligation to need them."""
-        for key, (circuit, index) in pending.items():
-            fingerprint, qubit, backend, _, clean = key
-            checker = self._ensure_checker(
-                circuit, fingerprint, backend, spent[index]
-            )
-            yield key, _discharge(checker, qubit, clean, self.sweep)
-
     def _execute(self, pending: _Pending) -> Dict[int, _Spent]:
-        """Discharge every pending obligation into the memo; returns the
-        work done, by owning job."""
+        """Discharge every pending obligation into the memo, the sweep
+        first; returns the work done, by owning job.
+
+        A circuit's tracking and checker build are charged to the job
+        that owns the first obligation to need them.  When the sweep
+        proves a dirty wire's (6.2), the engine checks (6.1) alone
+        (``check_qubit(qubit, clean=True)``); otherwise it decides the
+        obligation as it would without the sweep, so every
+        counterexample still comes from an engine.
+        """
         spent: Dict[int, _Spent] = defaultdict(_Spent)
-        if not pending:
-            return spent
-        if self.max_workers > 1 and len(pending) > 1:
-            results = self._execute_process(pending)
-        else:
-            results = self._execute_here(pending, spent)
-        # A persistent cache flushes once per batch, not per verdict
-        # (duck-typed so plain dicts keep working).
-        deferred = getattr(self.cache, "deferred", None)
-        with deferred() if deferred is not None else nullcontext():
-            for key, (outcome, sweep_seconds, swept) in results:
-                self.cache[key] = outcome
-                stages = spent[pending[key][1]]
-                stages.sweep += sweep_seconds
-                stages.swept += swept
+        for key, (circuit, index) in pending.items():
+            fingerprint, qubit, backend, clean = key
+            stages = spent[index]
+            checker = self._ensure_checker(circuit, fingerprint, backend, stages)
+            engine_clean = clean
+            if self.sweep and not clean:
+                sweep_start = time.perf_counter()
+                engine_clean = decides_62(checker.tracked, qubit)
+                stages.sweep += time.perf_counter() - sweep_start
+                stages.swept += engine_clean
+            self.cache[key] = checker.check_qubit(qubit, clean=engine_clean)
         return spent

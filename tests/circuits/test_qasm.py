@@ -68,6 +68,22 @@ class TestImport:
         circuit = from_qasm(text)
         assert circuit.gates[0].params[0] == pytest.approx(np.pi / 2)
 
+    @pytest.mark.parametrize(
+        "param, angle",
+        [
+            ("-pi/4", -np.pi / 4),
+            ("2*pi/3", 2 * np.pi / 3),
+            ("1e-3", 0.001),
+            ("1-2*0.25", 0.5),
+            ("1.5E2", 150.0),
+        ],
+    )
+    def test_arithmetic_parameters_accepted(self, param, angle):
+        # Refusing ``**`` and non-finite results leaves every other
+        # float, ``pi`` and ``+ - * /`` expression readable.
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n"
+        assert from_qasm(text).gates[0].params[0] == pytest.approx(angle)
+
     def test_comments_and_blank_lines(self):
         text = "OPENQASM 2.0;\n// c\n\nqreg q[2];\ncx q[0],q[1]; // tail\n"
         assert len(from_qasm(text).gates) == 1
@@ -85,6 +101,17 @@ class TestImport:
             from_qasm("OPENQASM 2.0;\nqreg q[1];\np(import) q[0];")
         with pytest.raises(CircuitError):
             from_qasm("")
+
+    @pytest.mark.parametrize(
+        "param",
+        ["2**3", "1e999", "1e999-1e999", "-1e999", "1e308*10", "1e999*0"],
+    )
+    def test_power_and_non_finite_parameters_rejected(self, param):
+        # ``**`` could build an unbounded integer (``9**9**9``), and an
+        # infinite or NaN angle gives an all-NaN unitary.
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n"
+        with pytest.raises(CircuitError, match="line 3"):
+            from_qasm(text)
 
     @settings(max_examples=25, deadline=None)
     @given(classical_circuit_strategy(4, max_gates=8))

@@ -7,9 +7,14 @@ the clean-wire checker's own backend dispatch (``repro.verify.clean``),
 the fleet's per-shard queues with their wall-clock deadlines,
 injectable clock, built-in invariant check and the scheduler's
 ``drain``/``queue_entry`` hooks they needed, the per-shard strategy,
-lending and packer fields of ``ShardSpec``, and the streaming
-allocator's lookahead-policy registry with its ``adaptive`` policy.
-Each now fails loudly instead of being silently accepted."""
+lending and packer fields of ``ShardSpec``, the streaming
+allocator's lookahead-policy registry with its ``adaptive`` policy,
+the verifier's process pool and disk verdict cache
+(``repro.verify.cache``) with their ``max_workers=``, ``cache=`` and
+``cache_path=`` knobs, and four exports nothing called
+(``permutation_of``, ``solve_cnf``, ``random_product_density`` and
+``StuckProgramError``).  Each now fails loudly instead of being
+silently accepted."""
 
 import importlib
 import threading
@@ -17,6 +22,7 @@ import threading
 import pytest
 
 import repro.alloc
+import repro.verify
 from repro.alloc import StreamingAllocator
 from repro.circuits import Circuit, cnot, x
 from repro.errors import CircuitError
@@ -46,6 +52,11 @@ def test_lending_modes_are_segmented_and_windowed():
         lambda: FleetRouter([4], check_invariants=True),
         lambda: ShardSpec(4, queue_policy="fifo"),
         lambda: ShardSpec(4, lending="segmented"),
+        lambda: BatchVerifier(max_workers=2),
+        lambda: BatchVerifier(cache={}),
+        lambda: BatchVerifier(cache_path="verdicts.json"),
+        lambda: MultiProgrammer(4, cache_path="verdicts.json"),
+        lambda: FleetRouter([4], cache_path="verdicts.json"),
     ],
     ids=[
         "restore_check",
@@ -59,6 +70,11 @@ def test_lending_modes_are_segmented_and_windowed():
         "fleet_check_invariants",
         "shard_queue_policy",
         "shard_lending",
+        "verifier_max_workers",
+        "verifier_cache",
+        "verifier_cache_path",
+        "cache_path",
+        "fleet_cache_path",
     ],
 )
 def test_retired_constructor_options_raise(build):
@@ -120,13 +136,34 @@ def test_clean_dispatch_is_gone():
         from repro.verify import check_clean_uncomputation  # noqa: F401
 
 
+def test_verifier_pool_and_disk_cache_are_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.verify.cache")
+    assert not hasattr(BatchVerifier, "close")
+    assert not hasattr(repro.verify, "DiskVerdictCache")
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.circuits", "permutation_of"),
+        ("repro.circuits.classical", "permutation_of"),
+        ("repro.sat.cdcl", "solve_cnf"),
+        ("repro.linalg", "random_product_density"),
+        ("repro.linalg.random", "random_product_density"),
+        ("repro.errors", "StuckProgramError"),
+    ],
+)
+def test_unused_exports_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
 def test_default_verifiers_start_no_thread(monkeypatch):
     """Every engine holds the GIL, so a default verifier checks in the
     caller's thread: a multi-circuit batch on the default verifier of
     ``BatchVerifier``, ``MultiProgrammer`` and ``FleetRouter`` starts
     no thread (a pool joined before the call returns would leave
     ``threading.enumerate()`` unchanged, so starts are counted too)."""
-    assert BatchVerifier().max_workers == 1
     started = []
     start = threading.Thread.start
 

@@ -5,7 +5,13 @@ import pytest
 from repro.circuits import Circuit, cnot, hadamard, x
 from repro.errors import CircuitError, VerificationError
 from repro.mcx import cccnot_with_dirty_ancilla
-from repro.multiprog import BorrowRequest, MultiProgrammer, QuantumJob
+from repro.multiprog import (
+    BorrowRequest,
+    FleetRouter,
+    MultiProgrammer,
+    QuantumJob,
+)
+from repro.verify import BatchVerifier
 
 
 def cccnot_job(name="alpha"):
@@ -65,6 +71,32 @@ class TestScheduling:
         assert any(
             label.startswith("alpha.") for label in result.composite.labels
         )
+
+
+class TestSharedVerifier:
+    """A verifier passed in as ``verifier=`` outlives the scheduler that
+    filled its memo: a later scheduler or router built on it answers
+    the same borrow from the memo instead of verifying it again."""
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            lambda verifier: MultiProgrammer(10, verifier=verifier),
+            lambda verifier: FleetRouter([10], verifier=verifier),
+        ],
+        ids=["multiprogrammer", "fleet_router"],
+    )
+    def test_later_owner_answers_from_the_memo(self, later):
+        verifier = BatchVerifier()
+        first = MultiProgrammer(10, verifier=verifier)
+        assert first.schedule([cccnot_job()]).safety[("alpha", 2)] is True
+        assert (verifier.cache_hits, verifier.cache_misses) == (0, 1)
+
+        owner = later(verifier)
+        owner.submit(light_job())
+        outcome = owner.submit(cccnot_job())
+        assert outcome.admission.safety == {2: True}
+        assert (verifier.cache_hits, verifier.cache_misses) == (1, 1)
 
 
 class TestValidation:

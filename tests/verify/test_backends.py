@@ -254,8 +254,8 @@ class TestDifferential:
                 return False
         return True
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_clean_verdicts_match_truth_table(self, max_workers):
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_clean_verdicts_match_truth_table(self, backend):
         circuits = [random_circuit(seed + 1000) for seed in range(6)]
         expected = [
             [self.clean_by_truth_table(c, w) for w in range(c.num_qubits)]
@@ -263,11 +263,9 @@ class TestDifferential:
         ]
         flat = [safe for row in expected for safe in row]
         assert any(flat) and not all(flat)  # both verdicts are exercised
-        with BatchVerifier(max_workers=max_workers, replay=True) as verifier:
-            for name in available_backends():
-                reports = verifier.verify_circuits(
-                    VerificationJob(c, (), name, clean_qubits=range(c.num_qubits))
-                    for c in circuits
-                )
-                verdicts = [[v.safe for v in r.verdicts] for r in reports]
-                assert verdicts == expected, name
+        reports = BatchVerifier(backend=backend, replay=True).verify_circuits(
+            VerificationJob(c, (), clean_qubits=range(c.num_qubits))
+            for c in circuits
+        )
+        verdicts = [[v.safe for v in r.verdicts] for r in reports]
+        assert verdicts == expected

@@ -6,20 +6,13 @@ from repro.circuits import Circuit, cnot, x
 from repro.errors import VerificationError
 from repro.lang.surface import elaborate
 from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
+from repro.testing.generators import random_reversible_circuit
 from repro.verify import (
     BatchVerifier,
     VerificationJob,
     available_backends,
-    verify_circuit,
 )
 from tests.conftest import fig13_circuit
-
-
-def worker_checker_count(_):
-    """Run in a pool worker: how many checkers that worker keeps."""
-    from repro.verify import batch
-
-    return len(batch._WORKER_CHECKERS)
 
 
 def adder_program(n=14):
@@ -32,49 +25,72 @@ def verdict_tuples(report):
     ]
 
 
-class TestParallelMatchesSequential:
-    """The process pool (``max_workers > 1``) returns the verdicts of the
-    in-process loop behind the sequential shim."""
+def unsafe_circuit():
+    """Wire 1 is restored, wire 2 is flipped (fails (6.1)) and wire 3
+    steers wire 0 (fails (6.2))."""
+    return Circuit(4, labels=["w", "d1", "d2", "d3"]).extend(
+        [cnot(0, 1), cnot(0, 1), x(2), cnot(3, 0)]
+    )
+
+
+def one_wire_at_a_time(circuit, qubits, **options):
+    """The verdicts of a fresh verifier per wire: no shared tracking,
+    checker or memo between two checks."""
+    return [
+        verdict
+        for qubit in qubits
+        for verdict in verdict_tuples(
+            BatchVerifier(**options).verify_circuit(circuit, [qubit])
+        )
+    ]
+
+
+class TestSharedStateMatchesFresh:
+    """A verifier shares one tracked circuit, one checker and one memo
+    across every obligation of a call and of later calls; none of that
+    sharing may change a verdict against fresh verifiers."""
 
     @pytest.mark.parametrize("backend", ("bdd", "cdcl"))
     def test_fig63_adder_suite_identical_verdicts(self, backend):
-        program = adder_program()
-        assert len(program.dirty_wires) >= 12
-        sequential = verify_circuit(
-            program.circuit, program.dirty_wires, backend=backend
+        program = adder_program(8)
+        assert len(program.dirty_wires) >= 6
+        options = dict(backend=backend, sweep=False)
+        shared = BatchVerifier(**options).verify_circuit(
+            program.circuit, program.dirty_wires
         )
-        with BatchVerifier(backend=backend, max_workers=2) as verifier:
-            parallel = verifier.verify_circuit(
-                program.circuit, program.dirty_wires
-            )
-        assert verdict_tuples(parallel) == verdict_tuples(sequential)
-        assert parallel.all_safe
+        assert verdict_tuples(shared) == one_wire_at_a_time(
+            program.circuit, program.dirty_wires, **options
+        )
+        assert shared.all_safe
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_unsafe_circuit_identical_verdicts(self, backend):
-        circuit = Circuit(4, labels=["w", "d1", "d2", "d3"]).extend(
-            [cnot(0, 1), cnot(0, 1), x(2), cnot(3, 0)]
+        circuit = unsafe_circuit()
+        shared = BatchVerifier(backend=backend).verify_circuit(
+            circuit, [1, 2, 3]
         )
-        sequential = verify_circuit(circuit, [1, 2, 3], backend=backend)
-        with BatchVerifier(backend=backend, max_workers=2) as verifier:
-            parallel = verifier.verify_circuit(circuit, [1, 2, 3])
-        assert verdict_tuples(parallel) == verdict_tuples(sequential)
-        assert not parallel.all_safe
+        assert verdict_tuples(shared) == one_wire_at_a_time(
+            circuit, [1, 2, 3], backend=backend
+        )
+        assert [v.safe for v in shared.verdicts] == [True, False, False]
+        assert all(
+            v.counterexample is not None for v in shared.verdicts[1:]
+        )
 
-    def test_pooled_batch_builds_no_checker_in_the_parent(self):
-        programs = [elaborate(mcx_qbr_source(m)) for m in (8, 10)]
-        with BatchVerifier(backend="bdd", max_workers=2) as verifier:
-            reports = verifier.verify_circuits(
-                [(p.circuit, p.dirty_wires) for p in programs]
-            )
-        assert all(r.cache_misses > 0 for r in reports)
-        assert [(r.track_seconds, r.build_seconds) for r in reports] == [
-            (0, 0),
-            (0, 0),
+    def test_mixed_batch_matches_one_job_per_call(self):
+        jobs = [
+            random_reversible_circuit(seed, num_ancillas=2)
+            for seed in range(3)
+        ] + [random_reversible_circuit(60, num_ancillas=2, spoiled=(5,))]
+        reports = BatchVerifier(backend="bitset").verify_circuits(jobs)
+        alone = [
+            BatchVerifier(backend="bitset").verify_circuits([job])[0]
+            for job in jobs
         ]
-        # The sweep ran in the workers; its time and decisions come back.
-        assert [r.swept for r in reports] == [1, 1]
-        assert all(r.sweep_seconds > 0 for r in reports)
+        assert [verdict_tuples(r) for r in reports] == [
+            verdict_tuples(r) for r in alone
+        ]
+        assert [r.all_safe for r in reports] == [True, True, True, False]
 
 
 class TestMemoisation:
@@ -87,17 +103,6 @@ class TestMemoisation:
         assert again.cache_hits == 1 and again.cache_misses == 0
         assert verdict_tuples(first) == verdict_tuples(again)
         assert verifier.cache_hits == 1 and verifier.cache_misses == 1
-
-    def test_warm_disk_cache_skips_tracking_and_build(self, tmp_path):
-        path = str(tmp_path / "verdicts.json")
-        BatchVerifier(backend="bdd", cache_path=path).verify_circuit(
-            fig13_circuit(), [2]
-        )
-        report = BatchVerifier(backend="bdd", cache_path=path).verify_circuit(
-            fig13_circuit(), [2]
-        )
-        assert report.cache_misses == 0
-        assert report.track_seconds == report.build_seconds == 0
 
     def test_equal_circuits_share_verdicts_across_objects(self):
         verifier = BatchVerifier(backend="cdcl")
@@ -117,16 +122,6 @@ class TestMemoisation:
         assert [r.cache_misses for r in reports] == [1, 0, 1]
         assert [r.cache_hits for r in reports] == [0, 1, 1]
 
-    def test_shared_external_cache(self):
-        cache = {}
-        BatchVerifier(backend="bdd", cache=cache).verify_circuit(
-            fig13_circuit(), [2]
-        )
-        report = BatchVerifier(backend="bdd", cache=cache).verify_circuit(
-            fig13_circuit(), [2]
-        )
-        assert report.cache_hits == 1
-
     def test_different_backend_not_conflated(self):
         verifier = BatchVerifier()
         circuit = fig13_circuit()
@@ -134,6 +129,40 @@ class TestMemoisation:
         report = verifier.verify_circuit(circuit, [2], backend="cdcl")
         assert report.cache_misses == 1
         assert report.backend == "cdcl"
+
+    def test_clean_and_dirty_obligations_keyed_apart(self):
+        """Wire 0 controls a CNOT: restored from |0> (clean-safe) but
+        steering wire 1 when dirty, so a memo that conflated the two
+        contracts would hand one of them the wrong verdict."""
+        circuit = Circuit(2).append(cnot(0, 1))
+        verifier = BatchVerifier(backend="bdd")
+        dirty, clean = verifier.verify_circuits(
+            [
+                VerificationJob(circuit, (0,)),
+                VerificationJob(circuit, (), clean_qubits=(0,)),
+            ]
+        )
+        assert (dirty.cache_misses, clean.cache_misses) == (1, 1)
+        assert not dirty.all_safe and clean.all_safe
+        again = verifier.verify_circuits(
+            [VerificationJob(circuit, (), clean_qubits=(0,))]
+        )[0]
+        assert again.cache_hits == 1 and again.all_safe
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_simplify_xor_ablation_gives_the_same_verdicts(self, backend):
+        """``simplify_xor`` changes the tracked formulas, never a
+        verdict, so it stays out of the memo key."""
+        jobs = [(fig13_circuit(), [2]), (unsafe_circuit(), [1, 2, 3])]
+        plain, bloated = (
+            BatchVerifier(backend=backend, simplify_xor=simplify).verify_circuits(
+                jobs
+            )
+            for simplify in (True, False)
+        )
+        assert [verdict_tuples(r) for r in plain] == [
+            verdict_tuples(r) for r in bloated
+        ]
 
     def test_cached_unsafe_verdict_still_replays(self):
         verifier = BatchVerifier(backend="cdcl")
@@ -162,20 +191,6 @@ class TestApi:
     def test_out_of_range_qubit(self):
         with pytest.raises(VerificationError):
             BatchVerifier().verify_circuit(fig13_circuit(), [9])
-
-    def test_bad_max_workers(self):
-        with pytest.raises(VerificationError):
-            BatchVerifier(max_workers=0)
-
-    def test_simplify_xor_ablation_keyed_separately(self):
-        cache = {}
-        BatchVerifier(backend="cdcl", cache=cache).verify_circuit(
-            fig13_circuit(), [2]
-        )
-        report = BatchVerifier(
-            backend="cdcl", simplify_xor=False, cache=cache
-        ).verify_circuit(fig13_circuit(), [2])
-        assert report.cache_misses == 1  # not a hit: different tracking
 
     @pytest.mark.parametrize("sweep", [True, False], ids=["sweep", "engine"])
     @pytest.mark.parametrize("backend", available_backends())
@@ -267,13 +282,11 @@ class TestClear:
         report = verifier.verify_circuit(fig13_circuit(), [2])
         assert report.cache_misses == 1 and report.cache_hits == 0
 
-    def test_clear_reaches_pool_workers(self):
-        programs = [elaborate(mcx_qbr_source(m)) for m in range(6, 16)]
-        with BatchVerifier(backend="bdd", max_workers=2) as verifier:
-            verifier.verify_circuits(
-                [(p.circuit, p.dirty_wires) for p in programs]
-            )
-            verifier.clear()
-            pool = verifier._process_pool()
-            counts = list(pool.map(worker_checker_count, range(8)))
-        assert counts == [0] * 8
+    def test_clear_drops_tracking_and_checkers(self):
+        """After ``clear()`` the next miss tracks the circuit and builds
+        its checker again: no per-circuit structure outlives it."""
+        verifier = BatchVerifier(backend="bdd")
+        verifier.verify_circuit(fig13_circuit(), [2])
+        verifier.clear()
+        report = verifier.verify_circuit(fig13_circuit(), [2])
+        assert report.track_seconds > 0 and report.build_seconds > 0
