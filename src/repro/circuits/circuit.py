@@ -110,19 +110,32 @@ class Circuit:
         time — mutating the circuit afterwards changes it.  Explicit
         ``matrix`` payloads of custom gates are not hashed; such gates
         are outside the classical fragment the verifiers accept anyway.
+
+        Each distinct gate object is formatted once per call, so the
+        repeats of an elaborated ``.qbr`` program (one :class:`Gate`
+        per distinct gate) cost a lookup.  The memo is keyed by
+        ``id(gate)`` and lives only for the call, while ``self.gates``
+        keeps every gate alive, so no id is reused.  The digest takes
+        one joined buffer; BLAKE2b over it equals the per-gate updates
+        it concatenates, so the hash does not depend on the sharing.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(f"{self.num_qubits}".encode())
+        parts = [f"{self.num_qubits}".encode()]
         for label in self.labels or ():
             encoded = label.encode()
             # Length prefix: ["al","x"] must not collide with ["a","lx"].
-            digest.update(f"l{len(encoded)}:".encode() + encoded)
+            parts.append(f"l{len(encoded)}:".encode() + encoded)
+        formatted: Dict[int, str] = {}
+        body: List[str] = []
         for gate in self.gates:
-            digest.update(
-                f"|{gate.name}:{','.join(map(str, gate.qubits))}"
-                f":{','.join(map(str, gate.params))}".encode()
-            )
-        return digest.hexdigest()
+            text = formatted.get(id(gate))
+            if text is None:
+                text = formatted[id(gate)] = (
+                    f"|{gate.name}:{','.join(map(str, gate.qubits))}"
+                    f":{','.join(map(str, gate.params))}"
+                )
+            body.append(text)
+        parts.append("".join(body).encode())
+        return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
 
     def label_of(self, qubit: int) -> str:
         """Human-readable name of a wire."""

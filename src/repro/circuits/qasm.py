@@ -104,10 +104,13 @@ _QASM_GATES = {
     "rz": (1, lambda args, p: Gate("RZ", (args[0],), (p,))),
 }
 
+# Operands hold no parenthesis, so a parameter runs from the first
+# ``(`` to the last ``)`` and may nest sub-expressions; an unbalanced
+# one fails to evaluate in `_eval_param`.
 _STATEMENT = re.compile(
     r"^\s*(?P<name>[a-z_][a-z0-9_]*)\s*"
-    r"(?:\(\s*(?P<param>[^)]*)\s*\))?\s+"
-    r"(?P<operands>[^;]+);\s*$"
+    r"(?:\(\s*(?P<param>[^;]*)\s*\))?\s+"
+    r"(?P<operands>[^;()]+);\s*$"
 )
 _OPERAND = re.compile(r"^q\[(\d+)\]$")
 
@@ -217,13 +220,15 @@ def from_qasm(text: str) -> Circuit:
 
 
 def _eval_param(text: str, line_number: int) -> float:
-    """Evaluate a parameter expression: floats, pi, + - * /.
+    """Evaluate a parameter expression: floats, pi, + - * /, ( ).
 
-    ``**`` is refused before evaluation, since a tower such as
-    ``9**9**9`` would compute an integer of hundreds of millions of
-    digits, and so is any result that is not finite.
+    ``pi`` is read only as a whole word, so ``2pi`` and ``pi2`` are
+    refused rather than read as ``23.14...`` and ``3.14...``.  ``**``
+    is refused before evaluation, since a tower such as ``9**9**9``
+    would compute an integer of hundreds of millions of digits, and so
+    is any result that is not finite.
     """
-    cleaned = text.replace("pi", repr(math.pi))
+    cleaned = re.sub(r"\bpi\b", repr(math.pi), text)
     if "**" in cleaned or not re.fullmatch(r"[0-9eE().+\-*/ ]*", cleaned):
         raise CircuitError(f"line {line_number}: bad parameter {text!r}")
     try:

@@ -9,10 +9,11 @@ execution: its IR gate name (``CNOT`` is ``CX``, arity checked once),
 its span, its compiled operand indices and its operands' register
 names and spans.  Every later loop iteration only runs the plan's
 closures, hands the checker the plan's names and spans with this
-iteration's wires and subscripts, and builds ``Gate(plan.name,
-wires)``; nothing is cached across elaborations.  Wires come only
-from register declarations, so the gates join the circuit without a
-second range check.  The result holds:
+iteration's wires and subscripts, and emits the elaboration's one
+``Gate(plan.name, wires)`` for that name and those wires, built the
+first time they occur; nothing is cached across elaborations.  Wires
+come only from register declarations, so the gates join the circuit
+without a second range check.  The result holds:
 
 * the flat classical :class:`~repro.circuits.Circuit`;
 * ``dirty_wires`` — qubits declared with ``borrow`` (verified) or by a
@@ -205,6 +206,10 @@ class _Elaborator:
         self.proven: List[int] = []
         self.lend_windows: Dict[str, List[Tuple[int, int]]] = {}
         self._plans: Dict[int, _GatePlan] = {}  # by id(stmt)
+        # One Gate per distinct (IR name, wires): loops and uncompute
+        # halves re-emit the same gate, and `Circuit.fingerprint`
+        # formats each distinct gate object once.
+        self._distinct: Dict[Tuple[str, Tuple[int, ...]], Gate] = {}
 
     # Expressions ---------------------------------------------------------- #
 
@@ -361,7 +366,11 @@ class _Elaborator:
             subscripts.append(value)
         wires = tuple(wires)
         if self.checker.gate(plan.regs, plan.spans, wires, subscripts, plan.span):
-            self.gates.append(Gate(plan.name, wires))
+            key = (plan.name, wires)
+            gate = self._distinct.get(key)
+            if gate is None:
+                gate = self._distinct[key] = Gate(plan.name, wires)
+            self.gates.append(gate)
             self.gate_meta.append((plan, wires, subscripts))
 
     def run_for(self, stmt: ForStmt) -> None:

@@ -543,8 +543,12 @@ class FleetRouter:
 
         Passes over the queue in drain order repeat until one admits
         nothing, since an admission can offer new lendable wires.  An
-        entry whose admission fails for a reason other than capacity is
-        rejected rather than left to fail on every later drain.
+        entry whose width floor exceeds the shard's free pool is skipped
+        without calling ``admit``: that is the exact capacity test
+        ``admit`` applies, and ``submit`` already ran its argument
+        checks when it queued the entry.  An entry whose admission fails
+        for a reason other than capacity is rejected rather than left to
+        fail on every later drain.
         """
         shard = self.shards[shard_name]
         admitted: List[str] = []
@@ -552,6 +556,8 @@ class FleetRouter:
         while progress:
             progress = False
             for entry in list(self._queue):
+                if entry.job.reduced_width > shard.free_qubits:
+                    continue
                 try:
                     shard.admit(entry.job, strategy=entry.strategy)
                 except CapacityError:

@@ -61,7 +61,13 @@ def track_circuit(
     simplify_xor: bool = True,
     builder: Optional[ExprBuilder] = None,
 ) -> TrackedFormulas:
-    """Scan the circuit once and return every ``b_q`` (linear-time)."""
+    """Scan the circuit once and return every ``b_q`` (linear-time).
+
+    Per gate the scan reads ``gate.qubits`` once and looks the product
+    up by the controls' node uids; the factor list for
+    :meth:`~repro.boolfn.expr.ExprBuilder.and_` is built only when that
+    lookup misses.
+    """
     builder = builder or ExprBuilder(simplify_xor=simplify_xor)
     names: Dict[int, str] = {}
     for q in range(circuit.num_qubits):
@@ -82,14 +88,14 @@ def track_circuit(
                 f"gate {gate} is not classical; the Section 6 reduction "
                 f"applies to X / multi-controlled-NOT circuits only"
             )
-        *controls, target = gate.qubits
+        qubits = gate.qubits
         # A bare X has no controls: its product is and_([]), the
         # constant 1, and its update xor_([b, 1]) is exactly not_(b).
-        factors = [formulas[c] for c in controls]
-        key = tuple([factor.uid for factor in factors])
+        key = tuple([formulas[c].uid for c in qubits[:-1]])
         product = products.get(key)
         if product is None:
-            product = products[key] = and_(factors)
+            product = products[key] = and_([formulas[c] for c in qubits[:-1]])
+        target = qubits[-1]
         old = formulas[target]
         pair = (old.uid, product.uid)
         new = updates.get(pair)

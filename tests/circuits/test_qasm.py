@@ -84,6 +84,43 @@ class TestImport:
         text = f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n"
         assert from_qasm(text).gates[0].params[0] == pytest.approx(angle)
 
+    @pytest.mark.parametrize(
+        "param, angle",
+        [
+            ("pi", np.pi),
+            ("2*pi", 2 * np.pi),
+            ("-pi/2", -np.pi / 2),
+            ("pi*pi", np.pi * np.pi),
+        ],
+    )
+    def test_pi_as_a_whole_word_parses(self, param, angle):
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n"
+        assert from_qasm(text).gates[0].params[0] == pytest.approx(angle)
+
+    @pytest.mark.parametrize("param", ["2pi", "pi2", "pipi", "2pi/3"])
+    def test_pi_inside_a_word_rejected(self, param):
+        # Read as text, ``2pi`` was 23.14... and ``pi2`` 3.14...
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n"
+        with pytest.raises(CircuitError, match="line 3: bad parameter"):
+            from_qasm(text)
+
+    def test_nested_parentheses_in_parameters(self):
+        text = (
+            "OPENQASM 2.0;\nqreg q[2];\n"
+            "rz((1+2)*0.25) q[0];\ncp(-(pi/2)) q[0],q[1];\n"
+        )
+        rz, cp = from_qasm(text).gates
+        assert (rz.name, rz.qubits, rz.params) == ("RZ", (0,), (0.75,))
+        assert (cp.name, cp.qubits) == ("CPHASE", (0, 1))
+        assert cp.params[0] == pytest.approx(-np.pi / 2)
+        assert list(iter_qasm_gates(text)) == [rz, cp]
+
+    @pytest.mark.parametrize("param", ["(1+2", "1+2)", "((0.5)", "()"])
+    def test_unbalanced_parentheses_rejected(self, param):
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n"
+        with pytest.raises(CircuitError, match="line 3"):
+            from_qasm(text)
+
     def test_comments_and_blank_lines(self):
         text = "OPENQASM 2.0;\n// c\n\nqreg q[2];\ncx q[0],q[1]; // tail\n"
         assert len(from_qasm(text).gates) == 1

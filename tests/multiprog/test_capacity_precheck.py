@@ -2,11 +2,13 @@
 
 An admission never holds fewer fresh wires than its job's
 ``reduced_width``, so ``reduced_width > free_qubits`` refuses before
-any verification, model or allocation work.  These tests pin three
+any verification, model or allocation work.  These tests pin four
 things: the argument checks still raise in their historical order
 ahead of the precheck, a refused attempt does no verifier or model
-work, and seeded 400-job fleet replays admit and expire pinned counts
-while making at most two verifier lookups a job.
+work, the fleet drain applies the same floor without calling
+``admit``, and seeded 400-job fleet replays admit and expire pinned
+counts while making at most two verifier lookups and three ``admit``
+calls a job.
 """
 
 import pytest
@@ -116,13 +118,41 @@ class TestRefusalDoesNoWork:
         assert all(wire < 4 for wire in admission.wires)
 
 
+def spy_admits(monkeypatch):
+    """Record the job name of every ``MultiProgrammer.admit`` call."""
+    names = []
+    admit = MultiProgrammer.admit
+
+    def spy(self, job, *args, **kwargs):
+        names.append(job.name)
+        return admit(self, job, *args, **kwargs)
+
+    monkeypatch.setattr(MultiProgrammer, "admit", spy)
+    return names
+
+
+def test_fleet_drain_refuses_on_the_floor_without_admit(monkeypatch):
+    router = FleetRouter([8])
+    router.submit(busy_job("hog", 5))
+    router.submit(busy_job("small", 2))  # 1 wire free
+    assert router.submit(busy_job("big", 4)).status == "queued"
+    names = spy_admits(monkeypatch)
+    router.release("small")  # 3 free: still below big's floor of 4
+    assert names == []
+    assert router.pending() == ("big",)
+    router.release("hog")  # 8 free: big is attempted and admitted
+    assert names == ["big"]
+    assert router.last_backfilled == ("big",)
+
+
 #: seed -> (admitted, expired), pinned at the fleet's one-queue design
 #: (earliest deadline first, timeouts in fleet events).
 FLEET_COUNTS = {1: (232, 164), 1009: (247, 136)}
 
 
 @pytest.mark.parametrize("seed", sorted(FLEET_COUNTS))
-def test_fleet_replay_counts_unchanged_with_fewer_lookups(seed):
+def test_fleet_replay_counts_unchanged_with_fewer_lookups(seed, monkeypatch):
+    names = spy_admits(monkeypatch)
     trace = random_fleet_trace(
         seed,
         num_jobs=400,
@@ -138,3 +168,6 @@ def test_fleet_replay_counts_unchanged_with_fewer_lookups(seed):
     # lookup: ~25-29 per job on these traces.
     lookups = router.verifier.cache_hits + router.verifier.cache_misses
     assert lookups <= 2 * stats["submitted"]
+    # When the drain called admit on every queued entry, ~13 calls a
+    # job (5,137 and 5,644 here) were made, 96% of them refusals.
+    assert len(names) <= 3 * stats["submitted"]
