@@ -702,8 +702,16 @@ class BorrowChecker:
                     f"the dirty initial state of '{frame.name}'"
                 )
             elif culprit.wire not in frame.wires:
+                # Only the section that wrote the culprit can have
+                # mixed the offset into it.
+                section = (
+                    "apply"
+                    if culprit.wire in frame.writes
+                    and culprit.wire not in frame.touched
+                    else "within"
+                )
                 detail = (
-                    f"the within-section mixed '{frame.name}' into "
+                    f"the {section}-section mixed '{frame.name}' into "
                     f"'{culprit.text}', which does not restore to the "
                     f"borrowed value"
                 )

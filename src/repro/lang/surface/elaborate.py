@@ -4,16 +4,18 @@ Evaluates ``let`` bindings and loop variables, allocates register wires
 in declaration order, drives the static borrow checker
 (:mod:`repro.lang.borrowck`) over every statement, and produces an
 :class:`ElaboratedProgram`.  Expressions compile into ``env -> int``
-closures.  A gate statement compiles into a plan on its first
-execution: its IR gate name (``CNOT`` is ``CX``, arity checked once),
-its span, its compiled operand indices and its operands' register
-names and spans.  Every later loop iteration only runs the plan's
-closures, hands the checker the plan's names and spans with this
-iteration's wires and subscripts, and emits the elaboration's one
-``Gate(plan.name, wires)`` for that name and those wires, built the
-first time they occur; nothing is cached across elaborations.  Wires
-come only from register declarations, so the gates join the circuit
-without a second range check.  The result holds:
+closures; one affine in at most one variable, as nearly every gate
+index is (``2 * i + 1``), is one ``scale * x + offset`` kernel.  A gate
+statement compiles into a plan on its first execution: its IR gate
+name (``CNOT`` is ``CX``, arity checked once), its span and one tuple
+of its operands' register names, spans and compiled indices.  Every
+later loop iteration walks that tuple once, hands the checker the
+plan's names and spans with this iteration's wires and subscripts, and
+emits the elaboration's one ``Gate(plan.name, wires)`` for that name
+and those wires, built the first time they occur; nothing is cached
+across elaborations.  Wires come only from register declarations, so
+the gates join the circuit without a second range check.  The result
+holds:
 
 * the flat classical :class:`~repro.circuits.Circuit`;
 * ``dirty_wires`` — qubits declared with ``borrow`` (verified) or by a
@@ -77,30 +79,104 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _GateMeta = Tuple["_GatePlan", Tuple[int, ...], List[Optional[int]]]
 
 
+def _undefined(var: Name) -> ParseError:
+    """The error for reading ``var`` while it is unbound."""
+    return ParseError(f"undefined variable {var.ident!r}", var.line, var.column)
+
+
+def _affine(node: ExprNode) -> Optional[Tuple[int, Optional[Name], int]]:
+    """``node`` as ``(scale, x, offset)``, the value ``scale * x + offset``.
+
+    ``x`` is the first occurrence, in source order, of the one variable
+    the tree names, or None when it names none (then ``scale`` is 0).
+    Returns None when the tree names two distinct variables or
+    multiplies two terms that both name one.  A folded coefficient may
+    be 0 (``0 * k``, ``k - k``): ``x`` stays, so its lookup still runs.
+    The left spine is walked in a loop, as in :func:`_compile`.
+    """
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    if isinstance(node, Num):
+        scale, var, offset = 0, None, node.value
+    elif isinstance(node, Name):
+        scale, var, offset = 1, node, 0
+    elif isinstance(node, Neg):
+        form = _affine(node.operand)
+        if form is None:
+            return None
+        scale, var, offset = -form[0], form[1], -form[2]
+    else:
+        return None
+    for binop in reversed(spine):
+        form = _affine(binop.right)
+        if form is None:
+            return None
+        right_scale, right_var, right_offset = form
+        if binop.op == "*":
+            if var is None:  # a constant times the right term
+                scale, var, offset = (
+                    offset * right_scale, right_var, offset * right_offset
+                )
+            elif right_var is None:
+                scale, offset = scale * right_offset, offset * right_offset
+            else:
+                return None
+            continue
+        if right_var is not None:
+            if var is None:
+                var = right_var
+            elif var.ident != right_var.ident:
+                return None
+        sign = 1 if binop.op == "+" else -1
+        scale, offset = scale + sign * right_scale, offset + sign * right_offset
+    return scale, var, offset
+
+
 def _compile(node: ExprNode) -> _Evaluator:
     """Compile a compile-time integer expression into a closure.
 
-    Operands evaluate left to right, so an undefined variable is
-    reported at its first use in source order.  The parser builds a
-    ``+``/``-``/``*`` chain as a left-leaning spine of :class:`BinOp`
-    nodes as long as the chain; the spine is walked and folded in a
-    loop, so only parenthesis nesting (capped by the parser) uses stack.
+    A literal and a variable each become one closure.  A compound tree
+    that is affine in at most one variable (:func:`_affine`, the shape
+    of nearly every gate index, e.g. ``2 * i + 1``) becomes one kernel:
+    one ``env`` lookup, one multiply, one add; one with no variable
+    becomes a constant.  Any other tree (``i * j``, ``i * i``) folds its
+    operands left to right.  Either way an undefined variable is
+    reported at its first use in source order: the kernel looks up its
+    variable's first occurrence.  The parser builds a ``+``/``-``/``*``
+    chain as a left-leaning spine of :class:`BinOp` nodes as long as the
+    chain; the spine is walked and folded in a loop, so only parenthesis
+    nesting (capped by the parser) uses stack.
     """
     if isinstance(node, Num):
         value = node.value
         return lambda env: value
     if isinstance(node, Name):
-        ident, line, column = node.ident, node.line, node.column
+        ident = node.ident
 
         def lookup(env: Dict[str, int]) -> int:
             try:
                 return env[ident]
             except KeyError:
-                raise ParseError(
-                    f"undefined variable {ident!r}", line, column
-                ) from None
+                raise _undefined(node) from None
 
         return lookup
+    form = _affine(node)
+    if form is not None:
+        scale, var, offset = form
+        if var is None:
+            return lambda env: offset
+        ident = var.ident
+
+        def kernel(env: Dict[str, int]) -> int:
+            try:
+                value = env[ident]
+            except KeyError:
+                raise _undefined(var) from None
+            return scale * value + offset
+
+        return kernel
     if isinstance(node, Neg):
         operand = _compile(node.operand)
         return lambda env: -operand(env)
@@ -127,8 +203,10 @@ class _GatePlan:
     """A gate statement's static part, built on its first execution:
     the IR gate name (``CNOT`` becomes ``CX``, arity checked), the
     statement's span and, per operand, the register name, source span
-    and compiled index (None for a bare register name).  The names and
-    spans are what the borrow checker takes with each run's wires.
+    and compiled index (None for a bare register name), which
+    :meth:`_Elaborator.run_gate` walks as one ``operands`` tuple.  The
+    names and spans are also kept as the two tuples the borrow checker
+    takes with each run's wires.
 
     Plans are keyed by ``id(stmt)``; holding ``stmt`` keeps that id from
     being reused by another statement while the elaboration runs.
@@ -139,7 +217,7 @@ class _GatePlan:
     span: Span
     regs: Tuple[str, ...]
     spans: Tuple[Span, ...]
-    indices: Tuple[Optional[_Evaluator], ...]
+    operands: Tuple[Tuple[str, Span, Optional[_Evaluator]], ...]
 
 
 @dataclass
@@ -307,16 +385,18 @@ class _Elaborator:
             stmt.line, column, max(1, (stmt.end_column or column) - column)
         )
         refs = stmt.operands
+        regs = tuple(ref.name for ref in refs)
+        spans = tuple(self._ref_span(ref) for ref in refs)
+        indices = (
+            None if ref.index is None else _compile(ref.index) for ref in refs
+        )
         return _GatePlan(
             stmt,
             gate_from_name(stmt.gate, range(len(refs))).name,
             span,
-            tuple(ref.name for ref in refs),
-            tuple(self._ref_span(ref) for ref in refs),
-            tuple(
-                None if ref.index is None else _compile(ref.index)
-                for ref in refs
-            ),
+            regs,
+            spans,
+            tuple(zip(regs, spans, indices)),
         )
 
     def run_gate(self, stmt: GateStmt) -> None:
@@ -329,10 +409,10 @@ class _Elaborator:
         plan = self._plans.get(id(stmt))
         if plan is None:
             plan = self._plans[id(stmt)] = self._plan_gate(stmt)
-        registers = self.registers
+        registers, env = self.registers, self.env
         wires = []
         subscripts = []
-        for name, span, index in zip(plan.regs, plan.spans, plan.indices):
+        for name, span, index in plan.operands:
             register = registers.get(name)
             if register is None:
                 raise ParseError(
@@ -354,7 +434,7 @@ class _Elaborator:
                     span.line,
                     span.column,
                 )
-            value = index(self.env)
+            value = index(env)
             register_wires = register.wires
             if not 1 <= value <= len(register_wires):
                 raise ParseError(

@@ -312,6 +312,70 @@ def test_bq010_offset_non_borrow_wire_read():
     assert "BQ010" in report_for(source).codes()
 
 
+def test_bq010_names_the_apply_section_for_an_apply_write():
+    # The apply-section's own CNOT[b, t1] mixed b into t1; the
+    # within-section never touched t1.
+    source = (
+        "borrow@ x; alloc t1; alloc t2;\n"
+        "borrow b {\n"
+        "  within { CNOT[x, b]; }\n"
+        "  apply  { CNOT[b, t1]; CNOT[t1, t2]; }\n"
+        "}"
+    )
+    report = report_for(source)
+    assert report.codes() == ["BQ010", "BQ011"]
+    assert report.diagnostics[0].message == (
+        "dirty read in the apply-section: the apply-section mixed 'b' "
+        "into 't1', which does not restore to the borrowed value"
+    )
+
+
+def test_bq010_names_the_outer_apply_section_in_a_nested_block():
+    # The outer block's apply-section wrote t before the inner block
+    # opened; the outer within-section never touched t.
+    source = (
+        "borrow@ x; alloc t; alloc u;\n"
+        "borrow a {\n"
+        "  within { CNOT[x, a]; }\n"
+        "  apply {\n"
+        "    CNOT[a, t];\n"
+        "    borrow c {\n"
+        "      within { CNOT[x, c]; }\n"
+        "      apply  { CCNOT[c, t, u]; }\n"
+        "    }\n"
+        "  }\n"
+        "}"
+    )
+    report = report_for(source)
+    assert report.codes() == ["BQ010", "BQ011", "BQ011"]
+    assert report.render().split("\n\n")[0] == textwrap.dedent(
+        """\
+        error[BQ010]: dirty read in the apply-section: the apply-section mixed 'a' into 't', which does not restore to the borrowed value
+         --> <qbr>:8:25
+          |
+        8 |       apply  { CCNOT[c, t, u]; }
+          |                         ^ unprovable read
+          |
+          = note: the apply-section runs before and after the uncompute; only a lone read of the borrowed wire (against otherwise phase-stable controls) makes the two copies cancel the dirty value
+          = help: recompute the needed value onto a fresh alloc wire in the within-section, then control on that wire"""
+    )
+
+
+def test_bq010_names_the_within_section_for_a_within_write():
+    source = (
+        "borrow@ x; alloc t;\n"
+        "borrow b {\n"
+        "  within { CNOT[b, x]; }\n"
+        "  apply  { CNOT[x, t]; }\n"
+        "}"
+    )
+    (diagnostic,) = report_for(source).diagnostics
+    assert diagnostic.message == (
+        "dirty read in the apply-section: the within-section mixed 'b' "
+        "into 'x', which does not restore to the borrowed value"
+    )
+
+
 def test_bq010_multi_wire_cross_offset():
     # A width-2 borrow has two independent unknowns: XOR-ing b[1] into
     # b[2] leaves b0_1 xor b0_2 on the wire, and reading it in the

@@ -362,6 +362,22 @@ class TestCompiledMatchesReference:
             "borrow r[0 - 1];",  # non-positive size
             "let r = 1;\nborrow r;",  # register collides with a variable
             "borrow r;\nlet r = 2;",  # variable collides with a register
+            # Affine index kernels: a zero coefficient still looks its
+            # variable up, so an undefined one raises at its first use.
+            "borrow q[3]; for i = 1 to 2 { X[q[0 * k + 1]]; }",
+            "borrow q[3]; X[q[2]]; let x = k - k;",
+            "borrow q[3]; for i = 1 to 3 { X[q[i - i + 2]]; }",
+            "borrow q[5]; for i = 2 to 3 { X[q[-(2 * i) + 7]]; }",
+            "borrow q[10]; for i = 2 to 1 { X[q[2 * i * 3 - i]]; }",
+            "borrow q[9]; for i = 1 to 2 { X[q[(i + 1) * (0 - 3) + 12]]; }",
+            "borrow q[9]; X[q[(i + 1) * (0 - 3)]];",  # undefined i
+            "let i = 1; borrow q[9]; X[q[(i + 1) * (0 - 3)]];",  # out of range
+            # Not affine in one variable: the operand fold.
+            "borrow q[9]; for i = 1 to 3 { X[q[i * i]]; }",
+            "borrow q[9]; for i = 1 to 3 { for j = 3 to 1 {"
+            " CNOT[q[i * j], q[10 - i * j]]; } }",
+            "borrow q[9]; for i = 1 to 3 { X[q[i + j]]; }",  # undefined j
+            "borrow q[9]; for i = 1 to 3 { X[q[0 * j + i * i]]; }",
         ],
     )
     def test_hand_written_programs(self, source):
