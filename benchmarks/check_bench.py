@@ -41,20 +41,10 @@ The gate fails (exit 1) on:
   alone (a fleet that loses to one of its own shards wasted a whole
   machine), on top of the usual presence/throughput/wall diffs
   against the baseline rows;
-* the **streaming floors** — within the fresh record's ``streaming``
-  section: the incremental model engine must stay at least 2x over
-  the per-gate rescan path on every workload (with both paths
-  producing identical models), the ``lookahead=inf`` sweep row must
-  reproduce the offline greedy plans exactly (the differential
-  contract: equal total width *and* per-circuit plan equality,
-  segmented mode included via ``segmented_parity``);
-* the **streaming-frontend floors** — within the fresh record's
-  ``streaming_frontend`` section: on every workload the overlapped
-  parse-while-allocate pipeline must cost no more than the staged
-  elaborate-then-feed baseline (wall tolerance applies, noise floor
-  skips); the prefix admission must grant its cross-program lease
-  with a time-to-first-lease strictly below one full staged parse of
-  the same program;
+* the **conflict-model floor** — within the fresh record's
+  ``conflict_model`` section: the incremental model engine must stay
+  at least 2x over the per-gate rescan path on every workload, with
+  both paths producing identical models;
 * the **restore-check record** — segmented lending with its
   solver-backed restore certifier must keep admitting and leasing at
   least the baseline's exact counts on the pinned 300-job trace, at a
@@ -477,13 +467,10 @@ def compare_alloc(baseline: dict, fresh: dict) -> Comparator:
                 "a fleet must never admit less than one of its "
                 "shards alone",
             )
-    _compare_streaming(
-        comp, baseline.get("streaming") or {}, fresh.get("streaming") or {}
-    )
-    _compare_streaming_frontend(
+    _compare_conflict_model(
         comp,
-        baseline.get("streaming_frontend") or {},
-        fresh.get("streaming_frontend") or {},
+        baseline.get("conflict_model") or {},
+        fresh.get("conflict_model") or {},
     )
     _compare_restore_check(
         comp,
@@ -493,18 +480,18 @@ def compare_alloc(baseline: dict, fresh: dict) -> Comparator:
     return comp
 
 
-def _compare_streaming(comp: Comparator, baseline: dict, fresh: dict) -> None:
-    """The ``streaming`` section: presence locked against the baseline,
-    wins locked by absolute floors on the fresh record (same shape as
-    the solver-speed fronts)."""
+def _compare_conflict_model(comp: Comparator, baseline: dict, fresh: dict) -> None:
+    """The ``conflict_model`` section: presence locked against the
+    baseline, the incremental engine's win locked by an absolute floor
+    on the fresh record (same shape as the solver-speed fronts)."""
     fresh_rescan = _by(fresh.get("incremental_vs_rescan"), "workload")
     for key, _ in _by(baseline.get("incremental_vs_rescan"), "workload").items():
         comp.present(
-            f"alloc.streaming.incremental_vs_rescan[{key[0]}]",
+            f"alloc.conflict_model.incremental_vs_rescan[{key[0]}]",
             fresh_rescan.get(key),
         )
     for key, row in sorted(fresh_rescan.items()):
-        name = f"alloc.streaming.incremental_vs_rescan[{key[0]}]"
+        name = f"alloc.conflict_model.incremental_vs_rescan[{key[0]}]"
         speedup = row.get("speedup")
         comp.findings.append(
             Finding(
@@ -523,104 +510,6 @@ def _compare_streaming(comp: Comparator, baseline: dict, fresh: dict) -> None:
                 row.get("models_agree"),
                 row.get("models_agree") is True,
                 "incremental and rescan models must be identical",
-            )
-        )
-    fresh_lookahead = _by(fresh.get("lookahead"), "lookahead")
-    for key, _ in _by(baseline.get("lookahead"), "lookahead").items():
-        comp.present(
-            f"alloc.streaming.lookahead[{key[0]}]",
-            fresh_lookahead.get(key),
-        )
-    if baseline.get("throughput") is not None:
-        comp.present("alloc.streaming.throughput", fresh.get("throughput"))
-    inf_row = fresh_lookahead.get(("inf",))
-    if inf_row is not None:
-        comp.findings.append(
-            Finding(
-                "alloc.streaming.lookahead[inf].width_matches_offline",
-                True,
-                inf_row.get("width_matches_offline"),
-                inf_row.get("width_matches_offline") is True,
-                "lookahead=∞ width must equal offline greedy width",
-            )
-        )
-        comp.findings.append(
-            Finding(
-                "alloc.streaming.lookahead[inf].plans_match_offline",
-                True,
-                inf_row.get("plans_match_offline"),
-                inf_row.get("plans_match_offline") is True,
-                "lookahead=∞ must reproduce the offline greedy plans "
-                "gate-for-gate",
-            )
-        )
-    parity = fresh.get("segmented_parity")
-    if baseline.get("segmented_parity") is not None:
-        comp.present("alloc.streaming.segmented_parity", parity)
-    if parity is not None:
-        comp.findings.append(
-            Finding(
-                "alloc.streaming.segmented_parity.matches_offline",
-                True,
-                parity.get("matches_offline"),
-                parity.get("matches_offline") is True,
-                "segmented ∞-lookahead plans must equal offline greedy",
-            )
-        )
-
-
-def _compare_streaming_frontend(
-    comp: Comparator, baseline: dict, fresh: dict
-) -> None:
-    """The ``streaming_frontend`` section: presence locked against the
-    baseline, the parse-while-allocate wins locked by floors on the
-    fresh record itself."""
-    fresh_workloads = _by(fresh.get("workloads"), "workload")
-    for key, base_row in _by(baseline.get("workloads"), "workload").items():
-        name = f"alloc.streaming_frontend.workloads[{key[0]}]"
-        fresh_row = fresh_workloads.get(key)
-        if not comp.present(name, fresh_row):
-            continue
-        comp.wall(
-            f"{name}.overlapped_wall_seconds",
-            base_row.get("overlapped_wall_seconds"),
-            fresh_row.get("overlapped_wall_seconds"),
-        )
-    # Overlap floor on the fresh record: feeding the allocator from the
-    # elaboration stream must cost no more than elaborating fully and
-    # then feeding — the tolerance-gated "free overlap" contract.
-    for key, row in sorted(fresh_workloads.items()):
-        name = f"alloc.streaming_frontend.workloads[{key[0]}]"
-        comp.wall(
-            f"{name}.overlapped_vs_staged",
-            row.get("staged_wall_seconds"),
-            row.get("overlapped_wall_seconds"),
-        )
-    first = fresh.get("first_lease")
-    if baseline.get("first_lease") is not None:
-        comp.present("alloc.streaming_frontend.first_lease", first)
-    if first is not None:
-        comp.findings.append(
-            Finding(
-                "alloc.streaming_frontend.first_lease.lease_granted",
-                True,
-                first.get("lease_granted"),
-                first.get("lease_granted") is True,
-                "the prefix admission must grant its cross-program lease",
-            )
-        )
-        parse = first.get("staged_parse_wall_seconds")
-        lease = first.get("time_to_first_lease_seconds")
-        comp.findings.append(
-            Finding(
-                "alloc.streaming_frontend.first_lease.beats_staged_parse",
-                f"< {parse}",
-                lease,
-                isinstance(parse, (int, float))
-                and isinstance(lease, (int, float))
-                and lease < parse,
-                "time to first lease must be strictly below one full "
-                "staged parse of the same program",
             )
         )
 

@@ -49,15 +49,13 @@ from repro.adders.costs import adder_cost_rows
 from repro.alloc import (
     IncrementalConflictModel,
     LookaheadStrategy,
-    StreamingAllocator,
     allocate,
     available_strategies,
     build_model,
-    stream_allocate,
 )
-from repro.circuits import Circuit, cnot, from_qasm, iter_qasm_gates, toffoli, x
+from repro.circuits import Circuit, cnot, toffoli, x
 from repro.errors import SolverError
-from repro.lang.surface import elaborate, iter_program
+from repro.lang.surface import elaborate
 from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
 from repro.mcx import cccnot_with_dirty_ancilla
 from repro.multiprog import (
@@ -117,6 +115,10 @@ def _bench_json_path() -> str:
 
 def _alloc_json_path() -> str:
     return _flag_path("--alloc-json", "BENCH_alloc.json")
+
+
+def _median(values: list) -> float:
+    return sorted(values)[len(values) // 2]
 
 
 def figure_1_1() -> None:
@@ -798,28 +800,20 @@ def _fleet_section() -> dict:
 
 
 # --------------------------------------------------------------------- #
-# Streaming allocation (repro.alloc.streaming)
+# Incremental conflict model (repro.alloc.model)
 # --------------------------------------------------------------------- #
 
-#: Seeds of the streaming record's fixed workloads.  The large
-#: generated circuit is what the incremental-vs-rescan gate binds on;
-#: the lookahead sweep replays a 20-circuit corpus (seeds
-#: STREAM_CORPUS_BASE..+N) at every horizon.
-STREAM_SEED = 7
-STREAM_CORPUS_BASE = 100
-
-#: Horizons of the plan-quality sweep; ``None`` is ∞ and is recorded
-#: as the string ``"inf"`` (JSON has no infinity).
-STREAM_LOOKAHEADS = (0, 8, 64, None)
+#: Seed of the generated circuit the incremental-vs-rescan gate binds on.
+CONFLICT_MODEL_SEED = 7
 
 
-def _stream_workloads() -> list:
+def _conflict_model_workloads() -> list:
     """``(label, circuit, ancillas)`` rows for incremental-vs-rescan:
     a 200+-gate generated circuit (144 gates in quick mode) and a wide
     adder."""
     seg, mid = (6, 30) if QUICK else (12, 60)
     generated, gen_ancillas = random_reversible_circuit(
-        STREAM_SEED,
+        CONFLICT_MODEL_SEED,
         num_data=12,
         num_ancillas=6,
         segment_gates=seg,
@@ -836,17 +830,16 @@ def _stream_workloads() -> list:
     return rows
 
 
-def _stream_rescan_row(label: str, circuit: Circuit, ancillas) -> dict:
+def _rescan_row(label: str, circuit: Circuit, ancillas) -> dict:
     """Per-gate model maintenance, two ways.
 
-    The *rescan* path is the pre-streaming caller pattern: after every
-    arriving gate, rebuild the conflict model from scratch over the
-    whole prefix (O(gates) per gate, quadratic overall).  The
-    *incremental* path appends each gate to one
-    :class:`IncrementalConflictModel`, answers the same per-touch
-    window query the streaming allocator makes, and snapshots the full
-    model once at the end.  Both finish with identical models (checked
-    and recorded), so the speedup is pure data-structure win.
+    The *rescan* path rebuilds the conflict model from scratch over
+    the whole prefix after every arriving gate (O(gates) per gate,
+    quadratic overall).  The *incremental* path appends each gate to
+    one :class:`IncrementalConflictModel`, answers the per-touch window
+    query of every touched ancilla, and snapshots the full model once
+    at the end.  Both finish with identical models (checked and
+    recorded), so the speedup is pure data-structure win.
     """
     ancilla_set = set(ancillas)
 
@@ -889,298 +882,19 @@ def _stream_rescan_row(label: str, circuit: Circuit, ancillas) -> dict:
         "models_agree": agree,
     }
     print(
-        f"  streaming  {label:<15} rescan={rescan_wall:>8.4f}s "
+        f"  conflict   {label:<15} rescan={rescan_wall:>8.4f}s "
         f"incremental={incremental_wall:>8.4f}s speedup={speedup}x"
     )
     return row
 
 
-def _stream_throughput_row(circuit: Circuit, ancillas) -> dict:
-    """Gates/second of a live :class:`StreamingAllocator` (lookahead 8,
-    the middle of the sweep) over the large generated workload."""
-    allocator = StreamingAllocator(
-        circuit.num_qubits, ancillas, lookahead=8, labels=circuit.labels
-    )
-    start = time.perf_counter()
-    for gate in circuit.gates:
-        allocator.feed(gate)
-    plan = allocator.close()
-    wall = time.perf_counter() - start
-    row = {
-        "lookahead": 8,
-        "gates": len(circuit.gates),
-        "wall_seconds": round(wall, 4),
-        "gates_per_second": round(len(circuit.gates) / wall, 1)
-        if wall > 0
-        else None,
-        "final_width": plan.final_width,
-        "stats": allocator.stats.as_dict(),
-    }
-    print(
-        f"  streaming  throughput      {row['gates']} gates in "
-        f"{wall:>8.4f}s = {row['gates_per_second']} gates/s"
-    )
-    return row
-
-
-def _stream_lookahead_rows() -> list:
-    """Plan quality vs horizon over a seeded corpus.
-
-    Every circuit is replayed at each K; the ∞ row must reproduce the
-    offline greedy plans exactly (``plans_match_offline`` — the
-    differential contract, CI-gated), and every row's total width is
-    directly comparable against ``offline_total_width``.
-    """
-    count = 8 if QUICK else 20
-    corpus = [
-        random_reversible_circuit(
-            seed,
-            num_data=6,
-            num_ancillas=3,
-            segment_gates=4,
-            middle_gates=8,
-        )
-        for seed in range(STREAM_CORPUS_BASE, STREAM_CORPUS_BASE + count)
-    ]
-    offline = [
-        allocate(circuit, ancillas, strategy="greedy")
-        for circuit, ancillas in corpus
-    ]
-    offline_width = sum(plan.final_width for plan in offline)
-    rows = []
-    for lookahead in STREAM_LOOKAHEADS:
-        plans = [
-            stream_allocate(circuit, ancillas, lookahead=lookahead)
-            for circuit, ancillas in corpus
-        ]
-        width = sum(plan.final_width for plan in plans)
-        matches = all(
-            plan.assignment == base.assignment
-            and plan.unplaced == base.unplaced
-            for plan, base in zip(plans, offline)
-        )
-        label = "inf" if lookahead is None else lookahead
-        rows.append(
-            {
-                "lookahead": label,
-                "circuits": len(corpus),
-                "total_width": width,
-                "offline_total_width": offline_width,
-                "width_matches_offline": width == offline_width,
-                "plans_match_offline": matches,
-            }
-        )
-        print(
-            f"  streaming  lookahead={label!s:<5} total_width={width:<4} "
-            f"(offline {offline_width}) plans_match={matches}"
-        )
-    return rows
-
-
-def _stream_segmented_parity() -> dict:
-    """∞-lookahead differential under segmented windows and spoiled
-    ancillas: every seeded plan must equal offline greedy, window sets
-    included."""
-    count = 6 if QUICK else 12
-    matches = True
-    for seed in range(STREAM_CORPUS_BASE, STREAM_CORPUS_BASE + count):
-        circuit, ancillas = random_reversible_circuit(
-            seed,
-            num_data=5,
-            num_ancillas=3,
-            segment_gates=3,
-            middle_gates=6,
-            # Wire 5 is the first ancilla; spoiling it on odd seeds
-            # exercises the never-segmented whole-window path too.
-            spoiled=(5,) if seed % 2 else (),
-        )
-        base = allocate(
-            circuit, ancillas, strategy="greedy", segmented=True
-        )
-        plan = stream_allocate(circuit, ancillas, segmented=True)
-        matches = matches and (
-            plan.assignment == base.assignment
-            and plan.unplaced == base.unplaced
-            and plan.windows == base.windows
-            and plan.final_width == base.final_width
-        )
-    row = {"circuits": count, "matches_offline": matches}
-    print(
-        f"  streaming  segmented ∞-parity over {count} circuits: "
-        f"matches={matches}"
-    )
-    return row
-
-
-def _streaming_section() -> dict:
-    workloads = _stream_workloads()
-    large = workloads[0]
+def _conflict_model_section() -> dict:
     return {
-        "seed": STREAM_SEED,
+        "seed": CONFLICT_MODEL_SEED,
         "incremental_vs_rescan": [
-            _stream_rescan_row(label, circuit, ancillas)
-            for label, circuit, ancillas in workloads
+            _rescan_row(label, circuit, ancillas)
+            for label, circuit, ancillas in _conflict_model_workloads()
         ],
-        "throughput": _stream_throughput_row(large[1], large[2]),
-        "lookahead": _stream_lookahead_rows(),
-        "segmented_parity": _stream_segmented_parity(),
-    }
-
-
-# --------------------------------------------------------------------- #
-# Streaming front end (parse-while-allocate)
-# --------------------------------------------------------------------- #
-
-#: Repeats per wall-time measurement; medians go into the record so a
-#: single noisy run cannot flip the overlapped-vs-staged comparison.
-FRONTEND_REPEATS = 3 if QUICK else 5
-
-#: How many times each pipeline runs inside one timed measurement —
-#: the single-shot walls sit under the gate's noise floor, so the
-#: rows record amplified (and therefore gateable) timings.
-FRONTEND_AMPLIFY = 4 if QUICK else 12
-
-
-def _median(values: list) -> float:
-    return sorted(values)[len(values) // 2]
-
-
-def _frontend_workloads() -> list:
-    adder_n, mcx_n = (16, 12) if QUICK else (32, 20)
-    return [
-        (f"adder{adder_n}", adder_qbr_source(adder_n)),
-        (f"mcx{mcx_n}", mcx_qbr_source(mcx_n)),
-    ]
-
-
-def _frontend_overlap_row(label: str, source: str) -> dict:
-    """Staged vs overlapped front end over one ``.qbr`` workload.
-
-    *Staged* is the pre-streaming caller pattern: elaborate the whole
-    program, then feed the finished gate list to a
-    :class:`StreamingAllocator`.  *Overlapped* feeds the allocator
-    from :func:`iter_program` as each statement elaborates — the
-    parse-while-allocate path.  Register width and dirty wires are
-    precomputed outside both timed regions (both paths need them to
-    build the allocator), and each measurement runs the pipeline
-    ``FRONTEND_AMPLIFY`` times so the medians clear the gate's noise
-    floor.
-    """
-    program = elaborate(source)
-    width = program.circuit.num_qubits
-    dirty = tuple(sorted(program.dirty_wires))
-
-    staged_walls, overlapped_walls = [], []
-    for _ in range(FRONTEND_REPEATS):
-        start = time.perf_counter()
-        for _ in range(FRONTEND_AMPLIFY):
-            staged = elaborate(source)
-            allocator = StreamingAllocator(width, dirty, lookahead=8)
-            for gate in staged.circuit.gates:
-                allocator.feed(gate)
-            allocator.close()
-        staged_walls.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        for _ in range(FRONTEND_AMPLIFY):
-            allocator = StreamingAllocator(width, dirty, lookahead=8)
-            for gate in iter_program(source):
-                allocator.feed(gate)
-            allocator.close()
-        overlapped_walls.append(time.perf_counter() - start)
-
-    staged_wall = _median(staged_walls)
-    overlapped_wall = _median(overlapped_walls)
-    row = {
-        "workload": label,
-        "gates": len(program.circuit.gates),
-        "repeats": FRONTEND_REPEATS,
-        "amplify": FRONTEND_AMPLIFY,
-        "staged_wall_seconds": round(staged_wall, 4),
-        "overlapped_wall_seconds": round(overlapped_wall, 4),
-        "overlap_ratio": round(overlapped_wall / staged_wall, 3)
-        if staged_wall > 0
-        else None,
-    }
-    print(
-        f"  frontend   {label:<15} staged={staged_wall:>8.4f}s "
-        f"overlapped={overlapped_wall:>8.4f}s "
-        f"ratio={row['overlap_ratio']}"
-    )
-    return row
-
-
-def _frontend_first_lease() -> dict:
-    """Time to first lease of a prefix admission vs one full parse.
-
-    A long OpenQASM program opens with a four-gate dirty-borrow block
-    on wire 3 (provably safe on the prefix), followed by a tail that
-    never touches it again.  The staged baseline must parse all of it
-    before any admission decision; :meth:`MultiProgrammer.admit_stream`
-    grants the cross-program lease after consuming only the prefix —
-    the latency win the whole streaming front end exists for.
-    """
-    tail = 1200 if QUICK else 4000
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        "qreg q[4];",
-        "ccx q[0],q[1],q[3];",
-        "cx q[3],q[2];",
-        "ccx q[0],q[1],q[3];",
-        "cx q[3],q[2];",
-    ]
-    lines.extend("x q[0];" if i % 2 else "cx q[0],q[1];" for i in range(tail))
-    text = "\n".join(lines) + "\n"
-    prefix_gates = 4
-
-    lender = Circuit(5)
-    lender.append(cnot(0, 1))
-    lender.append(cnot(1, 2))
-
-    parse_walls, lease_walls = [], []
-    lease_granted = True
-    for _ in range(FRONTEND_REPEATS):
-        start = time.perf_counter()
-        parsed = from_qasm(text)
-        parse_walls.append(time.perf_counter() - start)
-
-        programmer = MultiProgrammer(9)
-        programmer.admit(QuantumJob("lender", lender))
-        start = time.perf_counter()
-        stream = iter_qasm_gates(text)
-        prefix = [next(stream) for _ in range(prefix_gates)]
-        handle = programmer.admit_stream(
-            "guest", stream.num_qubits, [3], prefix=prefix
-        )
-        lease_walls.append(time.perf_counter() - start)
-        lease_granted = lease_granted and bool(handle.admission.leases)
-        handle.extend(stream)
-        handle.close()
-
-    row = {
-        "gates": len(parsed.gates),
-        "prefix_gates": prefix_gates,
-        "repeats": FRONTEND_REPEATS,
-        "staged_parse_wall_seconds": round(_median(parse_walls), 4),
-        "time_to_first_lease_seconds": round(_median(lease_walls), 4),
-        "lease_granted": lease_granted,
-    }
-    print(
-        f"  frontend   first-lease     parse={row['staged_parse_wall_seconds']:>8.4f}s "
-        f"first_lease={row['time_to_first_lease_seconds']:>8.4f}s "
-        f"granted={lease_granted}"
-    )
-    return row
-
-
-def _streaming_frontend_section() -> dict:
-    return {
-        "workloads": [
-            _frontend_overlap_row(label, source)
-            for label, source in _frontend_workloads()
-        ],
-        "first_lease": _frontend_first_lease(),
     }
 
 
@@ -1196,6 +910,10 @@ RESTORE_TRACE_SEED = 2
 RESTORE_TRACE_JOBS = 100 if QUICK else 300
 RESTORE_MACHINE = 11
 
+#: Repeats of the restore-check wall measurement; the median goes into
+#: the record so a single noisy run cannot set it.
+RESTORE_REPEATS = 3 if QUICK else 5
+
 
 def _restore_check_section() -> dict:
     """Admission cost of segmented lending's solver-backed restore
@@ -1203,7 +921,7 @@ def _restore_check_section() -> dict:
     check fails, and its verdicts share the scheduler's memoised
     verifier.  One row, keyed ``restore_check="solver"``."""
     walls = []
-    for _ in range(FRONTEND_REPEATS):
+    for _ in range(RESTORE_REPEATS):
         trace = random_lending_trace(
             RESTORE_TRACE_SEED, num_jobs=RESTORE_TRACE_JOBS, timeouts=False
         )
@@ -1272,8 +990,7 @@ def bench_alloc(path: str) -> None:
             ],
         },
         "fleet": _fleet_section(),
-        "streaming": _streaming_section(),
-        "streaming_frontend": _streaming_frontend_section(),
+        "conflict_model": _conflict_model_section(),
         "restore_check": _restore_check_section(),
     }
     with open(path, "w") as handle:

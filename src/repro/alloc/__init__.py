@@ -8,7 +8,11 @@ The width-reduction pass is split into layers mirroring
   :class:`~repro.circuits.intervals.WindowSet`\\ s (whole-period by
   default; split at restore points with ``segmented=True``, so a host
   busy only inside a restore gap still qualifies), candidate hosts and
-  the window-overlap conflict graph, extracted from the circuit once;
+  the window-overlap conflict graph, extracted from the circuit once
+  by feeding its gates through an
+  :class:`~repro.alloc.model.IncrementalConflictModel` (per-wire
+  sorted touch lists and incremental restore scans from
+  :mod:`repro.circuits.intervals`, so no prefix is ever rescanned);
 * :mod:`repro.alloc.base` / :mod:`repro.alloc.registry` — the
   :class:`AllocationStrategy` interface and the ``@register_strategy``
   decorator registry;
@@ -26,19 +30,7 @@ The width-reduction pass is split into layers mirroring
 
 * :mod:`repro.alloc.api` — :func:`allocate`, which drives model ->
   strategy -> rewritten circuit and returns the historical
-  :class:`BorrowPlan`;
-* :mod:`repro.alloc.streaming` — the online face: a
-  :class:`StreamingAllocator` fed one gate at a time over an
-  :class:`~repro.alloc.model.IncrementalConflictModel` (per-wire
-  sorted touch lists and incremental restore scans from
-  :mod:`repro.circuits.intervals` — no prefix rescans).  Placements
-  stay tentative inside a bounded ``lookahead`` horizon (rolled back
-  and re-planned on conflict) and become final behind it; with
-  ``lookahead=None`` (∞) the closed stream reproduces the offline
-  ``greedy`` plan exactly.  :func:`build_model` itself now feeds the
-  same engine and snapshots it once, so the offline path shares the
-  incremental structures (see the ``streaming`` section of
-  ``BENCH_alloc.json`` for the speedup this buys on long circuits).
+  :class:`BorrowPlan`.
 
 :func:`repro.circuits.borrowing.borrow_dirty_qubits` remains as the
 compatibility shim over :func:`allocate`, and the online
@@ -55,11 +47,6 @@ from repro.alloc.model import (
     validate_placement,
 )
 from repro.alloc.base import AllocationStrategy
-from repro.alloc.streaming import (
-    StreamingAllocator,
-    StreamingStats,
-    stream_allocate,
-)
 from repro.alloc.registry import (
     available_strategies,
     make_strategy,
@@ -83,8 +70,6 @@ __all__ = [
     "LookaheadStrategy",
     "Placement",
     "SafetyCheck",
-    "StreamingAllocator",
-    "StreamingStats",
     "VerifiedStrategy",
     "allocate",
     "available_strategies",
@@ -92,7 +77,6 @@ __all__ = [
     "make_strategy",
     "materialise",
     "register_strategy",
-    "stream_allocate",
     "strategy_class",
     "validate_placement",
 ]

@@ -124,10 +124,9 @@ def materialise(
 ) -> BorrowPlan:
     """Rewrite the circuit onto the compacted register.
 
-    Shared back end of :func:`allocate` and
-    :class:`repro.alloc.streaming.StreamingAllocator.close`: given a
-    model and a final assignment, produce the :class:`BorrowPlan` with
-    ancilla wires merged into their hosts and the register compacted.
+    The back end of :func:`allocate`: given a model and a final
+    assignment, produce the :class:`BorrowPlan` with ancilla wires
+    merged into their hosts and the register compacted.
     """
     circuit = model.circuit
     removed = set(assignment) | set(model.untouched)

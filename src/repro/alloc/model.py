@@ -31,7 +31,7 @@ the seed's per-ancilla ``idle_qubits_during`` rescans on wide circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.intervals import (
@@ -155,24 +155,22 @@ class ConflictModel:
 class IncrementalConflictModel:
     """The interval-conflict structure, maintained one gate at a time.
 
-    The streaming engine behind both faces of the allocator: gates
-    arrive through :meth:`append`, and after every gate the per-wire
-    touch lists (:class:`~repro.circuits.intervals.IncrementalTouchIndex`),
-    each active ancilla's lending window
+    The engine behind :func:`build_model`: gates arrive through
+    :meth:`append`, and after every gate the per-wire touch lists
+    (:class:`~repro.circuits.intervals.IncrementalTouchIndex`) and each
+    active ancilla's lending window
     (:class:`~repro.circuits.intervals.RestoreScan` under
-    ``segmented=True``, the whole activity hull otherwise) and the
-    candidate-host query are current — no structure ever re-walks the
-    gate prefix.  :meth:`snapshot` materialises the usual frozen
-    :class:`ConflictModel` for the prefix seen so far; :func:`build_model`
-    is now exactly "feed every gate, snapshot once", so offline and
-    streaming answers agree by construction.
+    ``segmented=True``, the whole activity hull otherwise) are current
+    — no structure ever re-walks the gate prefix.  :meth:`snapshot`
+    materialises the usual frozen :class:`ConflictModel` for the prefix
+    seen so far.
 
     Per-gate cost is O(wires-per-gate) list appends plus, for touched
-    ancillas, one restore-scan step; the point queries
-    (:meth:`window`, :meth:`candidate_hosts`, :meth:`host_idle_in`)
-    are bisect probes over the sorted lists.  The rescan alternative —
-    rebuilding the model per gate — is O(gates) *per gate*; the bench's
-    ``streaming.incremental_vs_rescan`` section records the gap.
+    ancillas, one restore-scan step; :meth:`window` and the snapshot's
+    candidate scan are bisect probes over the sorted lists.  The rescan
+    alternative — rebuilding the model per gate — is O(gates) *per
+    gate*; the bench's ``conflict_model.incremental_vs_rescan`` section
+    records the gap.
     """
 
     def __init__(
@@ -231,40 +229,8 @@ class IncrementalConflictModel:
             self.append(gate)
 
     # ------------------------------------------------------------------ #
-    # Point queries (current prefix)
+    # Queries (current prefix)
     # ------------------------------------------------------------------ #
-
-    @property
-    def num_qubits(self) -> int:
-        return self._circuit.num_qubits
-
-    @property
-    def num_gates(self) -> int:
-        """Gates fed so far."""
-        return self._index.num_gates
-
-    @property
-    def segmented(self) -> bool:
-        return self._segmented
-
-    @property
-    def hosts(self) -> Tuple[int, ...]:
-        """Non-ancilla wires, ascending."""
-        return self._hosts
-
-    @property
-    def active(self) -> Tuple[int, ...]:
-        """Touched ancillas in (first touch, wire) order — the
-        canonical processing order of every strategy."""
-        return tuple(self._active)
-
-    def last_touch(self, ancilla: int) -> Optional[int]:
-        """The ancilla's most recent gate index, or ``None``."""
-        return self._index.last_touch(ancilla)
-
-    def period(self, ancilla: int) -> Optional[ActivityInterval]:
-        """The ancilla's activity period so far, or ``None``."""
-        return self._index.interval(ancilla)
 
     def window(self, ancilla: int) -> Optional[WindowSet]:
         """The ancilla's lending window over the prefix seen so far
@@ -274,21 +240,6 @@ class IncrementalConflictModel:
         if self._segmented:
             return self._scans[ancilla].window()
         return WindowSet.whole(self._index.interval(ancilla))
-
-    def host_idle_in(
-        self, host: int, window: Union[ActivityInterval, WindowSet]
-    ) -> bool:
-        """Is ``host`` free of gates inside every segment of ``window``?"""
-        return not self._index.busy_in(host, window)
-
-    def candidate_hosts(self, ancilla: int) -> Tuple[int, ...]:
-        """Hosts idle throughout the ancilla's current window, ascending."""
-        window = self.window(ancilla)
-        if window is None:
-            return self._hosts
-        return tuple(
-            h for h in self._hosts if not self._index.busy_in(h, window)
-        )
 
     # ------------------------------------------------------------------ #
     # Materialisation
@@ -359,9 +310,7 @@ def build_model(
     whole-period default, never less.
 
     Implemented as "feed every gate through an
-    :class:`IncrementalConflictModel`, snapshot once" — the same engine
-    the streaming allocator drives gate-by-gate, which is what makes
-    the offline/streaming differential contract hold by construction.
+    :class:`IncrementalConflictModel`, snapshot once".
     """
     engine = IncrementalConflictModel(
         circuit.num_qubits,

@@ -15,8 +15,9 @@ analysis (:func:`restore_segments`) splits an ancilla's period at the
 gaps where the prefix provably restores it, yielding the
 :class:`WindowSet` of disjoint segments a borrowed host is actually
 occupied for; :class:`IncrementalTouchIndex` and :class:`RestoreScan`
-run the same analyses gate-by-gate over a growing stream (the offline
-functions replay them, so the two can never drift).  The Figure 3.1
+run the same analyses gate by gate over a growing gate list (the
+offline functions replay them, so the two can never drift, and
+:func:`repro.alloc.build_model` runs on them).  The Figure 3.1
 width-reduction pass that borrows idle
 working qubits as dirty ancillas lives in :mod:`repro.alloc` (a
 pluggable strategy subsystem), with :mod:`repro.circuits.borrowing` as
@@ -64,12 +65,7 @@ from repro.circuits.statevector import (
     run_statevector,
 )
 from repro.circuits.draw import draw_circuit
-from repro.circuits.qasm import (
-    QasmStream,
-    from_qasm,
-    iter_qasm_gates,
-    to_qasm,
-)
+from repro.circuits.qasm import from_qasm, to_qasm
 from repro.circuits.borrowing import BorrowPlan, borrow_dirty_qubits
 
 __all__ = [
@@ -92,9 +88,7 @@ __all__ = [
     "cphase",
     "depth",
     "draw_circuit",
-    "QasmStream",
     "from_qasm",
-    "iter_qasm_gates",
     "gate_from_name",
     "hadamard",
     "idle_qubits_during",

@@ -14,6 +14,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 from repro.circuits.gates import Gate
 from repro.errors import CircuitError
 
+#: The widest register a text reader accepts.  ``.qbr`` declarations
+#: (:func:`repro.lang.surface.elaborate.elaborate`) and an OpenQASM
+#: ``qreg`` (:func:`repro.circuits.qasm.from_qasm`) past it are refused
+#: before any wire is allocated, so a few bytes of text cannot ask for
+#: gigabytes of labels and touch lists.  The widest paper program,
+#: ``mcx.qbr`` with m = 1750, has 3,501 wires.
+MAX_WIRES = 1 << 16
+
 
 class Circuit:
     """An ordered gate list on a fixed-width qubit register."""

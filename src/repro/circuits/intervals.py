@@ -22,9 +22,9 @@ The module has two faces over the same structures:
   insert is a tail append), and the restore-point scan advances its
   greedy left-to-right state machine per touch instead of re-walking
   the gate list.  :func:`restore_segments` is itself implemented by
-  replaying a :class:`RestoreScan`, so the offline and streaming
-  answers agree by construction — the differential contract the
-  streaming allocator (:mod:`repro.alloc.streaming`) is built on.
+  replaying a :class:`RestoreScan`, so the two faces agree by
+  construction; :func:`repro.alloc.build_model` runs on the
+  incremental face.
 """
 
 from __future__ import annotations
@@ -224,9 +224,9 @@ def touch_indices(circuit: Circuit) -> Dict[int, List[int]]:
 
 
 class IncrementalTouchIndex:
-    """Per-wire sorted touch lists over a *growing* gate stream.
+    """Per-wire sorted touch lists over a *growing* gate list.
 
-    The streaming counterpart of :func:`touch_indices` /
+    The incremental counterpart of :func:`touch_indices` /
     :func:`activity_intervals`: gates arrive one at a time through
     :meth:`append`, and because gate indices only ever increase, every
     per-wire insert is a tail append — the lists stay sorted with no
@@ -242,11 +242,6 @@ class IncrementalTouchIndex:
         self._touches: List[List[int]] = [[] for _ in range(num_qubits)]
         self._num_gates = 0
 
-    @property
-    def num_gates(self) -> int:
-        """Gates appended so far (the next gate gets this index)."""
-        return self._num_gates
-
     def append(self, gate) -> int:
         """Record one gate; returns the gate index it was assigned."""
         index = self._num_gates
@@ -255,21 +250,12 @@ class IncrementalTouchIndex:
         self._num_gates += 1
         return index
 
-    def touches_of(self, qubit: int) -> Sequence[int]:
-        """The wire's ascending gate-index list (live view)."""
-        return self._touches[qubit]
-
     def interval(self, qubit: int) -> Optional[ActivityInterval]:
         """The wire's activity interval so far, or ``None`` if untouched."""
         indices = self._touches[qubit]
         if not indices:
             return None
         return ActivityInterval(indices[0], indices[-1])
-
-    def last_touch(self, qubit: int) -> Optional[int]:
-        """Index of the wire's most recent gate, or ``None``."""
-        indices = self._touches[qubit]
-        return indices[-1] if indices else None
 
     def busy_in(
         self, qubit: int, window: Union[ActivityInterval, WindowSet]
@@ -356,7 +342,7 @@ def _structural_identity(gates: Sequence) -> bool:
 
 
 class RestoreScan:
-    """Streaming restore-point analysis for one ancilla.
+    """Incremental restore-point analysis for one ancilla.
 
     Holds the greedy left-to-right scan of :func:`restore_segments` as
     live state over a *growing* gate list: feed every touch of the
@@ -388,16 +374,6 @@ class RestoreScan:
         self._seg_start: Optional[int] = None
         self._prev: Optional[int] = None
         self._certified: Dict[Tuple[int, int], bool] = {}
-
-    @property
-    def touched(self) -> bool:
-        """Has the ancilla been observed at all yet?"""
-        return self._prev is not None
-
-    @property
-    def last_touch(self) -> Optional[int]:
-        """Most recent observed touch index, or ``None``."""
-        return self._prev
 
     def observe(self, index: int) -> None:
         """Advance the scan past the ancilla's touch at ``index``.
@@ -504,7 +480,7 @@ def restore_segments(
         raise CircuitError(
             f"ancilla {ancilla} is never touched; no window to segment"
         )
-    # Replay the streaming scan over the known touch list: one state
+    # Replay the incremental scan over the known touch list: one state
     # machine implements both the offline and the incremental analysis,
     # so the two answers agree by construction.
     scan = RestoreScan(

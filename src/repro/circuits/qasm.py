@@ -19,7 +19,7 @@ import math
 import re
 from typing import List, Optional
 
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import MAX_WIRES, Circuit
 from repro.circuits.gates import (
     Gate,
     cnot,
@@ -115,108 +115,82 @@ _STATEMENT = re.compile(
 _OPERAND = re.compile(r"^q\[(\d+)\]$")
 
 
-class QasmStream:
-    """Iterate the gates of an OpenQASM 2.0 program as lines are read.
-
-    Each drawn gate has been parsed, validated and appended to
-    :attr:`circuit` before it is yielded, so a consumer (e.g. a
-    :class:`~repro.alloc.streaming.StreamingAllocator`) can act on it
-    while the rest of the file is still unread.  :attr:`num_qubits`
-    becomes available once the ``qreg`` header line has been consumed.
-    All :class:`~repro.errors.CircuitError`\\ s of :func:`from_qasm`
-    surface unchanged, at the line that causes them — including ``no
-    qreg declaration found``, raised when the stream ends without a
-    header.
-    """
-
-    def __init__(self, text: str):
-        self.circuit: Optional[Circuit] = None
-        self._gates = self._parse(text)
-
-    @property
-    def num_qubits(self) -> Optional[int]:
-        """Declared register width, or ``None`` before the ``qreg``."""
-        return None if self.circuit is None else self.circuit.num_qubits
-
-    def __iter__(self) -> "QasmStream":
-        return self
-
-    def __next__(self) -> Gate:
-        return next(self._gates)
-
-    def _parse(self, text: str):
-        for line_number, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("//")[0].strip()
-            if not line:
-                continue
-            if line.startswith("OPENQASM") or line.startswith("include"):
-                continue
-            if line.startswith("qreg"):
-                match = re.match(r"^qreg\s+q\[(\d+)\]\s*;$", line)
-                if not match:
-                    raise CircuitError(
-                        f"line {line_number}: unsupported qreg declaration"
-                    )
-                if self.circuit is not None:
-                    raise CircuitError("multiple qreg declarations")
-                self.circuit = Circuit(int(match.group(1)))
-                continue
-            if line.startswith("creg") or line.startswith("barrier"):
-                continue
-            match = _STATEMENT.match(line)
-            if not match:
-                raise CircuitError(
-                    f"line {line_number}: cannot parse {line!r}"
-                )
-            if self.circuit is None:
-                raise CircuitError("gate before qreg declaration")
-            name = match.group("name")
-            if name not in _QASM_GATES:
-                raise CircuitError(
-                    f"line {line_number}: unsupported gate {name!r}"
-                )
-            arity, build = _QASM_GATES[name]
-            operands: List[int] = []
-            for token in match.group("operands").split(","):
-                op_match = _OPERAND.match(token.strip())
-                if not op_match:
-                    raise CircuitError(
-                        f"line {line_number}: bad operand {token.strip()!r}"
-                    )
-                operands.append(int(op_match.group(1)))
-            if len(operands) != arity:
-                raise CircuitError(
-                    f"line {line_number}: {name} expects {arity} operands"
-                )
-            param = None
-            if match.group("param") is not None:
-                param = _eval_param(match.group("param"), line_number)
-            gate = build(operands, param)
-            self.circuit.append(gate)
-            yield gate
-        if self.circuit is None:
-            raise CircuitError("no qreg declaration found")
-
-
-def iter_qasm_gates(text: str) -> QasmStream:
-    """Stream an OpenQASM 2.0 program's gates as lines are consumed.
-
-    Returns a :class:`QasmStream`; ``list(iter_qasm_gates(text))``
-    equals ``from_qasm(text).gates`` gate for gate.
-    """
-    return QasmStream(text)
-
-
 def from_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset emitted by :func:`to_qasm`.
 
-    Drains :func:`iter_qasm_gates`, so the offline and streaming import
-    paths are a single code path and cannot drift.
+    Every error is a :class:`~repro.errors.CircuitError`, raised at the
+    first line that cannot be read, or as ``no qreg declaration found``
+    at the end of a text that never declares its register.  A ``qreg``
+    wider than :data:`~repro.circuits.circuit.MAX_WIRES` is refused
+    before any wire exists.
     """
-    stream = QasmStream(text)
-    for _ in stream:
-        pass
-    return stream.circuit
+    circuit: Optional[Circuit] = None
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//")[0].strip()
+        if not line:
+            continue
+        if line.startswith("OPENQASM") or line.startswith("include"):
+            continue
+        if line.startswith("qreg"):
+            match = re.match(r"^qreg\s+q\[(\d+)\]\s*;$", line)
+            if not match:
+                raise CircuitError(
+                    f"line {line_number}: unsupported qreg declaration"
+                )
+            if circuit is not None:
+                raise CircuitError("multiple qreg declarations")
+            width = _integer(match.group(1), line_number)
+            if width > MAX_WIRES:
+                raise CircuitError(
+                    f"line {line_number}: qreg of {width} qubits exceeds "
+                    f"the {MAX_WIRES}-wire limit"
+                )
+            circuit = Circuit(width)
+            continue
+        if line.startswith("creg") or line.startswith("barrier"):
+            continue
+        match = _STATEMENT.match(line)
+        if not match:
+            raise CircuitError(f"line {line_number}: cannot parse {line!r}")
+        if circuit is None:
+            raise CircuitError("gate before qreg declaration")
+        name = match.group("name")
+        if name not in _QASM_GATES:
+            raise CircuitError(
+                f"line {line_number}: unsupported gate {name!r}"
+            )
+        arity, build = _QASM_GATES[name]
+        operands: List[int] = []
+        for token in match.group("operands").split(","):
+            op_match = _OPERAND.match(token.strip())
+            if not op_match:
+                raise CircuitError(
+                    f"line {line_number}: bad operand {token.strip()!r}"
+                )
+            operands.append(_integer(op_match.group(1), line_number))
+        if len(operands) != arity:
+            raise CircuitError(
+                f"line {line_number}: {name} expects {arity} operands"
+            )
+        param = None
+        if match.group("param") is not None:
+            param = _eval_param(match.group("param"), line_number)
+        circuit.append(build(operands, param))
+    if circuit is None:
+        raise CircuitError("no qreg declaration found")
+    return circuit
+
+
+def _integer(digits: str, line_number: int) -> int:
+    """A width or wire index.  ``int`` refuses more digits than the
+    interpreter's int-string limit, and that must fail as a
+    :class:`~repro.errors.CircuitError` naming the line."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CircuitError(
+            f"line {line_number}: number of {len(digits)} digits is too long"
+        ) from None
 
 
 def _eval_param(text: str, line_number: int) -> float:

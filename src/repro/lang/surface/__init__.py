@@ -20,10 +20,9 @@ Module tour:
   (the Haner adder, the dirty-ancilla MCX ladder).
 
 Pipeline: :func:`parse` (source → surface AST) →
-:func:`elaborate` (AST → flat circuit + qubit roles + proven wires) →
-— or, streamed, :func:`iter_statements` → :func:`iter_program`, which
-yield statements/gates as the source is consumed (``elaborate`` is the
-drained stream) →
+:func:`elaborate` (AST → flat circuit + qubit roles + proven wires;
+given source text, it elaborates each statement as
+:func:`iter_statements` reads it) →
 :func:`verify_qbr` (circuit → per-dirty-qubit safe-uncomputation
 report) or :func:`job_from_qbr` (circuit → scheduler job; passing
 ``trust_checker=True`` opts in to marking checker-proven wires
@@ -34,20 +33,16 @@ from repro.lang.surface.lexer import tokenize
 from repro.lang.surface.parser import iter_statements, parse
 from repro.lang.surface.elaborate import (
     ElaboratedProgram,
-    ProgramStream,
     elaborate,
     elaborate_file,
-    iter_program,
     job_from_qbr,
     verify_qbr,
 )
 
 __all__ = [
     "ElaboratedProgram",
-    "ProgramStream",
     "elaborate",
     "elaborate_file",
-    "iter_program",
     "iter_statements",
     "job_from_qbr",
     "parse",

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import MAX_WIRES, Circuit
 from repro.circuits.gates import Gate, gate_from_name
 from repro.errors import ParseError
 from repro.lang.borrowck import BorrowChecker, qbr_path, read_qbr
@@ -82,6 +82,16 @@ _GateMeta = Tuple["_GatePlan", Tuple[int, ...], List[Optional[int]]]
 def _undefined(var: Name) -> ParseError:
     """The error for reading ``var`` while it is unbound."""
     return ParseError(f"undefined variable {var.ident!r}", var.line, var.column)
+
+
+def _shown(value: int) -> str:
+    """``value`` for an error message.  A short product chain computes
+    an int that ``str`` refuses (past the interpreter's int-string
+    limit), and the message must still be built."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit number>"
 
 
 def _affine(node: ExprNode) -> Optional[Tuple[int, Optional[Name], int]]:
@@ -322,10 +332,18 @@ class _Elaborator:
             scalar = False
             if size < 1:
                 raise ParseError(
-                    f"register {ref.name!r} has non-positive size {size}",
+                    f"register {ref.name!r} has non-positive size "
+                    f"{_shown(size)}",
                     ref.line,
                     ref.column,
                 )
+        if len(self.wire_labels) + size > MAX_WIRES:
+            raise ParseError(
+                f"register {ref.name!r} of size {_shown(size)} takes the "
+                f"program past {MAX_WIRES} wires",
+                ref.line,
+                ref.column,
+            )
         # The only place wires are allocated: each gets a label below,
         # so every wire a gate names is below the circuit's width and
         # `_finish` need not range-check the gates again.
@@ -438,7 +456,8 @@ class _Elaborator:
             register_wires = register.wires
             if not 1 <= value <= len(register_wires):
                 raise ParseError(
-                    f"{name}[{value}] out of range 1..{len(register_wires)}",
+                    f"{name}[{_shown(value)}] out of range "
+                    f"1..{len(register_wires)}",
                     span.line,
                     span.column,
                 )
@@ -454,17 +473,10 @@ class _Elaborator:
             self.gate_meta.append((plan, wires, subscripts))
 
     def run_for(self, stmt: ForStmt) -> None:
-        """Unroll a ``for`` loop (inclusive bounds, either direction)."""
-        for _ in self._for_iterations(stmt):
-            self.run(stmt.body)
+        """Unroll a ``for`` loop (inclusive bounds, either direction).
 
-    def _for_iterations(self, stmt: ForStmt):
-        """Yield once per loop iteration with the variable bound.
-
-        Owns the loop-variable scoping (bind before each iteration,
-        restore any shadowed binding afterwards) so :meth:`run_for` and
-        the statement-streaming path in :class:`ProgramStream` unroll
-        loops through one code path.
+        The loop variable is bound before each iteration, and any
+        binding it shadowed is restored afterwards.
         """
         start = self._eval(stmt.start)
         end = self._eval(stmt.end)
@@ -474,7 +486,7 @@ class _Elaborator:
         try:
             for value in range(start, end + step, step):
                 self.env[stmt.var] = value
-                yield value
+                self.run(stmt.body)
         finally:
             if had_binding:
                 self.env[stmt.var] = shadowed
@@ -568,101 +580,6 @@ def _finish(ela: _Elaborator, report: DiagnosticReport) -> ElaboratedProgram:
     return result
 
 
-class ProgramStream:
-    """Iterator of elaborated gates, driven as the source is consumed.
-
-    Parsing, borrow checking and elaboration advance statement by
-    statement: iterating yields each emitted
-    :class:`~repro.circuits.gates.Gate` as soon as the statement (or,
-    for a top-level ``for`` loop, the loop iteration) that produced it
-    has been read — source past that point has not been lexed yet.  A
-    scoped ``borrow { within { C } apply { D } }`` block buffers until
-    its closing brace and then yields its whole ``C; D; rev(C); D``
-    emission, since the mirror phases replay gates the block itself
-    produced.  Diagnostics accumulate in :attr:`report` exactly as in
-    offline elaboration; strict-mode violations raise at the gate that
-    caused them.
-
-    :meth:`result` drains whatever remains and assembles the
-    :class:`ElaboratedProgram` — :func:`elaborate` is exactly
-    ``iter_program(...).result()``, so the offline and streaming paths
-    cannot drift.
-    """
-
-    def __init__(
-        self,
-        source: Union[str, Program],
-        *,
-        strict: bool = True,
-        report: Optional[DiagnosticReport] = None,
-        filename: str = "<qbr>",
-    ):
-        if isinstance(source, str):
-            statements = iter_statements(source)
-            text = source
-        else:
-            statements = iter(source.statements)
-            text = ""
-        if report is None:
-            report = DiagnosticReport(source=text, filename=filename)
-        self.report = report
-        self._ela = _Elaborator(BorrowChecker(report, strict=strict))
-        self._gates = self._emit(statements)
-        self._result: Optional[ElaboratedProgram] = None
-
-    def _emit(self, statements):
-        ela = self._ela
-        for stmt in statements:
-            if isinstance(stmt, ForStmt):
-                for _ in ela._for_iterations(stmt):
-                    mark = len(ela.gates)
-                    ela.run(stmt.body)
-                    # `gates` is append-only, so the slice past `mark`
-                    # is exactly this iteration's emission.
-                    yield from ela.gates[mark:]
-            else:
-                mark = len(ela.gates)
-                ela.run((stmt,))
-                yield from ela.gates[mark:]
-
-    def __iter__(self) -> "ProgramStream":
-        return self
-
-    def __next__(self) -> Gate:
-        return next(self._gates)
-
-    @property
-    def num_wires(self) -> int:
-        """Register width declared so far (grows as the stream runs)."""
-        return len(self._ela.wire_labels)
-
-    def result(self) -> ElaboratedProgram:
-        """Drain the rest of the stream and return the elaborated
-        program (idempotent)."""
-        if self._result is None:
-            for _ in self._gates:
-                pass
-            self._result = _finish(self._ela, self.report)
-        return self._result
-
-
-def iter_program(
-    source: Union[str, Program],
-    *,
-    strict: bool = True,
-    report: Optional[DiagnosticReport] = None,
-    filename: str = "<qbr>",
-) -> ProgramStream:
-    """Stream a ``.qbr`` program's gates as the source is parsed.
-
-    Returns a :class:`ProgramStream`; ``list(iter_program(src))``
-    equals ``elaborate(src).circuit.gates`` gate for gate.
-    """
-    return ProgramStream(
-        source, strict=strict, report=report, filename=filename
-    )
-
-
 def elaborate(
     source: Union[str, Program],
     *,
@@ -680,12 +597,21 @@ def elaborate(
     ``report`` (see :func:`repro.lang.borrowck.check_program`) and
     elaboration recovers and continues.
 
-    Implemented as "drain the stream": this is
-    :func:`iter_program`\\ ``(...).result()``, nothing more.
+    Source text is parsed lazily (:func:`iter_statements`): each
+    statement is elaborated as soon as it is read, so an ownership
+    violation is raised before a lex or parse error later in the text.
     """
-    return iter_program(
-        source, strict=strict, report=report, filename=filename
-    ).result()
+    if isinstance(source, str):
+        statements = iter_statements(source)
+        text = source
+    else:
+        statements = source.statements
+        text = ""
+    if report is None:
+        report = DiagnosticReport(source=text, filename=filename)
+    ela = _Elaborator(BorrowChecker(report, strict=strict))
+    ela.run(statements)
+    return _finish(ela, report)
 
 
 def elaborate_file(path: Union[str, Path]) -> ElaboratedProgram:

@@ -403,7 +403,14 @@ class _Parser:
         token = self.peek()
         if token.kind == "NUMBER":
             self.advance()
-            return Num(int(token.text))
+            try:
+                return Num(int(token.text))
+            except ValueError:  # past the interpreter's int-string limit
+                raise ParseError(
+                    f"number of {len(token.text)} digits is too long",
+                    token.line,
+                    token.column,
+                ) from None
         if token.kind == "ID":
             self.advance()
             return Name(token.text, token.line, token.column)
@@ -430,11 +437,11 @@ def iter_statements(source: str) -> Iterator[StmtNode]:
 
     Lexing and parsing advance together: a statement is yielded as soon
     as its last token has been read, before anything after it has even
-    been lexed.  This is the streaming entry the incremental elaborator
-    (:func:`repro.lang.surface.elaborate.iter_program`) builds on.
-    Raises the same :class:`~repro.errors.ParseError`\\ s as
-    :func:`parse`, including ``empty program`` when the source holds no
-    statement at all.
+    been lexed.  :func:`repro.lang.surface.elaborate.elaborate` runs
+    each statement as it arrives, so an ownership violation is reported
+    before a lex or parse error later in the source.  Raises the same
+    :class:`~repro.errors.ParseError`\\ s as :func:`parse`, including
+    ``empty program`` when the source holds no statement at all.
     """
     parser = _Parser(source)
     produced = False
@@ -449,7 +456,8 @@ def iter_statements(source: str) -> Iterator[StmtNode]:
 def parse(source: str) -> Program:
     """Parse ``.qbr`` source into a surface AST.
 
-    Drains :func:`iter_statements`, so the offline and streaming parse
-    paths are a single code path and cannot drift.
+    Drains :func:`iter_statements`, so :func:`parse` and
+    :func:`~repro.lang.surface.elaborate.elaborate` read the source
+    through one code path.
     """
     return Program(tuple(iter_statements(source)))

@@ -44,11 +44,6 @@ Module tour
     list through the online path and compacts it into one composite
     circuit — byte-for-byte the seed scheduler's result.
 
-    :meth:`~MultiProgrammer.admit_stream` admits a still-open gate
-    stream on its prefix through the same admission core as
-    :meth:`~MultiProgrammer.admit`, and refines its leases gate by
-    gate.
-
     Interval-conflict models are **memoised** by ``(circuit
     fingerprint, request wires)`` — a queued job re-tried at every
     release event builds its model once; hits/misses surface in
@@ -138,7 +133,6 @@ from repro.multiprog.scheduler import (
     MultiProgrammer,
     QuantumJob,
     ScheduleResult,
-    StreamAdmission,
 )
 
 __all__ = [
@@ -163,7 +157,6 @@ __all__ = [
     "ScheduleResult",
     "ShardSpec",
     "ShortestJobFirstPolicy",
-    "StreamAdmission",
     "SubmitOutcome",
     "available_packers",
     "available_placements",

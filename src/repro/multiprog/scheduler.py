@@ -71,13 +71,11 @@ from typing import (
 from repro.alloc import (
     BorrowPlan,
     ConflictModel,
-    StreamingAllocator,
     allocate,
     build_model,
     strategy_class,
 )
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate
 from repro.circuits.intervals import (
     SegmentCheck,
     WindowSet,
@@ -97,12 +95,6 @@ from repro.verify.batch import BatchVerifier
 #: Lending modes, loosest first: ``segmented`` leases restore-point
 #: window sets, ``windowed`` leases whole-period windows.
 LENDING_MODES = ("segmented", "windowed")
-
-#: Commit horizon, in gates, of a stream admission's allocator.  Stream
-#: admissions keep an identity layout, so the horizon only decides which
-#: prefix ancillas stay off the lease list; 8 ties every wider horizon
-#: on the committed streaming rows at a fraction of ∞'s per-gate cost.
-STREAM_LOOKAHEAD = 8
 
 
 @dataclass(frozen=True)
@@ -185,14 +177,13 @@ class QuantumJob:
         policy all key off this."""
         return self.circuit.num_qubits - len(self.ancilla_requests)
 
-    def check_verifiable(self, gates: Optional[Iterable[Gate]] = None):
+    def check_verifiable(self):
         """Raise :class:`~repro.errors.VerificationError` when the job
-        requests ancillas and one of ``gates`` (by default its whole
-        circuit) is not classical: the Section 6 checks decide
-        classical circuits only, so nothing else may borrow."""
+        requests ancillas and one of its gates is not classical: the
+        Section 6 checks decide classical circuits only, so nothing
+        else may borrow."""
         if self.ancilla_requests and not all(
-            gate.is_classical
-            for gate in (self.circuit.gates if gates is None else gates)
+            gate.is_classical for gate in self.circuit.gates
         ):
             raise VerificationError(
                 f"job {self.name}: only classical circuits can be "
@@ -311,308 +302,6 @@ class ScheduleResult:
             verdict = "safe" if safe else "UNSAFE (kept private)"
             lines.append(f"  {job} ancilla wire {wire}: {verdict}")
         return "\n".join(lines)
-
-
-class StreamAdmission:
-    """A prefix-admitted gate stream: resident now, still arriving.
-
-    Returned by :meth:`MultiProgrammer.admit_stream`.  The job became
-    resident on the strength of its *prefix* — the gates fed before
-    admission — and every later :meth:`feed` refines the admission in
-    the same call, so the scheduler-wide occupancy contract
-    (:class:`~repro.testing.invariants.OccupancyInvariantChecker`)
-    holds between any two feeds:
-
-    * a gate that touches a leased ancilla regrows that ancilla's
-      lending window from the job's live
-      :class:`~repro.alloc.StreamingAllocator`; the lease is replaced
-      in place when the extension stays disjoint from its wire's other
-      leases, *moved* to another offered wire when not, *revoked to a
-      fresh wire* when no offer fits, and — with the free pool also
-      exhausted — the whole job is **revoked to the queue**: residency
-      ends, its wires return, and :meth:`close` resubmits the complete
-      circuit through :meth:`MultiProgrammer.submit`;
-    * the admission's internal placement is refreshed from the
-      allocator after every gate (leased and unverified ancillas stay
-      out of it), so the plan revalidates against a freshly rebuilt
-      interval model at any point.
-
-    Prefix admission is deliberately *optimistic*: safety verdicts are
-    proven on the prefix (or carried by ``certified`` requests) and
-    re-proven on the full circuit at :meth:`close`, which revokes any
-    lease whose safety the tail broke.  A stream job offers no idle
-    wires of its own — wires that look idle in the prefix may be busy
-    one gate later.  Releasing the job through
-    :meth:`MultiProgrammer.release` ends the stream too: later feeds
-    raise and :meth:`close` returns ``None``.
-    """
-
-    def __init__(
-        self,
-        scheduler: "MultiProgrammer",
-        job: QuantumJob,
-        allocator: StreamingAllocator,
-    ):
-        self._mp = scheduler
-        self.job = job
-        #: The live online allocator; its ``stats`` carry the stream's
-        #: throughput counters (gates, commits, re-plans, rollbacks).
-        self.allocator = allocator
-        #: The live admission, ``None`` once revoked to the queue or
-        #: released.
-        self.admission: Optional[Admission] = None
-        #: Outcome of the :meth:`close`-time resubmission, when the
-        #: admission was revoked mid-stream.
-        self.outcome: Optional[SubmitOutcome] = None
-        self._closed = False
-        self._revoked = False
-
-    @property
-    def name(self) -> str:
-        return self.job.name
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def revoked(self) -> bool:
-        """True once the admission was revoked to the queue."""
-        return self._revoked
-
-    # ------------------------------------------------------------------ #
-    # The stream
-    # ------------------------------------------------------------------ #
-
-    def feed(self, gate: Gate) -> int:
-        """Append one gate; returns its index in the job's circuit.
-
-        The admission is refined *in the same call*: lease windows of
-        touched leased ancillas regrow (extend / move / revoke, see the
-        class docstring) and the internal placement is refreshed, so
-        the occupancy invariants hold when this returns.  After a
-        revocation the stream keeps accepting gates — the complete
-        circuit is resubmitted at :meth:`close`.
-        """
-        if self._closed:
-            raise CircuitError(
-                f"stream job {self.job.name!r} is closed or released; "
-                f"no more gates"
-            )
-        index = self._ingest(gate)
-        if not self._revoked:
-            touched = sorted(set(gate.qubits) & set(self.admission.leases))
-            for ancilla in touched:
-                if self._revoked:
-                    break
-                self._refresh_lease(ancilla)
-            if not self._revoked:
-                self._refresh_plan()
-        return index
-
-    def extend(self, gates) -> int:
-        """Feed many gates; returns the last index."""
-        index = len(self.job.circuit.gates) - 1
-        for gate in gates:
-            index = self.feed(gate)
-        return index
-
-    def close(self) -> Optional[Admission]:
-        """End the stream; returns the final admission (or ``None``).
-
-        Closes the allocator (committing every open decision), then
-        re-proves ancilla safety over the *complete* circuit: a lease
-        whose prefix-time verdict the tail broke is revoked to a fresh
-        wire, or — free pool exhausted — the whole job is revoked.  A
-        job revoked at any point is resubmitted here through
-        :meth:`MultiProgrammer.submit` (its outcome lands in
-        :attr:`outcome`) and ``None`` is returned.  Idempotent.
-        """
-        if self._closed:
-            return self.admission
-        self._closed = True
-        self.allocator.close()
-        if not self._revoked:
-            self._verify_full()
-        if not self._revoked:
-            self._refresh_plan()
-            return self.admission
-        self.outcome = self._mp.submit(self.job)
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Admission and refinement machinery
-    # ------------------------------------------------------------------ #
-
-    def _ingest(self, gate: Gate) -> int:
-        """Append one gate to the job and its allocator."""
-        self.job.check_verifiable((gate,))
-        self.job.circuit.append(gate)
-        return self.allocator.feed(gate)
-
-    def _admit_prefix(self) -> None:
-        """Admit the job on its prefix through the scheduler's admission
-        core, with an identity layout: the stream's width is not reduced
-        (future gates may touch any wire), so every non-leased original
-        wire takes a fresh machine wire.
-
-        Every requested wire is verified eagerly, unlike
-        :meth:`MultiProgrammer.admit`'s lazy mode: the verdicts gate
-        which ancillas may lease *and* which later internal placements
-        count as sound, and the prefix is usually short.  An ancilla the
-        prefix has not touched yet has no window to lease.
-        """
-        mp, job, allocator = self._mp, self.job, self.allocator
-        safety = mp._verdicts(job, job.request_wires)
-        placed = allocator.placement().assignment
-        active = set(allocator.active)
-        width = job.circuit.num_qubits
-        plan = BorrowPlan(
-            circuit=job.circuit,
-            assignment={},
-            unplaced=sorted(job.request_wires),
-            periods={},
-            wire_map={q: q for q in range(width)},
-            original_width=width,
-            final_width=width,
-            strategy=allocator.name,
-        )
-        candidates = (
-            (a, allocator.window(a))
-            for a in dict.fromkeys(job.request_wires)
-            if a not in placed and a in active and safety.get(a)
-        )
-        self.admission = mp._place(
-            job, plan, safety, candidates, allocator.name, offer_idle=False
-        )
-        self._refresh_plan()
-
-    def _refresh_lease(self, ancilla: int) -> None:
-        """Regrow one leased ancilla's window after a gate touched it.
-
-        The refinement ladder: extend the lease in place when the new
-        window stays disjoint from the wire's other leases; otherwise
-        move it to whichever offered wire the packer picks; otherwise
-        revoke the lease onto a fresh wire; and with the free pool
-        exhausted too, revoke the whole job to the queue.
-        """
-        mp, adm = self._mp, self.admission
-        lease = adm.leases[ancilla]
-        window = self.allocator.window(ancilla).shifted(adm.gate_offset)
-        if window.segments == lease.window.segments:
-            return
-        if all(
-            other is lease or not window.overlaps(other.window)
-            for other in mp._leases[lease.wire]
-        ):
-            target = lease.wire
-        else:
-            target = mp._lease_host(window)
-        if target is None:
-            if not self._revoke_lease(ancilla):
-                self._revoke()
-            return
-        mp._retire_leases([lease])
-        adm.leases[ancilla] = Lease(adm.name, ancilla, target, window)
-        mp._grant(adm.leases[ancilla])
-        adm.cross_hosts[ancilla] = target
-        self._rewire(ancilla, target, lease.wire)
-        mp.stream_refinements += 1
-
-    def _revoke_lease(self, ancilla: int) -> bool:
-        """Move a leased ancilla onto a fresh wire (lease revoked).
-
-        Returns False when the free pool is empty — the caller then
-        revokes the whole job.
-        """
-        mp, adm = self._mp, self.admission
-        try:
-            fresh = mp._take_free(adm.name, 1, True)
-        except CapacityError:
-            return False
-        lease = adm.leases.pop(ancilla)
-        del adm.cross_hosts[ancilla]
-        mp._retire_leases([lease])
-        self._rewire(ancilla, fresh[0], lease.wire)
-        mp.stream_lease_revocations += 1
-        return True
-
-    def _rewire(self, ancilla: int, wire: int, old: int) -> None:
-        """Put original wire ``ancilla`` on machine wire ``wire`` and
-        give up the hold on ``old`` once nothing of the job uses it."""
-        mp, adm = self._mp, self.admission
-        wires = list(adm.wires)
-        wires[ancilla] = wire
-        adm.wires = tuple(wires)
-        if old not in adm.wires and mp._drop_holds(adm.name, [old]):
-            mp._drain()
-
-    def _revoke(self) -> None:
-        """Revoke the whole admission to the queue: residency ends, the
-        job's wires return to the pool, and :meth:`close` resubmits the
-        complete circuit.  The stream keeps accepting gates."""
-        mp, adm = self._mp, self.admission
-        self._revoked = True
-        self.admission = None
-        mp._evict(adm)
-        mp.stream_job_revocations += 1
-        mp._drain()
-
-    def _detach(self) -> None:
-        """The scheduler released the job: end the stream with no
-        resubmission."""
-        self._closed = True
-        self.admission = None
-
-    def _verify_full(self) -> None:
-        """Re-prove ancilla safety over the complete circuit at close.
-
-        Prefix-time verdicts are optimistic — the tail may touch a
-        leased ancilla without restoring it.  Any lease whose wire is
-        no longer proven safe is revoked (fresh wire, or the whole job
-        when the pool is dry); the refreshed verdicts also re-gate the
-        internal placement via :meth:`_refresh_plan`.
-        """
-        adm = self.admission
-        safety = self._mp._verdicts(
-            self.job, self.job.request_wires, count=False
-        )
-        adm.safety.clear()
-        adm.safety.update(safety)
-        for ancilla in sorted(adm.leases):
-            if safety.get(ancilla) is True:
-                continue
-            if not self._revoke_lease(ancilla):
-                self._revoke()
-                return
-
-    def _refresh_plan(self) -> None:
-        """Refresh the admission's plan from the live allocator.
-
-        Leased and not-proven-safe ancillas are withheld from the
-        assignment (a lease and an internal placement for the same
-        ancilla would double-count it; an unsafe placement would break
-        the no-unverified-placement rule); everything else mirrors the
-        allocator's current committed+tentative placement, which is
-        sound against the prefix model by the allocator's own
-        invariant.
-        """
-        adm = self.admission
-        placement = self.allocator.placement()
-        assignment = {
-            a: h
-            for a, h in placement.assignment.items()
-            if a not in adm.leases and adm.safety.get(a) is True
-        }
-        plan = adm.plan
-        plan.assignment = assignment
-        plan.unplaced = sorted(
-            set(self.job.request_wires) - set(assignment)
-        )
-        plan.notes = list(placement.notes)
-        plan.windows = {
-            a: self.allocator.window(a) for a in self.allocator.active
-        }
 
 
 class MultiProgrammer:
@@ -746,17 +435,6 @@ class MultiProgrammer:
         #: cannot without breaking the freed-wires contract, so this
         #: attribute (mirrored in ``stats()``) carries the provenance.
         self.last_backfilled: Tuple[str, ...] = ()
-        #: Prefix-admission lifetime counters (see :meth:`admit_stream`
-        #: and ``stats()["streaming"]``).
-        self.stream_admissions = 0
-        self.stream_refinements = 0
-        self.stream_lease_revocations = 0
-        self.stream_job_revocations = 0
-        #: Job name -> its :class:`StreamAdmission` handle, kept for
-        #: the per-job throughput counters in :meth:`stats` until
-        #: :meth:`release` or :meth:`cancel` ends the job.
-        self._streams: Dict[str, "StreamAdmission"] = {}
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -870,16 +548,6 @@ class MultiProgrammer:
         data["last_backfilled"] = list(self.last_backfilled)
         data["model_cache_hits"] = self.model_cache_hits
         data["model_cache_misses"] = self.model_cache_misses
-        data["streaming"] = {
-            "admissions": self.stream_admissions,
-            "refinements": self.stream_refinements,
-            "lease_revocations": self.stream_lease_revocations,
-            "revoked_to_queue": self.stream_job_revocations,
-            "jobs": {
-                name: stream.allocator.stats.as_dict()
-                for name, stream in self._streams.items()
-            },
-        }
         return data
 
     def snapshot(self) -> str:
@@ -979,69 +647,6 @@ class MultiProgrammer:
         return self._place(
             job, plan, safety, candidates, strategy, enforce_capacity
         )
-
-    def admit_stream(
-        self,
-        name: str,
-        num_qubits: int,
-        ancilla_requests: Sequence[Union[int, BorrowRequest]] = (),
-        prefix: Sequence[Gate] = (),
-    ) -> StreamAdmission:
-        """Admit a still-open gate stream on its prefix.
-
-        The parse-while-allocate front door: instead of a finished
-        :class:`QuantumJob`, the caller declares the register width and
-        ancilla requests up front, optionally feeds a ``prefix`` of
-        gates, and receives a :class:`StreamAdmission` handle — the job
-        is *resident from this call on*, holding fresh wires for every
-        non-leased original wire (no width reduction: the unseen tail
-        may touch anything) plus cross-program leases for requested
-        ancillas the prefix already proves safe.  Each later
-        ``handle.feed(gate)`` refines the admission in the same call
-        (lease windows regrow; extend → move → fresh wire → revoke to
-        the queue), so the global occupancy contract holds between any
-        two gates; ``handle.close()`` re-proves safety over the
-        complete circuit and resubmits a revoked job via
-        :meth:`submit`.  Time to first lease is therefore one prefix,
-        not one full parse — the overlap the streaming-front-end bench
-        section measures.
-
-        The handle's internal :class:`~repro.alloc.StreamingAllocator`
-        commits behind a fixed horizon of :data:`STREAM_LOOKAHEAD` gates.
-        ``prefix`` gates count into the admission's safety verdicts and
-        leases; an empty prefix admits on width alone.  Raises
-        :class:`~repro.errors.CapacityError` when the machine cannot
-        host the width right now (nothing is queued — use
-        :meth:`submit` with the finished circuit for queueing
-        semantics).
-        """
-        if name in self._residents:
-            raise CircuitError(f"job {name!r} is already resident")
-        if any(entry.name == name for entry in self._queue):
-            raise CircuitError(f"job {name!r} is already queued")
-        requests = [
-            r if isinstance(r, BorrowRequest) else BorrowRequest(int(r))
-            for r in ancilla_requests
-        ]
-        job = QuantumJob(
-            name=name,
-            circuit=Circuit(num_qubits),
-            ancilla_requests=requests,
-        )
-        allocator = StreamingAllocator(
-            num_qubits,
-            job.request_wires,
-            lookahead=STREAM_LOOKAHEAD,
-            segmented=self.lending == "segmented",
-            segment_check=self.segment_check,
-        )
-        stream = StreamAdmission(self, job, allocator)
-        for gate in prefix:
-            stream._ingest(gate)
-        stream._admit_prefix()
-        self.stream_admissions += 1
-        self._streams[name] = stream
-        return stream
 
     # ------------------------------------------------------------------ #
     # Queueing path
@@ -1152,9 +757,6 @@ class MultiProgrammer:
             if entry.name == name:
                 self._queue.remove(entry)
                 self._queue_stats.cancelled += 1
-                stream = self._streams.get(name)
-                if stream is not None and stream.closed:
-                    del self._streams[name]
                 return entry.job
         if name in self._residents:
             raise CircuitError(
@@ -1249,12 +851,6 @@ class MultiProgrammer:
         self._expire()
         self.last_backfilled = ()
         freed = self._evict(admission)
-        stream = self._streams.get(name)
-        if stream is not None and (
-            stream.closed or stream.admission is admission
-        ):
-            stream._detach()
-            del self._streams[name]
         # Windows this job leased return to the owners' pools
         # automatically: the owners' _idle_owner entries persist and
         # the retired leases no longer block anyone.
@@ -1341,10 +937,9 @@ class MultiProgrammer:
         candidates: Iterable[Tuple[int, WindowSet]],
         strategy: str,
         enforce_capacity: bool = True,
-        offer_idle: bool = True,
     ) -> Admission:
-        """The admission core shared by :meth:`admit` and
-        :meth:`admit_stream`: lease, take fresh wires, record.
+        """:meth:`admit`'s placement step: lease, take fresh wires,
+        record.
 
         Each ``(ancilla, window)`` candidate — ``window`` in the job's
         own gate rounds — leases the offered wire :meth:`_lease_host`
@@ -1355,9 +950,8 @@ class MultiProgrammer:
         leases in fresh wires; when the pool is short every lease is
         rolled back and the :class:`~repro.errors.CapacityError`
         propagates.  Leased ancillas map onto their lent wires through
-        ``plan.wire_map`` (the identity for a stream), and with
-        ``offer_idle`` the job's untouched fresh wires are offered to
-        future guests.
+        ``plan.wire_map``, and the job's untouched fresh wires are
+        offered to future guests.
         """
         gate_offset = self._clock
         cross_hosts: Dict[int, int] = {}
@@ -1385,10 +979,9 @@ class MultiProgrammer:
             borrowed[reduced] if reduced in borrowed else next(pool)
             for reduced in range(plan.final_width)
         )
-        if offer_idle:
-            for reduced in plan.circuit.idle_qubits():
-                if wires[reduced] in fresh:
-                    self._idle_owner[wires[reduced]] = job.name
+        for reduced in plan.circuit.idle_qubits():
+            if wires[reduced] in fresh:
+                self._idle_owner[wires[reduced]] = job.name
         self._seq += 1
         self.total_leases += len(leases)
         admission = Admission(
@@ -1483,22 +1076,20 @@ class MultiProgrammer:
         return strategy
 
     def _verdicts(
-        self, job: QuantumJob, wires: Sequence[int], count: bool = True
+        self, job: QuantumJob, wires: Sequence[int]
     ) -> Dict[int, bool]:
         """Safety verdicts for ``wires``, plus every certified request.
 
         Ancillas whose :class:`BorrowRequest` arrived ``certified``
         (proven safe statically, e.g. by the surface language's borrow
-        checker) are safe without a solver obligation; with ``count``
-        set (admission attempts, not a stream's close-time re-proof)
-        each such skip among ``wires`` bumps :attr:`static_discharged`.
-        The remaining wires go to the verifier in one batch.
+        checker) are safe without a solver obligation; each such skip
+        among ``wires`` bumps :attr:`static_discharged`.  The remaining
+        wires go to the verifier in one batch.
         """
         certified = {r.wire for r in job.ancilla_requests if r.certified}
         safety = dict.fromkeys(certified, True)
         to_verify = tuple(a for a in wires if a not in certified)
-        if count:
-            self.static_discharged += len(wires) - len(to_verify)
+        self.static_discharged += len(wires) - len(to_verify)
         if to_verify:
             report = self.verifier.verify_circuit(job.circuit, to_verify)
             safety.update({v.qubit: v.safe for v in report.verdicts})

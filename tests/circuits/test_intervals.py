@@ -66,7 +66,7 @@ class TestIdleWindows:
 
 
 class TestIncrementalTouchIndex:
-    """The streaming touch index must match the offline functions on
+    """The incremental touch index must match the offline functions on
     every prefix — the parity that keeps the incremental conflict
     model honest."""
 
@@ -82,6 +82,7 @@ class TestIncrementalTouchIndex:
     def test_matches_offline_on_every_prefix(self):
         from repro.circuits import (
             IncrementalTouchIndex,
+            WindowSet,
             touch_indices,
         )
 
@@ -94,9 +95,13 @@ class TestIncrementalTouchIndex:
                 offline_touches = touch_indices(prefix)
                 offline_intervals = activity_intervals(prefix)
                 for q in range(circuit.num_qubits):
-                    assert index.touches_of(q) == (
-                        offline_touches.get(q, [])
-                    )
+                    touches = offline_touches.get(q, [])
+                    busy = [
+                        i
+                        for i in range(len(prefix.gates))
+                        if index.busy_in(q, WindowSet.of((i, i)))
+                    ]
+                    assert busy == touches
                     assert index.interval(q) == offline_intervals.get(q)
 
     def test_busy_in_matches_interval_probe(self):
@@ -110,14 +115,14 @@ class TestIncrementalTouchIndex:
         assert index.busy_in(2, WindowSet.of((0, 0), (2, 3)))
         assert not index.busy_in(1, WindowSet.of((2, 3)))
 
-    def test_last_touch_of_untouched_wire_is_none(self):
+    def test_interval_of_untouched_wire_is_none(self):
         from repro.circuits import IncrementalTouchIndex
 
         index = IncrementalTouchIndex(2)
-        assert index.last_touch(1) is None
+        assert index.interval(1) is None
         index.append(x(0))
-        assert index.last_touch(0) == 0
-        assert index.last_touch(1) is None
+        assert index.interval(0) == ActivityInterval(0, 0)
+        assert index.interval(1) is None
 
 
 class TestRestoreScanParity:

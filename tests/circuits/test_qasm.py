@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from repro.circuits import Circuit, circuit_unitary, cnot, hadamard, mcx, x
 from repro.circuits.gates import cphase, phase, s_gate, swap, toffoli
-from repro.circuits.qasm import from_qasm, iter_qasm_gates, to_qasm
+from repro.circuits.circuit import MAX_WIRES
+from repro.circuits.qasm import from_qasm, to_qasm
 from repro.errors import CircuitError
 from tests.conftest import classical_circuit_strategy, fig13_circuit
 
@@ -113,7 +114,6 @@ class TestImport:
         assert (rz.name, rz.qubits, rz.params) == ("RZ", (0,), (0.75,))
         assert (cp.name, cp.qubits) == ("CPHASE", (0, 1))
         assert cp.params[0] == pytest.approx(-np.pi / 2)
-        assert list(iter_qasm_gates(text)) == [rz, cp]
 
     @pytest.mark.parametrize("param", ["(1+2", "1+2)", "((0.5)", "()"])
     def test_unbalanced_parentheses_rejected(self, param):
@@ -162,46 +162,39 @@ class TestImport:
         ]
 
 
-class TestStream:
-    """``iter_qasm_gates`` — the streaming path ``from_qasm`` drains."""
+class TestErrorLines:
+    """An error names the line that causes it; a text that never
+    declares its register is refused at its end."""
 
-    def test_streamed_gates_equal_offline(self):
-        text = to_qasm(fig13_circuit())
-        offline = from_qasm(text)
-        assert list(iter_qasm_gates(text)) == offline.gates
-
-    def test_num_qubits_known_after_the_header(self):
-        stream = iter_qasm_gates(
-            "OPENQASM 2.0;\nqreg q[3];\nx q[0];\ncx q[0],q[1];\n"
-        )
-        assert stream.num_qubits is None
-        first = next(stream)
-        assert first.name == "X"
-        assert stream.num_qubits == 3
-
-    def test_gates_arrive_before_a_later_bad_line(self):
+    def test_bad_line_after_gates_names_its_line(self):
         text = "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\nfrob q[0];\n"
-        stream = iter_qasm_gates(text)
-        assert next(stream).name == "CX"
         with pytest.raises(CircuitError, match="line 4"):
-            next(stream)
+            from_qasm(text)
 
     def test_gate_before_qreg_rejected(self):
-        with pytest.raises(CircuitError):
-            next(iter_qasm_gates("OPENQASM 2.0;\nx q[0];\n"))
+        with pytest.raises(CircuitError, match="gate before qreg"):
+            from_qasm("OPENQASM 2.0;\nx q[0];\n")
 
-    def test_missing_qreg_reported_at_stream_end(self):
-        stream = iter_qasm_gates("OPENQASM 2.0;\n// empty\n")
+    def test_missing_qreg_reported_at_the_end(self):
         with pytest.raises(CircuitError, match="no qreg"):
-            list(stream)
+            from_qasm("OPENQASM 2.0;\n// empty\n")
 
-    @settings(max_examples=25, deadline=None)
-    @given(classical_circuit_strategy(4, max_gates=8))
-    def test_stream_round_trips_random_circuits(self, circuit):
-        if any(len(g.qubits) > 3 for g in circuit.gates):
-            return
-        stream = iter_qasm_gates(to_qasm(circuit))
-        assert [(g.name, g.qubits) for g in stream] == [
-            (g.name, g.qubits) for g in circuit.gates
-        ]
-        assert stream.num_qubits == circuit.num_qubits
+    def test_register_at_the_wire_limit_reads(self):
+        text = f"OPENQASM 2.0;\nqreg q[{MAX_WIRES}];\nx q[{MAX_WIRES - 1}];\n"
+        assert from_qasm(text).num_qubits == MAX_WIRES
+
+    @pytest.mark.parametrize(
+        "body, line", [("qreg q[{n}];", 2), ("qreg q[2];\nx q[{n}];", 3)]
+    )
+    def test_overlong_numbers_refused_at_their_line(self, body, line):
+        # int() refuses more than 4,300 digits with a ValueError.
+        text = "OPENQASM 2.0;\n" + body.format(n="9" * 5000) + "\n"
+        with pytest.raises(CircuitError, match=f"line {line}: number of 5000"):
+            from_qasm(text)
+
+    @pytest.mark.parametrize("width", [MAX_WIRES + 1, 10**12])
+    def test_register_past_the_wire_limit_refused(self, width):
+        # Refused before any wire exists: the text is only a few bytes.
+        text = f"OPENQASM 2.0;\nqreg q[{width}];\n"
+        with pytest.raises(CircuitError, match=f"line 2: qreg of {width} qubits"):
+            from_qasm(text)

@@ -21,7 +21,7 @@ from repro.circuits.gates import gate_from_name
 from repro.errors import ParseError
 from repro.lang.borrowck import BorrowChecker, GateOperand
 from repro.lang.diagnostics import DiagnosticReport, Span
-from repro.lang.surface import elaborate, iter_program, parse
+from repro.lang.surface import elaborate, parse
 from repro.lang.surface.parser import (
     BinOp,
     DeclStmt,
@@ -204,11 +204,6 @@ def _compiled(source: str):
 def assert_matches_reference(source: str) -> None:
     expected = _outcome(lambda: _reference(source))
     assert _outcome(lambda: _compiled(source)) == expected
-    streamed = _outcome(lambda: list(iter_program(source)))
-    if expected[0] == "ok":
-        assert streamed == ("ok", expected[1][0])
-    else:
-        assert streamed == expected
 
 
 # --------------------------------------------------------------------- #

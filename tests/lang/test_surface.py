@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.circuits.circuit import MAX_WIRES
 from repro.errors import ParseError
 from repro.lang.borrowck import check_program
-from repro.lang.surface import elaborate, parse, tokenize
+from repro.lang.diagnostics import BorrowCheckError
+from repro.lang.surface import elaborate, iter_statements, parse, tokenize
 from repro.lang.surface.parser import (
     MAX_NESTING,
     BinOp,
@@ -13,6 +15,8 @@ from repro.lang.surface.parser import (
     GateStmt,
     LetStmt,
 )
+from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
+from tests.lang.test_borrowck import DIFFERENTIAL_CORPUS
 
 
 class TestLexer:
@@ -55,6 +59,16 @@ class TestLexer:
 
     def test_other_decimal_scripts_read_as_numbers(self):
         assert elaborate("let n = ٣;").bindings == {"n": 3}
+
+    def test_overlong_number_is_a_parse_error(self):
+        # int() refuses more than 4,300 digits with a ValueError.
+        source = f"let n = {'9' * 5000};"
+        for read in (parse, elaborate):
+            with pytest.raises(ParseError) as err:
+                read(source)
+            assert "number of 5000 digits is too long" in str(err.value)
+            assert (err.value.line, err.value.column) == (1, 9)
+        assert check_program(source).codes() == ["PARSE"]
 
 
 class TestParser:
@@ -110,6 +124,87 @@ class TestParser:
 
     def test_let_column_anchors_the_name(self):
         assert parse("\n  let  b = 2;").statements[0].column == 8
+
+
+#: Paper templates, loops, a scoped borrow block and a lend block.
+STATEMENT_CORPUS = [
+    adder_qbr_source(4),
+    mcx_qbr_source(5),
+    "let n = 3; borrow q[3]; alloc t;\n"
+    "for i = 1 to n { CNOT[q[i], t]; }\n"
+    "for i = n to 1 { CNOT[q[i], t]; }",
+    "borrow@ q1; borrow@ q2; borrow@ q3; alloc q4;\n"
+    "borrow a {\n"
+    "  within { CCNOT[q1, q2, a]; }\n"
+    "  apply  { CCNOT[a, q3, q4]; }\n"
+    "}",
+    "borrow x; alloc t;\nlend x { X[t]; X[t]; }",
+]
+
+
+class TestLazyReading:
+    """``iter_statements`` yields each statement before later source is
+    lexed, and ``elaborate`` runs each one as it arrives: an error in a
+    statement is raised before a lex or parse error after it.  Text
+    reaches the elaborator through that iterator and a parsed
+    ``Program`` through its statement tuple; both must come out alike."""
+
+    @pytest.mark.parametrize("index", range(len(STATEMENT_CORPUS)))
+    def test_statements_equal_parse(self, index):
+        source = STATEMENT_CORPUS[index]
+        assert tuple(iter_statements(source)) == parse(source).statements
+
+    @pytest.mark.parametrize("index", range(len(STATEMENT_CORPUS)))
+    def test_text_and_parsed_program_elaborate_alike(self, index):
+        source = STATEMENT_CORPUS[index]
+        lazy, parsed = elaborate(source), elaborate(parse(source))
+        assert lazy.circuit.gates == parsed.circuit.gates
+        assert lazy.circuit.labels == parsed.circuit.labels
+        assert lazy.dirty_wires == parsed.dirty_wires
+        assert lazy.input_wires == parsed.input_wires
+        assert lazy.clean_wires == parsed.clean_wires
+        assert lazy.proven_wires == parsed.proven_wires
+        assert lazy.lend_windows == parsed.lend_windows
+        assert lazy.bindings == parsed.bindings
+
+    @pytest.mark.parametrize("index", range(len(DIFFERENTIAL_CORPUS)))
+    def test_checker_findings_alike_from_text_and_parsed_program(self, index):
+        """Collect mode over the borrow-check corpus, unsafe blocks
+        included: same gates, same proofs, same findings at the same
+        places."""
+        source = DIFFERENTIAL_CORPUS[index]
+        lazy = elaborate(source, strict=False)
+        parsed = elaborate(parse(source), strict=False)
+        assert lazy.circuit.fingerprint() == parsed.circuit.fingerprint()
+        assert lazy.proven_wires == parsed.proven_wires
+        assert lazy.dirty_wires == parsed.dirty_wires
+        assert [(d.code, d.span) for d in lazy.diagnostics.diagnostics] == [
+            (d.code, d.span) for d in parsed.diagnostics.diagnostics
+        ]
+
+    def test_empty_source_raises_on_drain(self):
+        stream = iter_statements("  // nothing\n")
+        with pytest.raises(ParseError, match="empty program"):
+            list(stream)
+
+    def test_statements_arrive_before_later_source_is_lexed(self):
+        stream = iter_statements("let n = 1; let m = $")
+        assert next(stream).name == "n"
+        with pytest.raises(ParseError):
+            next(stream)
+
+    def test_lex_error_after_valid_gates(self):
+        with pytest.raises(ParseError, match="line 1"):
+            elaborate("borrow a; borrow b; CNOT[a, b]; X[a]; $")
+
+    def test_ownership_violation_before_later_lex_error(self):
+        with pytest.raises(BorrowCheckError) as err:
+            elaborate("borrow@ x; CNOT[x, x]; $")
+        assert err.value.code == "BQ007"
+
+    def test_shape_error_before_later_parse_error(self):
+        with pytest.raises(ParseError, match="undeclared register 'b'"):
+            elaborate("borrow a; X[b]; let = ;")
 
 
 def _nested(depth: int) -> str:
@@ -249,6 +344,50 @@ class TestElaborator:
             elaborate(source)
         assert message in str(err.value)
         assert (err.value.line, err.value.column) == position
+
+    def test_registers_up_to_the_wire_limit_read(self):
+        prog = elaborate(f"borrow a[{MAX_WIRES - 1}]; alloc b; X[b];")
+        assert prog.circuit.num_qubits == MAX_WIRES
+        assert prog.circuit.labels[-2:] == [f"a[{MAX_WIRES - 1}]", "b"]
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            (f"borrow a[{MAX_WIRES + 1}];", (1, 8)),
+            ("borrow a[100000000];", (1, 8)),
+            (f"borrow@ q[{MAX_WIRES}];\nalloc t;", (2, 7)),
+            (
+                f"borrow@ q[{MAX_WIRES}];\n"
+                "borrow b { within { X[q[1]]; } apply { X[q[2]]; } }",
+                (2, 8),
+            ),
+        ],
+    )
+    def test_register_past_the_wire_limit_refused(self, source, position):
+        # Refused at the declaration, before its wires and labels exist.
+        for strict in (True, False):
+            with pytest.raises(ParseError, match="past 65536 wires") as err:
+                elaborate(source, strict=strict)
+            assert (err.value.line, err.value.column) == position
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("borrow q[{big}];", "register 'q' of size {shown} takes"),
+            ("borrow q[0 - {big}];", "register 'q' has non-positive size {shown}"),
+            ("borrow q[2]; X[q[{big}]];", "q[{shown}] out of range 1..2"),
+        ],
+    )
+    def test_values_past_str_limit_still_reported(self, statement, message):
+        # 500 factors of 10**9 make an int of 4,501 digits, which str()
+        # refuses to print.
+        big = " * ".join(["a"] * 500)
+        shown = f"<{(10 ** 4500).bit_length()}-bit number>"
+        source = f"let a = {10**9}; " + statement.format(big=big)
+        for strict in (True, False):
+            with pytest.raises(ParseError) as err:
+                elaborate(source, strict=strict)
+            assert message.format(shown=shown) in str(err.value)
 
     def test_summary(self):
         prog = elaborate("borrow d; borrow@ i; X[d];")

@@ -1,20 +1,20 @@
 """The scheduler and verifier surface that no workload or benchmark row
 used is gone: whole-residency lending, the restore-check and model-memo
-knobs, the per-admission packer, the stream's lookahead/packer/capacity
-arguments, the ``FleetService`` burst buffer, the verifier's thread
-pool with its ``executor=`` and scheduler ``max_workers=`` knobs, and
-the clean-wire checker's own backend dispatch (``repro.verify.clean``),
-the fleet's per-shard queues with their wall-clock deadlines,
-injectable clock, built-in invariant check and the scheduler's
-``drain``/``queue_entry`` hooks they needed, the per-shard strategy,
-lending and packer fields of ``ShardSpec``, the streaming
-allocator's lookahead-policy registry with its ``adaptive`` policy,
-the verifier's process pool and disk verdict cache
-(``repro.verify.cache``) with their ``max_workers=``, ``cache=`` and
-``cache_path=`` knobs, and four exports nothing called
-(``permutation_of``, ``solve_cnf``, ``random_product_density`` and
-``StuckProgramError``).  Each now fails loudly instead of being
-silently accepted."""
+knobs, the per-admission packer, the ``FleetService`` burst buffer,
+the verifier's thread pool with its ``executor=`` and scheduler
+``max_workers=`` knobs, the clean-wire checker's own backend dispatch
+(``repro.verify.clean``), the fleet's per-shard queues with their
+wall-clock deadlines, injectable clock, built-in invariant check and
+the scheduler's ``drain``/``queue_entry`` hooks they needed, the
+per-shard strategy, lending and packer fields of ``ShardSpec``, the
+lookahead-policy registry with its ``adaptive`` policy, the verifier's
+process pool and disk verdict cache (``repro.verify.cache``) with their
+``max_workers=``, ``cache=`` and ``cache_path=`` knobs, four exports
+nothing called (``permutation_of``, ``solve_cnf``,
+``random_product_density`` and ``StuckProgramError``), and the
+parse-while-allocate stack (the streaming allocator, prefix admission
+with its ``stats()`` counters, and the gate iterators of both
+readers).  Each now fails loudly instead of being silently accepted."""
 
 import importlib
 import threading
@@ -22,8 +22,10 @@ import threading
 import pytest
 
 import repro.alloc
+import repro.circuits
+import repro.lang.surface
+import repro.multiprog
 import repro.verify
-from repro.alloc import StreamingAllocator
 from repro.circuits import Circuit, cnot, x
 from repro.errors import CircuitError
 from repro.multiprog import FleetRouter, MultiProgrammer, QuantumJob, ShardSpec
@@ -87,13 +89,6 @@ def test_retired_call_options_raise():
     job = QuantumJob("j", Circuit(1).extend([x(0)]), [])
     with pytest.raises(TypeError):
         mp.admit(job, packer="best-fit")
-    for option in (
-        {"lookahead": 4},
-        {"packer": "best-fit"},
-        {"enforce_capacity": False},
-    ):
-        with pytest.raises(TypeError):
-            mp.admit_stream("s", 1, **option)
     assert mp.residents == ()
 
 
@@ -118,9 +113,32 @@ def test_lookahead_policies_are_gone():
         "available_lookahead_policies",
     ):
         assert not hasattr(repro.alloc, name), name
-        assert not hasattr(repro.alloc.streaming, name), name
-    with pytest.raises(CircuitError, match="lookahead"):
-        StreamingAllocator(4, [3], lookahead="adaptive")
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (repro.alloc, "StreamingAllocator"),
+        (repro.alloc, "StreamingStats"),
+        (repro.alloc, "stream_allocate"),
+        (MultiProgrammer, "admit_stream"),
+        (repro.multiprog, "StreamAdmission"),
+        (repro.lang.surface, "iter_program"),
+        (repro.lang.surface, "ProgramStream"),
+        (repro.circuits, "iter_qasm_gates"),
+        (repro.circuits, "QasmStream"),
+    ],
+)
+def test_parse_while_allocate_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_streaming_module_and_counters_are_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.alloc.streaming")
+    mp = MultiProgrammer(4)
+    mp.admit(QuantumJob("j", Circuit(1).extend([x(0)]), []))
+    assert "streaming" not in mp.stats()
 
 
 def test_service_module_is_gone():

@@ -80,21 +80,12 @@ def alloc_record(
     lazy_runs=0,
     online_runs=6,
     queueing_runs=59,
-    stream_speedup=50.0,
+    rescan_speedup=50.0,
     models_agree=True,
-    inf_width_match=True,
-    inf_plans_match=True,
-    segmented_match=True,
-    streaming=True,
+    conflict_model=True,
     fleet=True,
     fleet_admitted=32,
     single_admitted=30,
-    frontend=True,
-    frontend_staged=1.0,
-    frontend_overlapped=1.0,
-    lease_granted=True,
-    first_lease_wall=0.002,
-    staged_parse_wall=0.2,
     restore=True,
     restore_solver_wall=1.0,
     restore_solver_admitted=40,
@@ -105,24 +96,6 @@ def alloc_record(
     )
     record["online"][0]["solver_runs"] = online_runs
     record["queueing"]["rows"][0]["solver_runs"] = queueing_runs
-    if frontend:
-        record["streaming_frontend"] = {
-            "workloads": [
-                {
-                    "workload": "adder32",
-                    "gates": 229,
-                    "staged_wall_seconds": frontend_staged,
-                    "overlapped_wall_seconds": frontend_overlapped,
-                }
-            ],
-            "first_lease": {
-                "gates": 4004,
-                "prefix_gates": 4,
-                "staged_parse_wall_seconds": staged_parse_wall,
-                "time_to_first_lease_seconds": first_lease_wall,
-                "lease_granted": lease_granted,
-            },
-        }
     if restore:
         record["restore_check"] = {
             "seed": 2,
@@ -162,39 +135,16 @@ def alloc_record(
                 },
             ],
         }
-    if streaming:
-        record["streaming"] = {
+    if conflict_model:
+        record["conflict_model"] = {
             "seed": 7,
             "incremental_vs_rescan": [
                 {
                     "workload": "generated-216",
-                    "speedup": stream_speedup,
+                    "speedup": rescan_speedup,
                     "models_agree": models_agree,
                 }
             ],
-            "throughput": {
-                "lookahead": 8,
-                "gates": 216,
-                "gates_per_second": 50000.0,
-            },
-            "lookahead": [
-                {
-                    "lookahead": 0,
-                    "total_width": 128,
-                    "width_matches_offline": False,
-                    "plans_match_offline": False,
-                },
-                {
-                    "lookahead": "inf",
-                    "total_width": 120,
-                    "width_matches_offline": inf_width_match,
-                    "plans_match_offline": inf_plans_match,
-                },
-            ],
-            "segmented_parity": {
-                "circuits": 12,
-                "matches_offline": segmented_match,
-            },
         }
     return record
 
@@ -559,162 +509,59 @@ class TestFleetGate:
             assert row["admitted"] >= single, row
 
 
-class TestStreamingGates:
-    """The ``streaming`` section floors: the incremental-engine win and
-    the lookahead=∞ differential contract are locked in."""
+class TestConflictModelGates:
+    """The ``conflict_model`` section floor: the incremental engine's
+    win over the per-gate rescan path is locked in."""
 
-    def test_identical_streaming_records_pass(self):
+    def test_identical_conflict_model_records_pass(self):
         comp = compare_alloc(alloc_record(), alloc_record())
         assert not comp.regressions
 
     def test_speedup_below_2x_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(stream_speedup=1.9))
+        comp = compare_alloc(alloc_record(), alloc_record(rescan_speedup=1.9))
         assert (
-            "alloc.streaming.incremental_vs_rescan[generated-216].speedup"
+            "alloc.conflict_model.incremental_vs_rescan[generated-216].speedup"
             in regressed(comp)
         )
 
     def test_model_disagreement_fails(self):
         comp = compare_alloc(alloc_record(), alloc_record(models_agree=False))
-        metric = "alloc.streaming.incremental_vs_rescan[generated-216].models_agree"
+        metric = (
+            "alloc.conflict_model.incremental_vs_rescan[generated-216].models_agree"
+        )
         assert metric in regressed(comp)
 
-    def test_inf_width_mismatch_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(inf_width_match=False))
-        assert "alloc.streaming.lookahead[inf].width_matches_offline" in regressed(comp)
-
-    def test_inf_plan_mismatch_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(inf_plans_match=False))
-        assert "alloc.streaming.lookahead[inf].plans_match_offline" in regressed(comp)
-
-    def test_segmented_parity_break_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(segmented_match=False))
-        assert "alloc.streaming.segmented_parity.matches_offline" in regressed(comp)
-
-    def test_vanished_streaming_rows_fail(self):
+    def test_vanished_conflict_model_rows_fail(self):
         fresh = alloc_record()
-        del fresh["streaming"]
+        del fresh["conflict_model"]
         comp = compare_alloc(alloc_record(), fresh)
         metrics = regressed(comp)
-        assert "alloc.streaming.incremental_vs_rescan[generated-216]" in metrics
-        assert "alloc.streaming.lookahead[inf]" in metrics
-        assert "alloc.streaming.throughput" in metrics
-        assert "alloc.streaming.segmented_parity" in metrics
+        assert "alloc.conflict_model.incremental_vs_rescan[generated-216]" in metrics
 
-    def test_streaming_absent_everywhere_is_fine(self):
-        """Pre-streaming baselines (and fresh records from older
-        branches) must not trip the gate."""
+    def test_conflict_model_absent_everywhere_is_fine(self):
         comp = compare_alloc(
-            alloc_record(streaming=False), alloc_record(streaming=False)
+            alloc_record(conflict_model=False), alloc_record(conflict_model=False)
         )
         assert not comp.regressions
 
     def test_fresh_floors_enforced_without_baseline_section(self):
-        """Fresh streaming floors hold even before the committed
-        baseline is regenerated with the new section."""
+        """The fresh floor holds even when the baseline lacks the
+        section."""
         comp = compare_alloc(
-            alloc_record(streaming=False), alloc_record(stream_speedup=1.0)
+            alloc_record(conflict_model=False), alloc_record(rescan_speedup=1.0)
         )
         assert (
-            "alloc.streaming.incremental_vs_rescan[generated-216].speedup"
+            "alloc.conflict_model.incremental_vs_rescan[generated-216].speedup"
             in regressed(comp)
         )
 
-    def test_committed_streaming_baseline_holds_the_floors(self):
+    def test_committed_conflict_model_baseline_holds_the_floors(self):
         """The committed record must itself satisfy every floor."""
         repo = Path(__file__).resolve().parent.parent
         payload = json.loads((repo / "BENCH_alloc.json").read_text())
-        streaming = payload["streaming"]
-        for row in streaming["incremental_vs_rescan"]:
+        for row in payload["conflict_model"]["incremental_vs_rescan"]:
             assert row["speedup"] >= 2.0, row
             assert row["models_agree"] is True, row
-        inf_rows = [r for r in streaming["lookahead"] if r["lookahead"] == "inf"]
-        assert len(inf_rows) == 1
-        assert inf_rows[0]["width_matches_offline"] is True
-        assert inf_rows[0]["plans_match_offline"] is True
-        assert streaming["segmented_parity"]["matches_offline"] is True
-
-
-class TestStreamingFrontendGates:
-    """The ``streaming_frontend`` floors: overlap must stay free and the
-    prefix admission must beat a full staged parse."""
-
-    def test_identical_frontend_records_pass(self):
-        comp = compare_alloc(alloc_record(), alloc_record())
-        assert not comp.regressions
-
-    def test_overlap_cost_over_tolerance_fails_within_fresh(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(frontend_overlapped=1.3)
-        )
-        metric = (
-            "alloc.streaming_frontend.workloads[adder32].overlapped_vs_staged"
-        )
-        assert metric in regressed(comp)
-
-    def test_overlap_cost_within_tolerance_passes(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(frontend_overlapped=1.2)
-        )
-        assert not comp.regressions
-
-    def test_subfloor_overlap_walls_are_noise(self):
-        comp = compare_alloc(
-            alloc_record(),
-            alloc_record(
-                frontend_staged=WALL_FLOOR / 5,
-                frontend_overlapped=WALL_FLOOR / 2,
-            ),
-        )
-        assert not comp.regressions
-
-    def test_ungranted_lease_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(lease_granted=False))
-        assert "alloc.streaming_frontend.first_lease.lease_granted" in (
-            regressed(comp)
-        )
-
-    def test_first_lease_slower_than_parse_fails(self):
-        comp = compare_alloc(
-            alloc_record(), alloc_record(first_lease_wall=0.3)
-        )
-        assert (
-            "alloc.streaming_frontend.first_lease.beats_staged_parse"
-            in regressed(comp)
-        )
-
-    def test_vanished_frontend_rows_fail(self):
-        fresh = alloc_record()
-        del fresh["streaming_frontend"]
-        comp = compare_alloc(alloc_record(), fresh)
-        metrics = regressed(comp)
-        assert "alloc.streaming_frontend.workloads[adder32]" in metrics
-        assert "alloc.streaming_frontend.first_lease" in metrics
-
-    def test_frontend_absent_everywhere_is_fine(self):
-        comp = compare_alloc(
-            alloc_record(frontend=False), alloc_record(frontend=False)
-        )
-        assert not comp.regressions
-
-    def test_fresh_floors_enforced_without_baseline_section(self):
-        comp = compare_alloc(
-            alloc_record(frontend=False), alloc_record(lease_granted=False)
-        )
-        assert "alloc.streaming_frontend.first_lease.lease_granted" in (
-            regressed(comp)
-        )
-
-    def test_committed_frontend_baseline_holds_the_floors(self):
-        repo = Path(__file__).resolve().parent.parent
-        payload = json.loads((repo / "BENCH_alloc.json").read_text())
-        frontend = payload["streaming_frontend"]
-        first = frontend["first_lease"]
-        assert first["lease_granted"] is True
-        assert (
-            first["time_to_first_lease_seconds"]
-            < first["staged_parse_wall_seconds"]
-        )
 
 
 class TestRestoreCheckGates:
