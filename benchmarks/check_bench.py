@@ -41,10 +41,6 @@ The gate fails (exit 1) on:
   alone (a fleet that loses to one of its own shards wasted a whole
   machine), on top of the usual presence/throughput/wall diffs
   against the baseline rows;
-* the **conflict-model floor** — within the fresh record's
-  ``conflict_model`` section: the incremental model engine must stay
-  at least 2x over the per-gate rescan path on every workload, with
-  both paths producing identical models;
 * the **restore-check record** — segmented lending with its
   solver-backed restore certifier must keep admitting and leasing at
   least the baseline's exact counts on the pinned 300-job trace, at a
@@ -467,51 +463,12 @@ def compare_alloc(baseline: dict, fresh: dict) -> Comparator:
                 "a fleet must never admit less than one of its "
                 "shards alone",
             )
-    _compare_conflict_model(
-        comp,
-        baseline.get("conflict_model") or {},
-        fresh.get("conflict_model") or {},
-    )
     _compare_restore_check(
         comp,
         baseline.get("restore_check") or {},
         fresh.get("restore_check") or {},
     )
     return comp
-
-
-def _compare_conflict_model(comp: Comparator, baseline: dict, fresh: dict) -> None:
-    """The ``conflict_model`` section: presence locked against the
-    baseline, the incremental engine's win locked by an absolute floor
-    on the fresh record (same shape as the solver-speed fronts)."""
-    fresh_rescan = _by(fresh.get("incremental_vs_rescan"), "workload")
-    for key, _ in _by(baseline.get("incremental_vs_rescan"), "workload").items():
-        comp.present(
-            f"alloc.conflict_model.incremental_vs_rescan[{key[0]}]",
-            fresh_rescan.get(key),
-        )
-    for key, row in sorted(fresh_rescan.items()):
-        name = f"alloc.conflict_model.incremental_vs_rescan[{key[0]}]"
-        speedup = row.get("speedup")
-        comp.findings.append(
-            Finding(
-                f"{name}.speedup",
-                ">= 2.0",
-                speedup,
-                isinstance(speedup, (int, float)) and speedup >= 2.0,
-                "incremental model engine must stay >= 2x over the "
-                "per-gate rescan path",
-            )
-        )
-        comp.findings.append(
-            Finding(
-                f"{name}.models_agree",
-                True,
-                row.get("models_agree"),
-                row.get("models_agree") is True,
-                "incremental and rescan models must be identical",
-            )
-        )
 
 
 def _compare_restore_check(comp: Comparator, baseline: dict, fresh: dict) -> None:

@@ -47,11 +47,9 @@ import time
 from repro.adders import haner_ripple_constant_adder
 from repro.adders.costs import adder_cost_rows
 from repro.alloc import (
-    IncrementalConflictModel,
     LookaheadStrategy,
     allocate,
     available_strategies,
-    build_model,
 )
 from repro.circuits import Circuit, cnot, toffoli, x
 from repro.errors import SolverError
@@ -70,7 +68,6 @@ from repro.testing import (
     random_arrival_trace,
     random_fleet_trace,
     random_lending_trace,
-    random_reversible_circuit,
     replay_trace,
 )
 from repro.verify import (
@@ -800,105 +797,6 @@ def _fleet_section() -> dict:
 
 
 # --------------------------------------------------------------------- #
-# Incremental conflict model (repro.alloc.model)
-# --------------------------------------------------------------------- #
-
-#: Seed of the generated circuit the incremental-vs-rescan gate binds on.
-CONFLICT_MODEL_SEED = 7
-
-
-def _conflict_model_workloads() -> list:
-    """``(label, circuit, ancillas)`` rows for incremental-vs-rescan:
-    a 200+-gate generated circuit (144 gates in quick mode) and a wide
-    adder."""
-    seg, mid = (6, 30) if QUICK else (12, 60)
-    generated, gen_ancillas = random_reversible_circuit(
-        CONFLICT_MODEL_SEED,
-        num_data=12,
-        num_ancillas=6,
-        segment_gates=seg,
-        middle_gates=mid,
-    )
-    rows = [
-        (f"generated-{len(generated.gates)}", generated, gen_ancillas)
-    ]
-    n = 12 if QUICK else 16
-    adder = elaborate(adder_qbr_source(n))
-    rows.append(
-        (f"adder{n}", adder.circuit, tuple(sorted(adder.dirty_wires)))
-    )
-    return rows
-
-
-def _rescan_row(label: str, circuit: Circuit, ancillas) -> dict:
-    """Per-gate model maintenance, two ways.
-
-    The *rescan* path rebuilds the conflict model from scratch over
-    the whole prefix after every arriving gate (O(gates) per gate,
-    quadratic overall).  The *incremental* path appends each gate to
-    one :class:`IncrementalConflictModel`, answers the per-touch window
-    query of every touched ancilla, and snapshots the full model once
-    at the end.  Both finish with identical models (checked and
-    recorded), so the speedup is pure data-structure win.
-    """
-    ancilla_set = set(ancillas)
-
-    start = time.perf_counter()
-    grow = Circuit(circuit.num_qubits, labels=circuit.labels)
-    rescan_model = None
-    for gate in circuit.gates:
-        grow.append(gate)
-        rescan_model = build_model(grow, ancillas)
-    rescan_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    engine = IncrementalConflictModel(
-        circuit.num_qubits, ancillas, labels=circuit.labels
-    )
-    for gate in circuit.gates:
-        engine.append(gate)
-        for a in set(gate.qubits) & ancilla_set:
-            engine.window(a)
-    incremental_model = engine.snapshot()
-    incremental_wall = time.perf_counter() - start
-
-    agree = (
-        rescan_model.windows == incremental_model.windows
-        and rescan_model.candidates == incremental_model.candidates
-        and rescan_model.conflicts == incremental_model.conflicts
-    )
-    speedup = (
-        round(rescan_wall / incremental_wall, 1)
-        if incremental_wall > 0
-        else None
-    )
-    row = {
-        "workload": label,
-        "gates": len(circuit.gates),
-        "ancillas": len(ancillas),
-        "rescan_wall_seconds": round(rescan_wall, 4),
-        "incremental_wall_seconds": round(incremental_wall, 4),
-        "speedup": speedup,
-        "models_agree": agree,
-    }
-    print(
-        f"  conflict   {label:<15} rescan={rescan_wall:>8.4f}s "
-        f"incremental={incremental_wall:>8.4f}s speedup={speedup}x"
-    )
-    return row
-
-
-def _conflict_model_section() -> dict:
-    return {
-        "seed": CONFLICT_MODEL_SEED,
-        "incremental_vs_rescan": [
-            _rescan_row(label, circuit, ancillas)
-            for label, circuit, ancillas in _conflict_model_workloads()
-        ],
-    }
-
-
-# --------------------------------------------------------------------- #
 # Restore-check admission cost (segmented lending, solver certifier)
 # --------------------------------------------------------------------- #
 
@@ -990,7 +888,6 @@ def bench_alloc(path: str) -> None:
             ],
         },
         "fleet": _fleet_section(),
-        "conflict_model": _conflict_model_section(),
         "restore_check": _restore_check_section(),
     }
     with open(path, "w") as handle:

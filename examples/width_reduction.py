@@ -10,7 +10,8 @@ five qubits, no ancilla wires.
 Run:  python examples/width_reduction.py
 """
 
-from repro.circuits import Circuit, borrow_dirty_qubits, cnot, toffoli
+from repro.alloc import allocate
+from repro.circuits import Circuit, cnot, toffoli
 from repro.circuits.intervals import activity_intervals
 from repro.verify import classical_safe_uncomputation
 
@@ -44,7 +45,7 @@ def main() -> None:
         result = classical_safe_uncomputation(circuit, wire)
         print(f"  {circuit.label_of(wire)}: {'safe' if result.safe else 'UNSAFE'}")
 
-    plan = borrow_dirty_qubits(
+    plan = allocate(
         circuit,
         ancillas=[5, 6],
         safety_check=lambda c, q: classical_safe_uncomputation(c, q).safe,

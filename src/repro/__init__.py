@@ -28,7 +28,7 @@ True
 """
 
 from repro.alloc import allocate, available_strategies
-from repro.circuits import Circuit, borrow_dirty_qubits
+from repro.circuits import Circuit
 from repro.lang import borrow, init, seq, skip, unitary
 from repro.lang.surface import elaborate, elaborate_file, parse, verify_qbr
 from repro.semantics import Interpretation, programs_equivalent
@@ -51,7 +51,6 @@ __all__ = [
     "allocate",
     "available_strategies",
     "borrow",
-    "borrow_dirty_qubits",
     "classical_safe_uncomputation",
     "elaborate",
     "elaborate_file",

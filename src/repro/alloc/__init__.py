@@ -8,11 +8,8 @@ The width-reduction pass is split into layers mirroring
   :class:`~repro.circuits.intervals.WindowSet`\\ s (whole-period by
   default; split at restore points with ``segmented=True``, so a host
   busy only inside a restore gap still qualifies), candidate hosts and
-  the window-overlap conflict graph, extracted from the circuit once
-  by feeding its gates through an
-  :class:`~repro.alloc.model.IncrementalConflictModel` (per-wire
-  sorted touch lists and incremental restore scans from
-  :mod:`repro.circuits.intervals`, so no prefix is ever rescanned);
+  the window-overlap conflict graph, read off the finished circuit's
+  per-wire touch lists in one pass;
 * :mod:`repro.alloc.base` / :mod:`repro.alloc.registry` — the
   :class:`AllocationStrategy` interface and the ``@register_strategy``
   decorator registry;
@@ -28,20 +25,17 @@ The width-reduction pass is split into layers mirroring
   - ``verified`` (:mod:`repro.alloc.verified`) — a safety gate that
     batch-verifies only ancillas with a candidate host, then delegates;
 
-* :mod:`repro.alloc.api` — :func:`allocate`, which drives model ->
-  strategy -> rewritten circuit and returns the historical
-  :class:`BorrowPlan`.
+* :mod:`repro.alloc.api` — :func:`allocate`, the pass's one front
+  door, which drives model -> strategy -> rewritten circuit and
+  returns a :class:`BorrowPlan`.
 
-:func:`repro.circuits.borrowing.borrow_dirty_qubits` remains as the
-compatibility shim over :func:`allocate`, and the online
-multi-programmer (:mod:`repro.multiprog`) picks a strategy per
-admission.
+The online multi-programmer (:mod:`repro.multiprog`) builds each job's
+model once and picks a strategy per admission.
 """
 
 from repro.alloc.api import BorrowPlan, SafetyCheck, allocate, materialise
 from repro.alloc.model import (
     ConflictModel,
-    IncrementalConflictModel,
     Placement,
     build_model,
     validate_placement,
@@ -65,7 +59,6 @@ __all__ = [
     "BorrowPlan",
     "ConflictModel",
     "GreedyStrategy",
-    "IncrementalConflictModel",
     "IntervalGraphStrategy",
     "LookaheadStrategy",
     "Placement",

@@ -1,30 +1,86 @@
 """The allocation driver: model -> strategy -> rewritten circuit.
 
-:func:`allocate` is the subsystem's front door.  It builds the
-interval-conflict model, applies the caller's safety gate (the seed's
-``safety_check`` / ``on_unsafe`` contract), hands the surviving
-ancillas to a registered strategy, and materialises the winning
-placement as a compacted circuit — returning the same
-:class:`BorrowPlan` the Figure 3.1 pass has always produced, so every
-pre-refactor caller keeps working through the
-:mod:`repro.circuits.borrowing` shim.
+:func:`allocate` is the Figure 3.1 pass's one front door.  It builds
+the interval-conflict model, applies the caller's safety gate
+(``safety_check`` / ``on_unsafe``), hands the surviving ancillas to a
+registered strategy, and materialises the winning placement as a
+compacted circuit, returned as a :class:`BorrowPlan`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.alloc.base import AllocationStrategy
 from repro.alloc.model import ConflictModel, build_model
 from repro.alloc.registry import make_strategy
-
-# BorrowPlan and SafetyCheck live in the (dependency-free) historical
-# module so both packages can share them without an import cycle.
-from repro.circuits.borrowing import BorrowPlan, SafetyCheck
 from repro.circuits.circuit import Circuit
+from repro.circuits.intervals import ActivityInterval, WindowSet
 from repro.errors import CircuitError
 
 StrategyLike = Union[str, AllocationStrategy]
+
+#: Decides safe uncomputation (Definition 3.1) of one ancilla.
+SafetyCheck = Callable[[Circuit, int], bool]
+
+
+@dataclass
+class BorrowPlan:
+    """Outcome of :func:`allocate`.
+
+    Attributes
+    ----------
+    circuit:
+        The rewritten circuit on the compacted register.
+    assignment:
+        Original ancilla index -> original host qubit index.
+    unplaced:
+        Ancillas for which no idle host existed (kept as real wires).
+    periods:
+        The activity period used for each ancilla.
+    windows:
+        Lending window of each ancilla — a
+        :class:`~repro.circuits.intervals.WindowSet` of disjoint
+        gate-index segments a guest occupies whatever wire hosts it
+        (the whole period as one segment, or the restore-point
+        segmentation of a ``segmented`` model — see
+        :class:`repro.alloc.model.ConflictModel`).  The online
+        multi-programmer shifts these onto the machine timeline to
+        decide whether an unplaced ancilla may lease a lent co-tenant
+        wire.
+    wire_map:
+        Original qubit index -> new index, for every surviving wire.
+    original_width / final_width:
+        Register widths before and after the pass.
+    strategy:
+        Name of the allocation strategy that produced the placement.
+    """
+
+    circuit: Circuit
+    assignment: Dict[int, int]
+    unplaced: List[int]
+    periods: Dict[int, ActivityInterval]
+    wire_map: Dict[int, int]
+    original_width: int
+    final_width: int
+    notes: List[str] = field(default_factory=list)
+    strategy: str = "greedy"
+    windows: Dict[int, WindowSet] = field(default_factory=dict)
+
+    @property
+    def qubits_saved(self) -> int:
+        return self.original_width - self.final_width
+
+    def __str__(self) -> str:
+        lines = [
+            f"width {self.original_width} -> {self.final_width}",
+            f"borrowed: "
+            + ", ".join(f"a{a}->q{h}" for a, h in sorted(self.assignment.items())),
+        ]
+        if self.unplaced:
+            lines.append(f"unplaced ancillas: {sorted(self.unplaced)}")
+        return "\n".join(lines)
 
 
 def allocate(
@@ -34,8 +90,6 @@ def allocate(
     safety_check: Optional[SafetyCheck] = None,
     on_unsafe: str = "error",
     model: Optional[ConflictModel] = None,
-    segmented: bool = False,
-    segment_check=None,
     **strategy_options,
 ) -> BorrowPlan:
     """Eliminate dirty-ancilla wires by borrowing idle qubits.
@@ -60,22 +114,16 @@ def allocate(
         ancilla; ``"skip"`` leaves it as a real wire and records a note.
     model:
         An interval-conflict model already built for exactly
-        ``(circuit, ancillas)`` — callers that needed the model for
+        ``(circuit, ancillas)``.  Callers that needed the model for
         their own analysis (the online scheduler's lazy-verification
-        gate) pass it back to skip the rebuild.
-    segmented / segment_check:
-        Forwarded to :func:`~repro.alloc.model.build_model` when no
-        ``model`` is supplied: refine each ancilla's lending window
-        into its restore-point :class:`~repro.circuits.intervals.WindowSet`
-        (optionally solver-backed), so hosts busy only inside the gaps
-        become candidates.
+        gate) pass it back to skip the rebuild, and a model built with
+        ``build_model(..., segmented=True)`` plans over restore-point
+        windows.  Without one, a whole-period model is built.
     """
     if on_unsafe not in ("error", "skip"):
         raise CircuitError(f"on_unsafe must be 'error' or 'skip', got {on_unsafe!r}")
     if model is None:
-        model = build_model(
-            circuit, ancillas, segmented=segmented, segment_check=segment_check
-        )
+        model = build_model(circuit, ancillas)
     elif model.circuit is not circuit or set(model.all_targets) != set(
         ancillas
     ):

@@ -22,10 +22,10 @@ circuit by :meth:`ConflictModel.compatible` /
 multi-programmer's lease machinery, which shifts the same window sets
 onto the machine timeline.
 
-Candidate computation is a single pass over the gates plus one binary
-search per (host, segment) pair, so building the model is
-``O(gates + hosts * segments * log gates)`` — noticeably cheaper than
-the seed's per-ancilla ``idle_qubits_during`` rescans on wide circuits.
+The model is built from the finished circuit in one pass over its
+gates (the per-wire touch lists) plus one binary search per (ancilla,
+host, segment) triple, so building it costs
+``O(gates + ancillas * hosts * segments * log gates)``.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.circuits.circuit import Circuit
 from repro.circuits.intervals import (
     ActivityInterval,
-    IncrementalTouchIndex,
-    RestoreScan,
     SegmentCheck,
     WindowSet,
+    _busy_inside,
+    restore_segments,
+    touch_indices,
 )
 from repro.errors import CircuitError
 
@@ -152,147 +153,6 @@ class ConflictModel:
         )
 
 
-class IncrementalConflictModel:
-    """The interval-conflict structure, maintained one gate at a time.
-
-    The engine behind :func:`build_model`: gates arrive through
-    :meth:`append`, and after every gate the per-wire touch lists
-    (:class:`~repro.circuits.intervals.IncrementalTouchIndex`) and each
-    active ancilla's lending window
-    (:class:`~repro.circuits.intervals.RestoreScan` under
-    ``segmented=True``, the whole activity hull otherwise) are current
-    — no structure ever re-walks the gate prefix.  :meth:`snapshot`
-    materialises the usual frozen :class:`ConflictModel` for the prefix
-    seen so far.
-
-    Per-gate cost is O(wires-per-gate) list appends plus, for touched
-    ancillas, one restore-scan step; :meth:`window` and the snapshot's
-    candidate scan are bisect probes over the sorted lists.  The rescan
-    alternative — rebuilding the model per gate — is O(gates) *per
-    gate*; the bench's ``conflict_model.incremental_vs_rescan`` section
-    records the gap.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        ancillas: Sequence[int],
-        segmented: bool = False,
-        segment_check: Optional[SegmentCheck] = None,
-        labels: Optional[Sequence[str]] = None,
-    ):
-        self._ancilla_set = set(ancillas)
-        for a in self._ancilla_set:
-            if not 0 <= a < num_qubits:
-                raise CircuitError(f"ancilla {a} outside the register")
-        self._circuit = Circuit(num_qubits, labels=labels)
-        self._index = IncrementalTouchIndex(num_qubits)
-        self._segmented = segmented
-        self._segment_check = segment_check
-        self._scans: Dict[int, RestoreScan] = {}
-        # Active ancillas in first-touch order, ties broken by wire
-        # index — the canonical (period.first, a) processing order, kept
-        # sorted for free because first touches only ever move forward.
-        self._active: List[int] = []
-        self._active_set: set = set()
-        self._hosts = tuple(
-            q for q in range(num_qubits) if q not in self._ancilla_set
-        )
-
-    # ------------------------------------------------------------------ #
-    # Growth
-    # ------------------------------------------------------------------ #
-
-    def append(self, gate) -> int:
-        """Feed one gate; returns the gate index it was assigned."""
-        self._circuit.append(gate)  # validates wire indices
-        index = self._index.append(gate)
-        for a in sorted(set(gate.qubits) & self._ancilla_set):
-            if a not in self._active_set:
-                self._active_set.add(a)
-                self._active.append(a)
-            if self._segmented:
-                scan = self._scans.get(a)
-                if scan is None:
-                    scan = self._scans[a] = RestoreScan(
-                        self._circuit.num_qubits,
-                        self._circuit.gates,
-                        a,
-                        self._segment_check,
-                    )
-                scan.observe(index)
-        return index
-
-    def extend(self, gates) -> None:
-        """Feed many gates in order."""
-        for gate in gates:
-            self.append(gate)
-
-    # ------------------------------------------------------------------ #
-    # Queries (current prefix)
-    # ------------------------------------------------------------------ #
-
-    def window(self, ancilla: int) -> Optional[WindowSet]:
-        """The ancilla's lending window over the prefix seen so far
-        (``None`` while untouched)."""
-        if ancilla not in self._active_set:
-            return None
-        if self._segmented:
-            return self._scans[ancilla].window()
-        return WindowSet.whole(self._index.interval(ancilla))
-
-    # ------------------------------------------------------------------ #
-    # Materialisation
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self, circuit: Optional[Circuit] = None) -> ConflictModel:
-        """Freeze the current prefix into a :class:`ConflictModel`.
-
-        ``circuit`` lets :func:`build_model` hand back the caller's own
-        circuit object (required: :func:`repro.alloc.api.allocate`
-        checks model/circuit identity).  Without it, the engine's
-        internal gate list is *copied* into a fresh circuit, so the
-        snapshot stays stable if more gates are fed afterwards.
-        """
-        if circuit is None:
-            circuit = Circuit(
-                self._circuit.num_qubits,
-                self._circuit.gates,
-                self._circuit.labels,
-            )
-        active = tuple(self._active)
-        untouched = tuple(sorted(self._ancilla_set - self._active_set))
-        windows = {a: self.window(a) for a in active}
-        periods = {a: self._index.interval(a) for a in active}
-        candidates = {
-            a: tuple(
-                h
-                for h in self._hosts
-                if not self._index.busy_in(h, windows[a])
-            )
-            for a in active
-        }
-        conflicts: Dict[int, FrozenSet[int]] = {
-            a: frozenset(
-                b
-                for b in active
-                if b != a and windows[a].overlaps(windows[b])
-            )
-            for a in active
-        }
-        return ConflictModel(
-            circuit=circuit,
-            ancillas=active,
-            untouched=untouched,
-            periods=periods,
-            windows=windows,
-            hosts=self._hosts,
-            candidates=candidates,
-            conflicts=conflicts,
-            segmented=self._segmented,
-        )
-
-
 def build_model(
     circuit: Circuit,
     ancillas: Sequence[int],
@@ -301,26 +161,69 @@ def build_model(
 ) -> ConflictModel:
     """Extract the interval-conflict structure for ``ancillas``.
 
-    With ``segmented`` on, each ancilla's lending window is refined by
-    the restore-point analysis
-    (:func:`~repro.circuits.intervals.restore_segments`, optionally
-    solver-backed through ``segment_check``); candidate hosts then only
-    need to be idle inside the surviving segments, and conflicts are
-    window-*set* overlaps — both strictly more permissive than the
-    whole-period default, never less.
-
-    Implemented as "feed every gate through an
-    :class:`IncrementalConflictModel`, snapshot once".
+    One pass over the finished circuit builds the per-wire touch lists
+    (:func:`~repro.circuits.intervals.touch_indices`); everything else
+    reads them.  An ancilla's period runs from its first touch to its
+    last, and its lending window is that whole period, or, with
+    ``segmented`` on, the restore-point split of
+    :func:`~repro.circuits.intervals.restore_segments` (optionally
+    solver-backed through ``segment_check``) run on the same touch
+    list.  A host is a candidate when a bisect probe per window
+    segment finds no touch inside, and two ancillas conflict when
+    their windows overlap.  Segmentation is therefore strictly more
+    permissive than the whole-period default, never less.
     """
-    engine = IncrementalConflictModel(
-        circuit.num_qubits,
-        ancillas,
-        segmented=segmented,
-        segment_check=segment_check,
-        labels=circuit.labels,
+    ancilla_set = set(ancillas)
+    for a in ancilla_set:
+        if not 0 <= a < circuit.num_qubits:
+            raise CircuitError(f"ancilla {a} outside the register")
+    touches = touch_indices(circuit)
+    # First touch, then wire index: the canonical processing order.
+    active = tuple(
+        sorted(
+            (a for a in ancilla_set if a in touches),
+            key=lambda a: (touches[a][0], a),
+        )
     )
-    engine.extend(circuit.gates)
-    return engine.snapshot(circuit)
+    periods = {
+        a: ActivityInterval(touches[a][0], touches[a][-1]) for a in active
+    }
+    if segmented:
+        windows = {
+            a: restore_segments(circuit, a, segment_check, touches[a])
+            for a in active
+        }
+    else:
+        windows = {a: WindowSet.whole(periods[a]) for a in active}
+    hosts = tuple(
+        q for q in range(circuit.num_qubits) if q not in ancilla_set
+    )
+    candidates = {
+        a: tuple(
+            h
+            for h in hosts
+            if h not in touches
+            or not _busy_inside(touches[h], windows[a].segments)
+        )
+        for a in active
+    }
+    conflicts: Dict[int, FrozenSet[int]] = {
+        a: frozenset(
+            b for b in active if b != a and windows[a].overlaps(windows[b])
+        )
+        for a in active
+    }
+    return ConflictModel(
+        circuit=circuit,
+        ancillas=active,
+        untouched=tuple(sorted(ancilla_set.difference(active))),
+        periods=periods,
+        windows=windows,
+        hosts=hosts,
+        candidates=candidates,
+        conflicts=conflicts,
+        segmented=segmented,
+    )
 
 
 def validate_placement(model: ConflictModel, placement: Placement) -> None:

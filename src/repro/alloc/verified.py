@@ -23,6 +23,7 @@ from repro.alloc.base import AllocationStrategy
 from repro.alloc.model import ConflictModel, Placement
 from repro.alloc.registry import make_strategy, register_strategy
 from repro.errors import CircuitError, VerificationError
+from repro.verify.batch import BatchVerifier
 
 
 @register_strategy("verified")
@@ -59,11 +60,6 @@ class VerifiedStrategy(AllocationStrategy):
             raise CircuitError("verified strategy cannot wrap itself")
         self.inner = make_strategy(inner)
         if verifier is None:
-            # Imported here, not at module top: repro.alloc loads during
-            # repro.circuits package init (via the borrowing shim), and
-            # pulling the verify stack in at that point would recurse.
-            from repro.verify.batch import BatchVerifier
-
             verifier = BatchVerifier(backend=backend)
         self.verifier = verifier
         #: Wires proven safe before planning (no solver run needed).

@@ -14,14 +14,9 @@ their refinement into segmented lending windows: the restore-point
 analysis (:func:`restore_segments`) splits an ancilla's period at the
 gaps where the prefix provably restores it, yielding the
 :class:`WindowSet` of disjoint segments a borrowed host is actually
-occupied for; :class:`IncrementalTouchIndex` and :class:`RestoreScan`
-run the same analyses gate by gate over a growing gate list (the
-offline functions replay them, so the two can never drift, and
-:func:`repro.alloc.build_model` runs on them).  The Figure 3.1
-width-reduction pass that borrows idle
-working qubits as dirty ancillas lives in :mod:`repro.alloc` (a
-pluggable strategy subsystem), with :mod:`repro.circuits.borrowing` as
-its historical façade.
+occupied for.  The Figure 3.1 width-reduction pass that borrows idle
+working qubits as dirty ancillas lives in :mod:`repro.alloc`, whose
+:func:`~repro.alloc.allocate` reads these intervals once per circuit.
 """
 
 from repro.circuits.gates import (
@@ -48,8 +43,6 @@ from repro.circuits.classical import (
 )
 from repro.circuits.intervals import (
     ActivityInterval,
-    IncrementalTouchIndex,
-    RestoreScan,
     WindowSet,
     activity_intervals,
     idle_qubits_during,
@@ -66,21 +59,16 @@ from repro.circuits.statevector import (
 )
 from repro.circuits.draw import draw_circuit
 from repro.circuits.qasm import from_qasm, to_qasm
-from repro.circuits.borrowing import BorrowPlan, borrow_dirty_qubits
 
 __all__ = [
     "ActivityInterval",
-    "BorrowPlan",
     "WindowSet",
     "Circuit",
     "CircuitCosts",
     "Gate",
-    "IncrementalTouchIndex",
-    "RestoreScan",
     "activity_intervals",
     "apply_gate_to_ket",
     "apply_to_bits",
-    "borrow_dirty_qubits",
     "ccnot",
     "circuit_costs",
     "circuit_unitary",

@@ -22,6 +22,14 @@ from repro.errors import CircuitError
 #: ``mcx.qbr`` with m = 1750, has 3,501 wires.
 MAX_WIRES = 1 << 16
 
+#: The most work a ``.qbr`` elaboration may do, counted as loop
+#: iterations run plus gates emitted.  Loops and nested borrow blocks
+#: (which double their gates per level) are refused with a
+#: ``ParseError`` before they pass it, so a few bytes of text cannot
+#: spin or emit without end.  ``mcx.qbr`` with m = 1750 emits 27,968
+#: gates, about a ninth of the limit.
+MAX_GATES = 1 << 18
+
 
 class Circuit:
     """An ordered gate list on a fixed-width qubit register."""

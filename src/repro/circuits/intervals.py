@@ -10,21 +10,11 @@ segments, so the host wire can be released there and re-borrowed later.
 ancilla's :class:`WindowSet` — the ordered set of disjoint gate-index
 segments during which a guest actually occupies its host.
 
-The module has two faces over the same structures:
-
-* **Offline** — :func:`activity_intervals`, :func:`touch_indices` and
-  :func:`restore_segments` take a complete :class:`Circuit` and answer
-  in one pass.
-* **Incremental** — :class:`IncrementalTouchIndex` and
-  :class:`RestoreScan` accept gates *one at a time* and keep the same
-  answers current after every append: per-wire sorted touch lists grow
-  by O(wires-per-gate) (gate indices only ever increase, so every
-  insert is a tail append), and the restore-point scan advances its
-  greedy left-to-right state machine per touch instead of re-walking
-  the gate list.  :func:`restore_segments` is itself implemented by
-  replaying a :class:`RestoreScan`, so the two faces agree by
-  construction; :func:`repro.alloc.build_model` runs on the
-  incremental face.
+Every analysis here reads a finished :class:`Circuit`.
+:func:`touch_indices` builds the per-wire sorted touch lists in one
+pass; idle queries binary-search them, and :func:`restore_segments`
+walks one wire's list.  :func:`repro.alloc.build_model` reads every
+answer it needs off one :func:`touch_indices` call.
 """
 
 from __future__ import annotations
@@ -223,53 +213,6 @@ def touch_indices(circuit: Circuit) -> Dict[int, List[int]]:
     return touches
 
 
-class IncrementalTouchIndex:
-    """Per-wire sorted touch lists over a *growing* gate list.
-
-    The incremental counterpart of :func:`touch_indices` /
-    :func:`activity_intervals`: gates arrive one at a time through
-    :meth:`append`, and because gate indices only ever increase, every
-    per-wire insert is a tail append — the lists stay sorted with no
-    ``insort`` shifting and no rescans.  Idle queries
-    (:meth:`busy_in`) are the same per-segment :func:`bisect_left`
-    probes the offline candidate scan uses, so a model maintained on
-    top of this index answers exactly like one built from the finished
-    circuit.
-    """
-
-    def __init__(self, num_qubits: int):
-        self.num_qubits = num_qubits
-        self._touches: List[List[int]] = [[] for _ in range(num_qubits)]
-        self._num_gates = 0
-
-    def append(self, gate) -> int:
-        """Record one gate; returns the gate index it was assigned."""
-        index = self._num_gates
-        for q in gate.qubits:
-            self._touches[q].append(index)
-        self._num_gates += 1
-        return index
-
-    def interval(self, qubit: int) -> Optional[ActivityInterval]:
-        """The wire's activity interval so far, or ``None`` if untouched."""
-        indices = self._touches[qubit]
-        if not indices:
-            return None
-        return ActivityInterval(indices[0], indices[-1])
-
-    def busy_in(
-        self, qubit: int, window: Union[ActivityInterval, WindowSet]
-    ) -> bool:
-        """Does the wire have a gate inside ``window``'s segments?"""
-        indices = self._touches[qubit]
-        if not indices:
-            return False
-        segments = (
-            window.segments if isinstance(window, WindowSet) else (window,)
-        )
-        return _busy_inside(indices, segments)
-
-
 def idle_qubits_during(
     circuit: Circuit,
     window: Union[ActivityInterval, WindowSet],
@@ -341,99 +284,6 @@ def _structural_identity(gates: Sequence) -> bool:
     )
 
 
-class RestoreScan:
-    """Incremental restore-point analysis for one ancilla.
-
-    Holds the greedy left-to-right scan of :func:`restore_segments` as
-    live state over a *growing* gate list: feed every touch of the
-    ancilla (in order) through :meth:`observe`, and :meth:`window`
-    returns, at any prefix, exactly the :class:`WindowSet` that
-    :func:`restore_segments` would compute on that prefix — including
-    the all-or-nothing tail rule.  :func:`restore_segments` is in fact
-    implemented by replaying one of these, so the two can never drift.
-
-    ``gates`` is a live reference to the growing gate list (e.g.
-    ``circuit.gates``); certification slices are read from it on
-    demand and the verdicts cached per ``(first, last)`` span, so
-    repeated :meth:`window` calls between touches cost nothing new.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        gates: Sequence,
-        ancilla: int,
-        segment_check: Optional[SegmentCheck] = None,
-    ):
-        self._num_qubits = num_qubits
-        self._gates = gates
-        self._ancilla = ancilla
-        self._segment_check = segment_check
-        self._closed: List[ActivityInterval] = []
-        self._first: Optional[int] = None
-        self._seg_start: Optional[int] = None
-        self._prev: Optional[int] = None
-        self._certified: Dict[Tuple[int, int], bool] = {}
-
-    def observe(self, index: int) -> None:
-        """Advance the scan past the ancilla's touch at ``index``.
-
-        Touches must arrive in ascending order (a repeated index is
-        tolerated as a no-op, matching the offline scan).  A gap before
-        ``index`` becomes a release point iff the open slice certifies,
-        exactly as in :func:`restore_segments`.
-        """
-        if self._prev is None:
-            self._first = self._seg_start = self._prev = index
-            return
-        if index == self._prev:
-            return
-        if index < self._prev:
-            raise CircuitError(
-                f"restore scan for ancilla {self._ancilla} fed touch "
-                f"{index} after {self._prev}; touches must ascend"
-            )
-        if index > self._prev + 1 and self._certifies(
-            self._seg_start, self._prev
-        ):
-            self._closed.append(ActivityInterval(self._seg_start, self._prev))
-            self._seg_start = index
-        self._prev = index
-
-    def window(self) -> WindowSet:
-        """The prefix's lending window — same answer, same tail rule,
-        as :func:`restore_segments` on the gates seen so far."""
-        if self._prev is None:
-            raise CircuitError(
-                f"ancilla {self._ancilla} is never touched; "
-                f"no window to segment"
-            )
-        whole = WindowSet.whole(ActivityInterval(self._first, self._prev))
-        if not self._closed:
-            return whole
-        if not self._certifies(self._seg_start, self._prev):
-            # Tail does not certify: withdraw the decomposition (see
-            # restore_segments — an uncertified tail is not proven to
-            # restore a re-acquired value).
-            return whole
-        return WindowSet(
-            (*self._closed, ActivityInterval(self._seg_start, self._prev))
-        )
-
-    def _certifies(self, first: int, last: int) -> bool:
-        key = (first, last)
-        cached = self._certified.get(key)
-        if cached is None:
-            gates = list(self._gates[first : last + 1])
-            cached = _structural_identity(gates)
-            if not cached and self._segment_check is not None:
-                cached = self._segment_check(
-                    Circuit(self._num_qubits, gates), self._ancilla
-                )
-            self._certified[key] = cached
-        return cached
-
-
 def restore_segments(
     circuit: Circuit,
     ancilla: int,
@@ -480,15 +330,28 @@ def restore_segments(
         raise CircuitError(
             f"ancilla {ancilla} is never touched; no window to segment"
         )
-    # Replay the incremental scan over the known touch list: one state
-    # machine implements both the offline and the incremental analysis,
-    # so the two answers agree by construction.
-    scan = RestoreScan(
-        circuit.num_qubits, circuit.gates, ancilla, segment_check
-    )
-    for t in touches:
-        scan.observe(t)
-    return scan.window()
+    gates = circuit.gates
+
+    def certifies(first: int, last: int) -> bool:
+        piece = gates[first : last + 1]
+        if _structural_identity(piece):
+            return True
+        return segment_check is not None and segment_check(
+            Circuit(circuit.num_qubits, piece), ancilla
+        )
+
+    closed: List[ActivityInterval] = []
+    start = prev = touches[0]
+    for index in touches[1:]:
+        if index > prev + 1 and certifies(start, prev):
+            closed.append(ActivityInterval(start, prev))
+            start = index
+        prev = index
+    if not closed or not certifies(start, prev):
+        # No release point, or a tail that does not certify: the
+        # ancilla keeps its whole period (see above).
+        return WindowSet.whole(ActivityInterval(touches[0], prev))
+    return WindowSet((*closed, ActivityInterval(start, prev)))
 
 
 def solver_restore_checker(

@@ -118,8 +118,8 @@ _OPERAND = re.compile(r"^q\[(\d+)\]$")
 def from_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset emitted by :func:`to_qasm`.
 
-    Every error is a :class:`~repro.errors.CircuitError`, raised at the
-    first line that cannot be read, or as ``no qreg declaration found``
+    Every error is a :class:`~repro.errors.CircuitError` that names the
+    first line that cannot be read, or ``no qreg declaration found``
     at the end of a text that never declares its register.  A ``qreg``
     wider than :data:`~repro.circuits.circuit.MAX_WIRES` is refused
     before any wire exists.
@@ -138,7 +138,9 @@ def from_qasm(text: str) -> Circuit:
                     f"line {line_number}: unsupported qreg declaration"
                 )
             if circuit is not None:
-                raise CircuitError("multiple qreg declarations")
+                raise CircuitError(
+                    f"line {line_number}: multiple qreg declarations"
+                )
             width = _integer(match.group(1), line_number)
             if width > MAX_WIRES:
                 raise CircuitError(
@@ -153,7 +155,9 @@ def from_qasm(text: str) -> Circuit:
         if not match:
             raise CircuitError(f"line {line_number}: cannot parse {line!r}")
         if circuit is None:
-            raise CircuitError("gate before qreg declaration")
+            raise CircuitError(
+                f"line {line_number}: gate before qreg declaration"
+            )
         name = match.group("name")
         if name not in _QASM_GATES:
             raise CircuitError(
@@ -175,7 +179,11 @@ def from_qasm(text: str) -> Circuit:
         param = None
         if match.group("param") is not None:
             param = _eval_param(match.group("param"), line_number)
-        circuit.append(build(operands, param))
+        try:
+            # Gate refuses repeated operands, append an out-of-range one.
+            circuit.append(build(operands, param))
+        except CircuitError as err:
+            raise CircuitError(f"line {line_number}: {err}") from None
     if circuit is None:
         raise CircuitError("no qreg declaration found")
     return circuit

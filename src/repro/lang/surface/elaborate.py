@@ -34,7 +34,10 @@ A scoped borrow block elaborates to the double conjugation
 emission satisfy the paper's (6.1)/(6.2) contract by construction.
 
 ``for A to B`` iterates from A to B *inclusive, in either direction* —
-the descending loops of ``adder.qbr``/``mcx.qbr`` rely on this.
+the descending loops of ``adder.qbr``/``mcx.qbr`` rely on this.  Loop
+iterations run plus gates emitted may not pass
+:data:`~repro.circuits.circuit.MAX_GATES`; a loop or borrow block that
+would is refused with a :class:`ParseError` at its statement.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.circuits.circuit import MAX_WIRES, Circuit
+from repro.circuits.circuit import MAX_GATES, MAX_WIRES, Circuit
 from repro.circuits.gates import Gate, gate_from_name
 from repro.errors import ParseError
 from repro.lang.borrowck import BorrowChecker, qbr_path, read_qbr
@@ -293,6 +296,11 @@ class _Elaborator:
         self.gate_meta: List[_GateMeta] = []
         self.proven: List[int] = []
         self.lend_windows: Dict[str, List[Tuple[int, int]]] = {}
+        # Loop iterations run so far; with len(gates) it is the work
+        # MAX_GATES bounds.
+        self.iterations = 0
+        # Borrow blocks whose mirror is still to come.
+        self.open_blocks = 0
         self._plans: Dict[int, _GatePlan] = {}  # by id(stmt)
         # One Gate per distinct (IR name, wires): loops and uncompute
         # halves re-emit the same gate, and `Circuit.fingerprint`
@@ -367,6 +375,16 @@ class _Elaborator:
         )
         if self.checker.release(stmt.name, span):
             self.registers[stmt.name].released = True
+
+    @staticmethod
+    def _past_limit(line: int, column: int) -> ParseError:
+        """The error for a statement that would take the elaboration
+        past :data:`MAX_GATES`."""
+        return ParseError(
+            f"program elaborates past {MAX_GATES} gates and loop iterations",
+            line,
+            column,
+        )
 
     # Statements ------------------------------------------------------------- #
 
@@ -476,15 +494,20 @@ class _Elaborator:
         """Unroll a ``for`` loop (inclusive bounds, either direction).
 
         The loop variable is bound before each iteration, and any
-        binding it shadowed is restored afterwards.
+        binding it shadowed is restored afterwards.  Each iteration
+        counts towards :data:`MAX_GATES`, checked before it runs.
         """
         start = self._eval(stmt.start)
         end = self._eval(stmt.end)
         step = 1 if end >= start else -1
         shadowed = self.env.get(stmt.var)
         had_binding = stmt.var in self.env
+        gates = self.gates
         try:
             for value in range(start, end + step, step):
+                self.iterations += 1
+                if self.iterations + len(gates) > MAX_GATES:
+                    raise self._past_limit(stmt.line, stmt.column)
                 self.env[stmt.var] = value
                 self.run(stmt.body)
         finally:
@@ -502,6 +525,12 @@ class _Elaborator:
         already-emitted gates (never the statements — loop bounds and
         lets must not re-evaluate) and feed them back through the
         checker so taint bookkeeping covers the full emission.
+
+        The mirror doubles the block's gates, and the mirror of each
+        enclosing block doubles them again, so before the mirror runs
+        the gates this block will end up adding are checked against
+        :data:`MAX_GATES`: a deep nest is refused at its innermost
+        block, before the doubling starts.
         """
         register = self._declare_register(stmt.reg, "borrow_scoped")
         if register is None:
@@ -510,11 +539,16 @@ class _Elaborator:
             register.name, register.wires, self._ref_span(stmt.reg)
         )
         w_start = len(self.gates)
+        self.open_blocks += 1
         self.run(stmt.within)
         w_stop = len(self.gates)
         self.checker.begin_apply(frame)
         self.run(stmt.apply)
+        self.open_blocks -= 1
         a_stop = len(self.gates)
+        copies = (2 << self.open_blocks) - 1
+        if self.iterations + a_stop + (a_stop - w_start) * copies > MAX_GATES:
+            raise self._past_limit(stmt.line, stmt.column)
         self.checker.begin_mirror(frame)
         self._replay(range(w_stop - 1, w_start - 1, -1), stmt.line)
         self._replay(range(w_stop, a_stop), stmt.line)

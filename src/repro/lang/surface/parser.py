@@ -145,6 +145,7 @@ class ForStmt:
     end: ExprNode
     body: Tuple["StmtNode", ...]
     line: int
+    column: int = 0
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ class _Parser:
                 )
             body.append(self.statement())
         self.expect("RBRACE")
-        return ForStmt(var.text, start, end, tuple(body), token.line)
+        return ForStmt(var.text, start, end, tuple(body), token.line, token.column)
 
     def reg(self) -> RegRef:
         name = self.expect("ID", "a register name")

@@ -34,9 +34,9 @@ Timeouts count fleet events (one per routed submit or release), so
 seeded traces replay identically.
 
 All shards share one :class:`~repro.verify.batch.BatchVerifier`
-(unless prebuilt programmers are handed in), so solver verdicts and
-disk-cache hits memoise *across* the fleet — a family verified on
-shard A verifies for free when it next lands on shard B.
+(unless prebuilt programmers are handed in), so its in-memory verdict
+memo spans the fleet — a family verified on shard A verifies for free
+when it next lands on shard B.
 """
 
 from __future__ import annotations

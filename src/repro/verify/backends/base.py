@@ -9,9 +9,9 @@ subclass :class:`CheckerBackend` and register themselves under a name with
 instances through :func:`~repro.verify.backends.registry.make_checker`
 or, at scale, through :class:`repro.verify.batch.BatchVerifier`.
 
-The batch engine calls ``check_qubit`` in the caller's thread, or in a
-pool worker process on that process's own checker, so backends keep
-per-circuit state without locks.  It also calls ``check_qubit(q,
+The batch engine calls ``check_qubit`` in the caller's thread, one
+obligation at a time, so backends keep per-circuit state without
+locks.  It also calls ``check_qubit(q,
 clean=True)`` for a dirty wire whose (6.2) the dependence sweep
 (:mod:`repro.verify.sweep`) has already proved.
 """

@@ -17,8 +17,8 @@ discharged as an *assumption probe* (``solve(assumptions=[root])``)
 against it.  Defining clauses are fed to the solver exactly once, and
 learned clauses, variable activities and saved phases carry over
 between probes, so a 13-obligation batch costs a fraction of 13 fresh
-solver runs.  Multi-core parallelism comes from the batch engine's
-process pool, where each worker owns its own solver.
+solver runs.  The batch engine runs every probe in the caller's
+thread, on the one solver its checker owns.
 """
 
 from __future__ import annotations

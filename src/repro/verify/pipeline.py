@@ -9,7 +9,7 @@ counterexamples.  :func:`verify_clean_wires` is its counterpart for
 :class:`repro.verify.batch.BatchVerifier` (a batch of one job, in the
 caller's thread); callers with many circuits or qubits, or with both
 kinds of wire on one circuit, should use the batch engine directly for
-shared tracking, process-pool fan-out and verdict memoisation.
+shared tracking, one checker per circuit and verdict memoisation.
 """
 
 from __future__ import annotations

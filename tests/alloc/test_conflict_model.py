@@ -1,28 +1,24 @@
-"""The incremental conflict model, fed one gate at a time.
+"""The offline conflict model, held to its contract at every prefix.
 
-:func:`build_model` feeds a finished circuit through an
-:class:`IncrementalConflictModel` and snapshots it once.  Here the
-engine is fed seeded random circuits (whose ancilla periods run one
+:func:`build_model` reads a finished circuit once.  Here it is run on
+every prefix of seeded random circuits (whose ancilla periods run one
 after another), seeded interleavings of identity blocks (whose windows
 segmentation splits) and ripple-carry adder programs (whose dirty
-carries overlap) gate by gate, and its snapshots are held to the
-model's contract at every prefix:
+carries overlap), and each model is held to the contract:
 
-* a snapshot equals a fresh :func:`build_model` of its prefix, and the
-  model's definition computed straight from the gate list (periods,
-  windows, idle candidate hosts, overlapping ancillas); a snapshot
-  copies the gates it was taken over, so feeding more gates afterwards
-  must not change it;
+* it equals the model's definition computed straight from the gate
+  list (periods, windows via :func:`restore_segments`, idle candidate
+  hosts, overlapping ancillas), and it holds the caller's circuit;
 * restore-point segmentation only relaxes the model: same periods,
   candidate hosts a superset and conflicts a subset of the whole-period
   model's;
 * a gate changes only what it touches: the windows and candidates of
   every ancilla it does not touch stay as they were, and with
   whole-period windows the touched ones only grow and only lose hosts;
-* every strategy that plans from the model alone places soundly over
-  every prefix;
-* snapshots taken along the way leave the engine's final model, and the
-  plans made over it, exactly as :func:`allocate` makes them.
+* every strategy that plans from the model alone places soundly;
+* :func:`allocate` plans over a supplied model exactly as the strategy
+  does, and builds the same whole-period model when given none;
+* a ``segment_check`` is asked about each gate slice at most once.
 """
 
 import random
@@ -30,7 +26,6 @@ import random
 import pytest
 
 from repro.alloc import (
-    IncrementalConflictModel,
     allocate,
     build_model,
     make_strategy,
@@ -39,6 +34,7 @@ from repro.alloc import (
 from repro.circuits import (
     ActivityInterval,
     Circuit,
+    Gate,
     WindowSet,
     cnot,
     restore_segments,
@@ -51,8 +47,8 @@ from repro.testing import random_reversible_circuit
 
 SEEDS = range(100, 104)
 
-#: The gate-by-gate corpus: 12 seeds in three flavours, 12 gapped
-#: circuits in both window modes, and adders.
+#: The prefix corpus: 12 seeds in three flavours, 12 gapped circuits in
+#: both window modes, and adders.
 CORPUS_SEEDS = range(200, 212)
 FLAVOURS = ("plain", "spoiled", "segmented")
 GAPPED_SEEDS = range(300, 312)
@@ -64,7 +60,7 @@ STRATEGIES = ("greedy", "interval-graph", "lookahead")
 
 @pytest.mark.parametrize("segmented", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_incremental_model_equals_offline_at_prefixes(seed, segmented):
+def test_the_model_ignores_how_ancillas_are_listed(seed, segmented):
     circuit, ancillas = random_reversible_circuit(
         seed,
         num_data=6,
@@ -72,29 +68,12 @@ def test_incremental_model_equals_offline_at_prefixes(seed, segmented):
         segment_gates=4,
         middle_gates=8,
     )
-    engine = IncrementalConflictModel(
-        circuit.num_qubits, ancillas, segmented=segmented, labels=circuit.labels
-    )
-    snapshots = []
-    for i, gate in enumerate(circuit.gates):
-        engine.append(gate)
-        if i % 5 and i != len(circuit.gates) - 1:
-            continue  # every 5th prefix plus both ends
-        snapshot = engine.snapshot()
-        prefix = Circuit(circuit.num_qubits, circuit.gates[: i + 1], circuit.labels)
-        offline = build_model(prefix, ancillas, segmented=segmented)
-        assert snapshot.ancillas == offline.ancillas
-        assert snapshot.windows == offline.windows
-        assert snapshot.periods == offline.periods
-        assert snapshot.candidates == offline.candidates
-        assert snapshot.conflicts == offline.conflicts
-        assert snapshot.untouched == offline.untouched
-        assert snapshot.segmented is segmented
-        assert snapshot.circuit.fingerprint() == prefix.fingerprint()
-        snapshots.append((snapshot, i + 1))
-    assert len(snapshots) > 2
-    for snapshot, gates in snapshots:
-        assert len(snapshot.circuit.gates) == gates
+    model = build_model(circuit, ancillas, segmented=segmented)
+    assert model.circuit is circuit
+    for listed in (list(reversed(ancillas)), set(ancillas), [*ancillas, *ancillas]):
+        again = build_model(circuit, listed, segmented=segmented)
+        assert again == model
+    assert build_model(circuit, (), segmented=segmented).ancillas == ()
 
 
 def gapped_circuit(seed):
@@ -155,16 +134,11 @@ CIRCUITS = [
 ]
 
 
-def feed(circuit, ancillas, segmented):
-    """Feed ``circuit`` gate by gate; yield ``(prefix, snapshot)`` after
-    every gate."""
-    engine = IncrementalConflictModel(
-        circuit.num_qubits, ancillas, segmented=segmented, labels=circuit.labels
-    )
-    for i, gate in enumerate(circuit.gates):
-        engine.append(gate)
-        prefix = Circuit(circuit.num_qubits, circuit.gates[: i + 1], circuit.labels)
-        yield prefix, engine.snapshot()
+def prefixes(circuit, ancillas, segmented):
+    """Yield ``(prefix, build_model(prefix))`` for every prefix."""
+    for i in range(1, len(circuit.gates) + 1):
+        prefix = Circuit(circuit.num_qubits, circuit.gates[:i], circuit.labels)
+        yield prefix, build_model(prefix, ancillas, segmented=segmented)
 
 
 def covered(window):
@@ -172,7 +146,7 @@ def covered(window):
     return {i for seg in window for i in range(seg.first, seg.last + 1)}
 
 
-def assert_matches_definition(snapshot, prefix, ancillas, segmented):
+def assert_matches_definition(model, prefix, ancillas, segmented):
     """Recompute every field of the model from the prefix's gate list."""
     touches = {
         q: [i for i, gate in enumerate(prefix.gates) if q in gate.qubits]
@@ -188,37 +162,32 @@ def assert_matches_definition(snapshot, prefix, ancillas, segmented):
     }
     spans = {a: covered(windows[a]) for a in active}
     hosts = tuple(q for q in range(prefix.num_qubits) if q not in ancillas)
-    assert snapshot.ancillas == tuple(active)
-    assert snapshot.untouched == tuple(sorted(a for a in ancillas if not touches[a]))
-    assert snapshot.periods == periods
-    assert snapshot.windows == windows
-    assert snapshot.hosts == hosts
-    assert snapshot.candidates == {
+    assert model.ancillas == tuple(active)
+    assert model.untouched == tuple(sorted(a for a in ancillas if not touches[a]))
+    assert model.periods == periods
+    assert model.windows == windows
+    assert model.hosts == hosts
+    assert model.candidates == {
         a: tuple(h for h in hosts if spans[a].isdisjoint(touches[h])) for a in active
     }
-    assert snapshot.conflicts == {
+    assert model.conflicts == {
         a: frozenset(b for b in active if b != a and spans[a] & spans[b])
         for a in active
     }
-    assert snapshot.segmented is segmented
-    assert snapshot.circuit.fingerprint() == prefix.fingerprint()
+    assert model.segmented is segmented
+    assert model.circuit is prefix
 
 
 @pytest.mark.parametrize("circuit, ancillas, segmented", CASES)
-def test_snapshots_match_the_definition_at_every_prefix(circuit, ancillas, segmented):
-    taken = []
-    for prefix, snapshot in feed(circuit, ancillas, segmented):
-        assert_matches_definition(snapshot, prefix, ancillas, segmented)
-        taken.append((prefix, snapshot))
-    # The whole feed has run since each snapshot was taken.
-    for prefix, snapshot in taken:
-        assert_matches_definition(snapshot, prefix, ancillas, segmented)
+def test_models_match_the_definition_at_every_prefix(circuit, ancillas, segmented):
+    for prefix, model in prefixes(circuit, ancillas, segmented):
+        assert_matches_definition(model, prefix, ancillas, segmented)
 
 
 @pytest.mark.parametrize("circuit, ancillas", CIRCUITS)
 def test_segmentation_only_relaxes_the_model(circuit, ancillas):
     for (_, whole), (_, split) in zip(
-        feed(circuit, ancillas, False), feed(circuit, ancillas, True)
+        prefixes(circuit, ancillas, False), prefixes(circuit, ancillas, True)
     ):
         assert split.ancillas == whole.ancillas
         assert split.periods == whole.periods
@@ -232,7 +201,7 @@ def test_segmentation_only_relaxes_the_model(circuit, ancillas):
 @pytest.mark.parametrize("circuit, ancillas, segmented", CASES)
 def test_a_gate_changes_only_what_it_touches(circuit, ancillas, segmented):
     before = None
-    for prefix, after in feed(circuit, ancillas, segmented):
+    for prefix, after in prefixes(circuit, ancillas, segmented):
         if before is not None:
             touched = set(prefix.gates[-1].qubits)
             assert after.ancillas[: len(before.ancillas)] == before.ancillas
@@ -255,12 +224,12 @@ def test_a_gate_changes_only_what_it_touches(circuit, ancillas, segmented):
 @pytest.mark.parametrize("circuit, ancillas, segmented", CASES)
 def test_every_strategy_plans_soundly_at_every_prefix(circuit, ancillas, segmented):
     strategies = {name: make_strategy(name) for name in STRATEGIES}
-    for _, snapshot in feed(circuit, ancillas, segmented):
+    for _, model in prefixes(circuit, ancillas, segmented):
         placements = {
-            name: strategy.plan(snapshot) for name, strategy in strategies.items()
+            name: strategy.plan(model) for name, strategy in strategies.items()
         }
         for placement in placements.values():
-            validate_placement(snapshot, placement)
+            validate_placement(model, placement)
         # The exact search starts from the greedy plan.
         assert len(placements["lookahead"].assignment) >= len(
             placements["greedy"].assignment
@@ -268,20 +237,42 @@ def test_every_strategy_plans_soundly_at_every_prefix(circuit, ancillas, segment
 
 
 @pytest.mark.parametrize("circuit, ancillas, segmented", CASES)
-def test_a_fed_engine_plans_like_allocate(circuit, ancillas, segmented):
-    engine = IncrementalConflictModel(
-        circuit.num_qubits, ancillas, segmented=segmented, labels=circuit.labels
-    )
-    for gate in circuit.gates:
-        engine.append(gate)
-        engine.snapshot()
-    model = engine.snapshot(circuit)
+def test_allocate_plans_over_the_model(circuit, ancillas, segmented):
+    model = build_model(circuit, ancillas, segmented=segmented)
     for strategy in ("greedy", "lookahead"):
-        fed = allocate(circuit, ancillas, strategy, model=model)
-        offline = allocate(circuit, ancillas, strategy, segmented=segmented)
-        assert fed.assignment == offline.assignment
-        assert fed.unplaced == offline.unplaced
-        assert fed.notes == offline.notes
-        assert fed.windows == offline.windows
-        assert fed.final_width == offline.final_width
-        assert fed.circuit.fingerprint() == offline.circuit.fingerprint()
+        placement = make_strategy(strategy).plan(model)
+        plan = allocate(circuit, ancillas, strategy, model=model)
+        assert plan.assignment == placement.assignment
+        assert plan.unplaced == sorted(placement.unplaced)
+        assert plan.notes == placement.notes
+        assert plan.windows == model.windows
+        assert plan.final_width == (
+            circuit.num_qubits - len(plan.assignment) - len(model.untouched)
+        )
+        if not segmented:
+            rebuilt = allocate(circuit, ancillas, strategy)
+            assert rebuilt.assignment == plan.assignment
+            assert rebuilt.circuit.fingerprint() == plan.circuit.fingerprint()
+
+
+def test_a_segment_check_sees_each_slice_once():
+    """Every gate gets its own object, so a slice's gate ids name its
+    position.  The check certifies only slices whose length is a
+    multiple of 3, so the greedy split both cuts and merges."""
+    asked = []
+
+    def check(piece, ancilla):
+        asked.append((ancilla, tuple(map(id, piece.gates))))
+        return len(piece.gates) % 3 == 0
+
+    total = 0
+    for case in CIRCUITS:
+        circuit, ancillas = case.values
+        fresh = Circuit(
+            circuit.num_qubits, [Gate(g.name, g.qubits, g.params) for g in circuit]
+        )
+        asked.clear()
+        build_model(fresh, ancillas, segmented=True, segment_check=check)
+        assert len(set(asked)) == len(asked), case.id
+        total += len(asked)
+    assert total > len(CIRCUITS)

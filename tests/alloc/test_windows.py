@@ -79,7 +79,8 @@ class TestSegmentedModel:
         assert segmented.candidates[1] == (0,)
 
     def test_segmented_allocate_places_through_the_gap(self):
-        plan = allocate(gapped_circuit(), [1], segmented=True)
+        c = gapped_circuit()
+        plan = allocate(c, [1], model=build_model(c, [1], segmented=True))
         assert plan.assignment == {1: 0}
         assert plan.final_width == 2
         assert plan.windows[1] == WindowSet.of((0, 1), (5, 6))
@@ -96,7 +97,7 @@ class TestSegmentedModel:
         c.extend([cnot(3, 2), cnot(3, 2)])  # a2 block 2: [6, 7]
         model = build_model(c, [1, 2], segmented=True)
         assert model.conflicts[1] == frozenset()
-        plan = allocate(c, [1, 2], segmented=True)
+        plan = allocate(c, [1, 2], model=model)
         assert plan.assignment == {1: 0, 2: 0}
         assert plan.final_width == 2
 

@@ -1,11 +1,13 @@
-"""Tests for the Figure 3.1 width-reduction pass (experiment E4)."""
+"""Tests for the Figure 3.1 width-reduction pass (experiment E4),
+through its front door :func:`repro.alloc.allocate` with the default
+greedy first-fit strategy."""
 
 import numpy as np
 import pytest
 
+from repro.alloc import allocate
 from repro.circuits import (
     Circuit,
-    borrow_dirty_qubits,
     circuit_unitary,
     cnot,
     toffoli,
@@ -23,18 +25,18 @@ def _unitary_on_kept_wires(circuit, kept):
 
 class TestFigure31:
     def test_width_drops_from_seven_to_five(self):
-        plan = borrow_dirty_qubits(fig31_circuit(), ancillas=[5, 6])
+        plan = allocate(fig31_circuit(), ancillas=[5, 6])
         assert plan.original_width == 7
         assert plan.final_width == 5
         assert not plan.unplaced
 
     def test_q3_hosts_both_ancillas(self):
-        plan = borrow_dirty_qubits(fig31_circuit(), ancillas=[5, 6])
+        plan = allocate(fig31_circuit(), ancillas=[5, 6])
         assert plan.assignment == {5: 2, 6: 2}
 
     def test_rewritten_circuit_equivalent_on_working_qubits(self):
         original = fig31_circuit()
-        plan = borrow_dirty_qubits(original, ancillas=[5, 6])
+        plan = allocate(original, ancillas=[5, 6])
         # The rewritten circuit must act on q1..q5 exactly like the
         # original does (for any dirty value, since ancillas are safe).
         u_new = circuit_unitary(plan.circuit)
@@ -54,7 +56,7 @@ class TestFigure31:
             assert out_new == out_old >> 2
 
     def test_safety_check_hook_accepts_safe(self):
-        plan = borrow_dirty_qubits(
+        plan = allocate(
             fig31_circuit(),
             ancillas=[5, 6],
             safety_check=lambda c, q: classical_safe_uncomputation(c, q).safe,
@@ -69,14 +71,14 @@ class TestSafetyGating:
 
     def test_unsafe_errors_by_default(self):
         with pytest.raises(CircuitError):
-            borrow_dirty_qubits(
+            allocate(
                 self._unsafe_circuit(),
                 ancillas=[2],
                 safety_check=lambda c, q: classical_safe_uncomputation(c, q).safe,
             )
 
     def test_unsafe_skip_keeps_wire(self):
-        plan = borrow_dirty_qubits(
+        plan = allocate(
             self._unsafe_circuit(),
             ancillas=[2],
             safety_check=lambda c, q: classical_safe_uncomputation(c, q).safe,
@@ -87,7 +89,7 @@ class TestSafetyGating:
 
     def test_invalid_on_unsafe(self):
         with pytest.raises(CircuitError):
-            borrow_dirty_qubits(Circuit(1), [0], on_unsafe="ignore")
+            allocate(Circuit(1), [0], on_unsafe="ignore")
 
 
 class TestPlacementRules:
@@ -95,13 +97,13 @@ class TestPlacementRules:
         # Every working qubit is busy throughout.
         c = Circuit(3)
         c.extend([cnot(0, 1), toffoli(0, 1, 2), cnot(0, 1)])
-        plan = borrow_dirty_qubits(c, ancillas=[2])
+        plan = allocate(c, ancillas=[2])
         assert plan.unplaced == [2]
         assert plan.final_width == 3
 
     def test_untouched_ancilla_simply_removed(self):
         c = Circuit(3).extend([cnot(0, 1)])
-        plan = borrow_dirty_qubits(c, ancillas=[2])
+        plan = allocate(c, ancillas=[2])
         assert plan.final_width == 2
         assert plan.assignment == {}
 
@@ -116,23 +118,23 @@ class TestPlacementRules:
                 cnot(1, 4),
             ]
         )
-        plan = borrow_dirty_qubits(c, ancillas=[3, 4])
+        plan = allocate(c, ancillas=[3, 4])
         hosts = set(plan.assignment.values())
         assert len(hosts) == len(plan.assignment)
 
     def test_ancilla_out_of_range(self):
         with pytest.raises(CircuitError):
-            borrow_dirty_qubits(Circuit(2), [5])
+            allocate(Circuit(2), [5])
 
     def test_wire_map_is_compact(self):
-        plan = borrow_dirty_qubits(fig31_circuit(), ancillas=[5, 6])
+        plan = allocate(fig31_circuit(), ancillas=[5, 6])
         assert sorted(plan.wire_map.values()) == list(range(5))
 
     def test_labels_follow_survivors(self):
-        plan = borrow_dirty_qubits(fig31_circuit(), ancillas=[5, 6])
+        plan = allocate(fig31_circuit(), ancillas=[5, 6])
         assert plan.circuit.labels == ["q1", "q2", "q3", "q4", "q5"]
 
     def test_report_renders(self):
-        plan = borrow_dirty_qubits(fig31_circuit(), ancillas=[5, 6])
+        plan = allocate(fig31_circuit(), ancillas=[5, 6])
         text = str(plan)
         assert "width 7 -> 5" in text

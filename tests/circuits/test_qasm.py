@@ -1,5 +1,7 @@
 """Tests for OpenQASM 2.0 interchange."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,9 +173,25 @@ class TestErrorLines:
         with pytest.raises(CircuitError, match="line 4"):
             from_qasm(text)
 
-    def test_gate_before_qreg_rejected(self):
-        with pytest.raises(CircuitError, match="gate before qreg"):
-            from_qasm("OPENQASM 2.0;\nx q[0];\n")
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("x q[0];", "line 2: gate before qreg declaration"),
+            ("qreg q[2];\nqreg q[3];", "line 3: multiple qreg declarations"),
+            (
+                "qreg q[2];\nx q[0];\nx q[5];",
+                "line 4: gate X[5] uses qubit 5 outside a 2-qubit register",
+            ),
+            (
+                "qreg q[2];\ncx q[0],q[0];",
+                "line 3: gate CX has duplicate qubits (0, 0)",
+            ),
+        ],
+        ids=["gate-before-qreg", "second-qreg", "out-of-range", "repeated"],
+    )
+    def test_register_errors_name_their_line(self, body, message):
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            from_qasm("OPENQASM 2.0;\n" + body + "\n")
 
     def test_missing_qreg_reported_at_the_end(self):
         with pytest.raises(CircuitError, match="no qreg"):

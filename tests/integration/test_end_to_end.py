@@ -5,7 +5,8 @@ import pytest
 
 from repro import verify_qbr
 from repro.adders import haner_carry_benchmark, haner_ripple_constant_adder
-from repro.circuits import Circuit, apply_to_bits, borrow_dirty_qubits
+from repro.alloc import allocate
+from repro.circuits import Circuit, apply_to_bits
 from repro.lang.surface import elaborate
 from repro.lang.surface.sources import adder_qbr_source, mcx_qbr_source
 from repro.mcx import gidney_mcx
@@ -78,7 +79,7 @@ class TestVerifyThenBorrow:
             layout.circuit, layout.dirty_ancillas, backend="bdd"
         )
         assert report.all_safe
-        plan = borrow_dirty_qubits(
+        plan = allocate(
             layout.circuit,
             layout.dirty_ancillas,
             safety_check=lambda c, q: classical_safe_uncomputation(c, q).safe,

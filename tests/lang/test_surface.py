@@ -1,8 +1,10 @@
 """Tests for the .qbr lexer, parser, and elaborator."""
 
+import time
+
 import pytest
 
-from repro.circuits.circuit import MAX_WIRES
+from repro.circuits.circuit import MAX_GATES, MAX_WIRES
 from repro.errors import ParseError
 from repro.lang.borrowck import check_program
 from repro.lang.diagnostics import BorrowCheckError
@@ -245,6 +247,57 @@ class TestExpressionLimits:
         report = check_program(source)
         assert report.codes() == ["PARSE"]
         assert "nested too deeply" in report.diagnostics[0].message
+
+
+def _nested_blocks(depth: int) -> str:
+    """Borrow blocks nested ``depth`` deep; each level's mirror doubles
+    the gates of the levels inside it (depth 12 emits 12,286 gates)."""
+    source = "borrow@ c;\nborrow@ t;\n"
+    for k in range(depth):
+        source += f"borrow b{k} {{ within {{ CNOT[c, b{k}]; }} apply {{\n"
+    return source + "X[t];\n" + "} }\n" * depth
+
+
+class TestWorkLimit:
+    """``MAX_GATES`` bounds loop iterations run plus gates emitted, so
+    a short program can neither spin nor emit without end."""
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("borrow a; for i = 1 to 1000000000 { X[a]; }", (1, 11)),
+            ("for i = 1 to 1000000000000 { let x = i; }", (1, 1)),
+            (_nested_blocks(30), (32, 1)),
+        ],
+        ids=["gate-loop", "gate-free-loop", "nested-blocks"],
+    )
+    def test_unbounded_work_is_refused_at_its_statement(self, source, position):
+        for strict in (True, False):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=f"past {MAX_GATES} gates") as err:
+                elaborate(source, strict=strict)
+            # About 0.3 s on a 2-vCPU host; unbounded, these run for
+            # hours or exhaust memory.
+            assert time.perf_counter() - start < 10
+            assert (err.value.line, err.value.column) == position
+
+    def test_work_up_to_the_limit_reads(self):
+        source = "for i = 1 to {n} {{ let x = i; }}"
+        assert elaborate(source.format(n=MAX_GATES)).bindings == {"x": MAX_GATES}
+        with pytest.raises(ParseError, match="past"):
+            elaborate(source.format(n=MAX_GATES + 1))
+
+    def test_a_nest_is_refused_before_its_mirrors_double_it(self):
+        assert len(elaborate(_nested_blocks(12)).circuit.gates) == 12286
+        # Depth 17 would emit 393,214 gates: the innermost block's
+        # 4 gates, copied 2**17 times, already pass the limit.
+        with pytest.raises(ParseError) as err:
+            elaborate(_nested_blocks(17))
+        assert (err.value.line, err.value.column) == (19, 1)
+
+    def test_paper_programs_at_scale_still_elaborate(self):
+        assert len(elaborate(mcx_qbr_source(1750)).circuit.gates) == 27968
+        assert len(elaborate(adder_qbr_source(400)).circuit.gates) == 3189
 
 
 class TestElaborator:

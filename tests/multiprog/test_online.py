@@ -3,8 +3,8 @@ cross-program lending / lazy verification / batch replay."""
 
 import pytest
 
+from repro.alloc import allocate
 from repro.circuits import Circuit, cnot, x
-from repro.circuits.borrowing import borrow_dirty_qubits
 from repro.errors import CircuitError
 from repro.mcx import cccnot_with_dirty_ancilla
 from repro.multiprog import BorrowRequest, MultiProgrammer, QuantumJob
@@ -197,15 +197,15 @@ class TestSnapshot:
 
 
 class TestBatchReplay:
-    def test_schedule_round_trips_borrow_dirty_qubits(self):
-        """Acceptance: the batch path reproduces the old composite
-        pass (compat with the historical borrow_dirty_qubits API)."""
+    def test_schedule_round_trips_allocate(self):
+        """Acceptance: the batch path reproduces the composite pass
+        that :func:`allocate` makes of the merged circuit."""
         jobs = [cccnot_job(), sampler_job()]
         mp = MultiProgrammer(10)
         result = mp.schedule(jobs)
 
         composite, offsets = mp._merge(jobs)
-        reference = borrow_dirty_qubits(composite, [offsets["alpha"] + 2])
+        reference = allocate(composite, [offsets["alpha"] + 2])
         assert result.plan.assignment == reference.assignment
         assert result.final_width == reference.final_width
         assert result.plan.wire_map == reference.wire_map

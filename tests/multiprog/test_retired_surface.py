@@ -11,21 +11,28 @@ lookahead-policy registry with its ``adaptive`` policy, the verifier's
 process pool and disk verdict cache (``repro.verify.cache``) with their
 ``max_workers=``, ``cache=`` and ``cache_path=`` knobs, four exports
 nothing called (``permutation_of``, ``solve_cnf``,
-``random_product_density`` and ``StuckProgramError``), and the
+``random_product_density`` and ``StuckProgramError``), the
 parse-while-allocate stack (the streaming allocator, prefix admission
 with its ``stats()`` counters, and the gate iterators of both
-readers).  Each now fails loudly instead of being silently accepted."""
+readers), the gate-at-a-time conflict-model engine, and the
+``borrow_dirty_qubits`` façade with ``allocate``'s ``segmented=`` and
+``segment_check=`` pass-throughs.  Each now fails loudly instead of
+being silently accepted."""
 
 import importlib
 import threading
 
 import pytest
 
+import repro
 import repro.alloc
+import repro.alloc.model
 import repro.circuits
+import repro.circuits.intervals
 import repro.lang.surface
 import repro.multiprog
 import repro.verify
+from repro.alloc import allocate, build_model
 from repro.circuits import Circuit, cnot, x
 from repro.errors import CircuitError
 from repro.multiprog import FleetRouter, MultiProgrammer, QuantumJob, ShardSpec
@@ -139,6 +146,41 @@ def test_streaming_module_and_counters_are_gone():
     mp = MultiProgrammer(4)
     mp.admit(QuantumJob("j", Circuit(1).extend([x(0)]), []))
     assert "streaming" not in mp.stats()
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (repro.alloc, "IncrementalConflictModel"),
+        (repro.alloc.model, "IncrementalConflictModel"),
+        (repro.circuits, "IncrementalTouchIndex"),
+        (repro.circuits.intervals, "IncrementalTouchIndex"),
+        (repro.circuits, "RestoreScan"),
+        (repro.circuits.intervals, "RestoreScan"),
+        (repro.circuits, "BorrowPlan"),
+        (repro.circuits, "borrow_dirty_qubits"),
+        (repro, "borrow_dirty_qubits"),
+    ],
+)
+def test_incremental_engine_and_facade_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_borrowing_module_is_gone_and_alloc_keeps_the_plan_types():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.circuits.borrowing")
+    assert repro.alloc.BorrowPlan.__module__ == "repro.alloc.api"
+    assert {"BorrowPlan", "SafetyCheck"} <= set(repro.alloc.__all__)
+
+
+@pytest.mark.parametrize("option", ["segmented", "segment_check"])
+def test_allocate_window_options_are_gone(option):
+    circuit = Circuit(3).extend([cnot(0, 2), cnot(0, 2)])
+    with pytest.raises(TypeError):
+        allocate(circuit, [2], **{option: True})
+    # A segmented plan comes from a segmented model instead.
+    model = build_model(circuit, [2], segmented=True)
+    assert allocate(circuit, [2], model=model).assignment == {2: 1}
 
 
 def test_service_module_is_gone():

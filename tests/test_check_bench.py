@@ -80,9 +80,6 @@ def alloc_record(
     lazy_runs=0,
     online_runs=6,
     queueing_runs=59,
-    rescan_speedup=50.0,
-    models_agree=True,
-    conflict_model=True,
     fleet=True,
     fleet_admitted=32,
     single_admitted=30,
@@ -133,17 +130,6 @@ def alloc_record(
                     "admitted": fleet_admitted,
                     "wall_seconds": wall,
                 },
-            ],
-        }
-    if conflict_model:
-        record["conflict_model"] = {
-            "seed": 7,
-            "incremental_vs_rescan": [
-                {
-                    "workload": "generated-216",
-                    "speedup": rescan_speedup,
-                    "models_agree": models_agree,
-                }
             ],
         }
     return record
@@ -507,61 +493,6 @@ class TestFleetGate:
         assert len(fleet_rows) == 3  # one per registered placement
         for row in fleet_rows:
             assert row["admitted"] >= single, row
-
-
-class TestConflictModelGates:
-    """The ``conflict_model`` section floor: the incremental engine's
-    win over the per-gate rescan path is locked in."""
-
-    def test_identical_conflict_model_records_pass(self):
-        comp = compare_alloc(alloc_record(), alloc_record())
-        assert not comp.regressions
-
-    def test_speedup_below_2x_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(rescan_speedup=1.9))
-        assert (
-            "alloc.conflict_model.incremental_vs_rescan[generated-216].speedup"
-            in regressed(comp)
-        )
-
-    def test_model_disagreement_fails(self):
-        comp = compare_alloc(alloc_record(), alloc_record(models_agree=False))
-        metric = (
-            "alloc.conflict_model.incremental_vs_rescan[generated-216].models_agree"
-        )
-        assert metric in regressed(comp)
-
-    def test_vanished_conflict_model_rows_fail(self):
-        fresh = alloc_record()
-        del fresh["conflict_model"]
-        comp = compare_alloc(alloc_record(), fresh)
-        metrics = regressed(comp)
-        assert "alloc.conflict_model.incremental_vs_rescan[generated-216]" in metrics
-
-    def test_conflict_model_absent_everywhere_is_fine(self):
-        comp = compare_alloc(
-            alloc_record(conflict_model=False), alloc_record(conflict_model=False)
-        )
-        assert not comp.regressions
-
-    def test_fresh_floors_enforced_without_baseline_section(self):
-        """The fresh floor holds even when the baseline lacks the
-        section."""
-        comp = compare_alloc(
-            alloc_record(conflict_model=False), alloc_record(rescan_speedup=1.0)
-        )
-        assert (
-            "alloc.conflict_model.incremental_vs_rescan[generated-216].speedup"
-            in regressed(comp)
-        )
-
-    def test_committed_conflict_model_baseline_holds_the_floors(self):
-        """The committed record must itself satisfy every floor."""
-        repo = Path(__file__).resolve().parent.parent
-        payload = json.loads((repo / "BENCH_alloc.json").read_text())
-        for row in payload["conflict_model"]["incremental_vs_rescan"]:
-            assert row["speedup"] >= 2.0, row
-            assert row["models_agree"] is True, row
 
 
 class TestRestoreCheckGates:
